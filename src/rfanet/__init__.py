@@ -88,6 +88,7 @@ from .rnn import (
     init_model,
     load_model,
     lstm_step,
+    project,
     save_model,
     sgd_update,
     softmax_predict,

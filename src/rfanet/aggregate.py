@@ -4,6 +4,9 @@ A subsequence of L frames maps to the concatenation of its L hidden states
 (dimension H*L); a full sequence maps to the element-wise mean over K
 randomly sampled length-L windows. Per-depth embeddings expose the t-th
 node's output for the fusion-depth analysis.
+
+The frames a sequence's windows use are projected once, and the K windows
+then run as one (K, H) batch through the LSTM recurrence step.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError
-from .rnn import LstmState, lstm_step
+from .fileio import atomic_write
+from .rnn import LstmState, lstm_step, project
 
 EMBEDDING_MAGIC = b"RFAEMB1"
 
@@ -42,15 +46,21 @@ class SequenceEmbedding:
             raise DataError("embedding contains non-finite entries")
 
 
-def run_hidden_states(model, xs):
-    """(L, H) hidden states for a subsequence, dropout disabled."""
-    xs = np.asarray(xs, dtype=np.float64)
-    state = LstmState(np.zeros(model.hidden_dim), np.zeros(model.hidden_dim))
-    hs = np.empty((xs.shape[0], model.hidden_dim))
-    for t in range(xs.shape[0]):
-        state, _ = lstm_step(model, xs[t], state)
-        hs[t] = state.h
+def _unroll(model, ax):
+    """Hidden states (..., L, H) from input pre-activations (..., L, 4H),
+    from zero state, dropout disabled."""
+    H, L = model.hidden_dim, ax.shape[-2]
+    state = LstmState(np.zeros(ax.shape[:-2] + (H,)), np.zeros(ax.shape[:-2] + (H,)))
+    hs = np.empty(ax.shape[:-1] + (H,))
+    for t in range(L):
+        state, _ = lstm_step(model, ax[..., t, :], state)
+        hs[..., t, :] = state.h
     return hs
+
+
+def run_hidden_states(model, xs):
+    """(..., L, H) hidden states for subsequences (..., L, D), dropout disabled."""
+    return _unroll(model, project(model, xs))
 
 
 def embed_subsequence(model, xs):
@@ -66,15 +76,22 @@ def sample_starts(num_frames, subseq_len, num_subsequences, seed):
     return rng.integers(0, num_frames - subseq_len + 1, size=num_subsequences)
 
 
-def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
-    """Mean of K seeded-window subsequence embeddings; no post-normalization."""
+def _window_states(model, frames, cfg):
+    """Hidden states (K, L, H) of the K seeded windows of a sequence. Each
+    frame some window uses is projected once; the windows run as one batch."""
     cfg.validate()
     frames = np.asarray(frames, dtype=np.float64)
     starts = sample_starts(frames.shape[0], cfg.subseq_len, cfg.num_subsequences, cfg.seed)
-    acc = np.zeros(model.hidden_dim * cfg.subseq_len)
-    for s in starts:
-        acc += embed_subsequence(model, frames[s : s + cfg.subseq_len])
-    return SequenceEmbedding(acc / len(starts), source_id, camera)
+    windows = starts[:, None] + np.arange(cfg.subseq_len)
+    used, where = np.unique(windows, return_inverse=True)
+    ax = project(model, frames[used])
+    return _unroll(model, ax[where.reshape(windows.shape)])
+
+
+def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
+    """Mean of K seeded-window subsequence embeddings; no post-normalization."""
+    hs = _window_states(model, frames, cfg)
+    return SequenceEmbedding(hs.reshape(len(hs), -1).mean(axis=0), source_id, camera)
 
 
 def embed_at_depth(model, frames, depth, cfg):
@@ -82,12 +99,7 @@ def embed_at_depth(model, frames, depth, cfg):
     cfg.validate()
     if not 1 <= depth <= cfg.subseq_len:
         raise DataError(f"depth {depth} out of range 1..{cfg.subseq_len}")
-    frames = np.asarray(frames, dtype=np.float64)
-    starts = sample_starts(frames.shape[0], cfg.subseq_len, cfg.num_subsequences, cfg.seed)
-    acc = np.zeros(model.hidden_dim)
-    for s in starts:
-        acc += run_hidden_states(model, frames[s : s + cfg.subseq_len])[depth - 1]
-    return acc / len(starts)
+    return _window_states(model, frames, cfg)[:, depth - 1].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +107,21 @@ def embed_at_depth(model, frames, depth, cfg):
 # ---------------------------------------------------------------------------
 
 def write_embeddings(path, embeddings):
+    """Write RFAEMB1 records (u32 source id, u8 camera, float32 values),
+    atomically; every record is validated before the file is opened."""
     if not embeddings:
         raise DataError("no embeddings to write")
     dim = embeddings[0].values.size
-    with open(path, "wb") as fh:
+    for k, emb in enumerate(embeddings):
+        if emb.values.size != dim:
+            raise DataError("embeddings have inconsistent dimensions")
+        for name, value, bits in (("source_id", emb.source_id, 32), ("camera", emb.camera, 8)):
+            if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
+                raise DataError(f"embedding {k}: {name} {value!r} is not a u{bits}")
+    with atomic_write(path) as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<II", dim, len(embeddings)))
         for emb in embeddings:
-            if emb.values.size != dim:
-                raise DataError("embeddings have inconsistent dimensions")
             fh.write(struct.pack("<IB", emb.source_id, emb.camera))
             fh.write(np.ascontiguousarray(emb.values, dtype="<f4").tobytes())
 

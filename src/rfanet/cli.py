@@ -5,15 +5,15 @@ Subcommands: synth, train, embed, eval, gradcheck. Exit codes: 0 success,
 configuration before touching the filesystem, and all randomness flows from
 config-declared seeds.
 
-Heavy imports happen inside the command handlers so that --threads can cap
-the BLAS worker count before numpy is loaded.
+The BLAS worker count is fixed when numpy is first imported, which happens
+as soon as the package loads; set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
+MKL_NUM_THREADS) in the environment that starts rfanet to cap it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -26,10 +26,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rfanet",
         description="Recurrent feature aggregation for multi-shot person re-identification",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="cap the numerical worker thread count (default: library default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,13 +192,6 @@ def cmd_gradcheck(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_VALIDATION
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     from .errors import ConfigurationError, DataError, FormatError, RfaError
 
     handlers = {

@@ -8,6 +8,18 @@ Forward recurrence, per timestep (element-wise products written *):
     o_t = sigmoid(W_o x_t + U_o h_{t-1} + V_o c_t + b_o)      # peeks at the NEW cell
     h_t = o_t * tanh(c_t)
 
+The gates are stored stacked in the order i, f, c, o: ``W`` (4H, D), ``U``
+(4H, H) and ``b`` (4H,). The per-gate names of ``model.params`` (``W_i``,
+``U_f``, ``b_o``, ...) are row-block views into them, so the ``RFANET01``
+file still holds one tensor per name in PARAM_ORDER, unchanged.
+
+Every pass is batched over B subsequences of L steps. ``project`` maps all
+B*L input rows to gate pre-activations with one GEMM; ``lstm_step`` advances
+the (B, H) state by one timestep; ``backward`` forms dW = dA^T X and
+dU = dA^T H_prev as single GEMMs over the batch, where dA (B, L, 4H) holds
+the gate deltas. Training and embedding share this kernel. A single (L, D)
+subsequence is a batch of one whose trace and loss drop the batch axis.
+
 Training minimizes the cross entropy of the softmax over identities, by
 default averaged over every timestep of the subsequence. Gradients are exact
 analytic backpropagation through time, including every peephole path; a
@@ -18,11 +30,12 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FormatError
+from .fileio import atomic_write
 
 # serialization / init order is fixed for determinism
 PARAM_ORDER = (
@@ -33,7 +46,12 @@ PARAM_ORDER = (
     "W_y", "b_y",
 )
 
+GATES = "ifco"  # stacking order of the row blocks of W, U and b
+
 MODEL_MAGIC = b"RFANET01"
+
+# elements per block of the SGD update's scratch buffer
+_SGD_BLOCK = 1 << 16
 
 LstmState = namedtuple("LstmState", ["h", "c"])
 
@@ -48,9 +66,39 @@ def _sigmoid(z):
 
 
 def _softmax(logits):
-    z = logits - logits.max()
+    """Softmax over the last axis, max-subtracted for stability."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class Params(dict):
+    """Model tensors by PARAM_ORDER name, over stacked gate storage.
+
+    ``W`` (4H, D), ``U`` (4H, H) and ``b`` (4H,) hold the gates in GATES
+    order, and ``W_i``, ``U_i``, ``b_i``, ... are views of their row blocks.
+    Assigning to a name copies into the existing tensor, so the views and the
+    stacked arrays never come apart.
+    """
+
+    def __init__(self, shapes):
+        super().__init__()
+        H, D = shapes["W_i"]
+        self.W = np.zeros((4 * H, D))
+        self.U = np.zeros((4 * H, H))
+        self.b = np.zeros(4 * H)
+        stacked = {"W": self.W, "U": self.U, "b": self.b}
+        for name in PARAM_ORDER:
+            kind, gate = name.split("_")
+            if kind in stacked and gate in GATES:
+                k = GATES.index(gate)
+                tensor = stacked[kind][k * H : (k + 1) * H]
+            else:
+                tensor = np.zeros(shapes[name])
+            dict.__setitem__(self, name, tensor)
+
+    def __setitem__(self, name, value):
+        self[name][...] = value
 
 
 @dataclass
@@ -59,7 +107,10 @@ class RfaModel:
     hidden_dim: int
     num_classes: int
     peephole: str = "full"  # "full" (HxH peephole matrices) or "diagonal"
-    params: dict = field(default_factory=dict)
+    params: Params = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = Params(self.param_shapes())  # zeros until init or load fills them
 
     def param_shapes(self):
         D, H, N = self.input_dim, self.hidden_dim, self.num_classes
@@ -76,16 +127,14 @@ class RfaModel:
         return shapes
 
     def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        """A zeroed tensor set of the model's shapes, stacked like ``params``."""
+        return Params(self.param_shapes())
 
     def copy(self):
-        return RfaModel(
-            self.input_dim,
-            self.hidden_dim,
-            self.num_classes,
-            self.peephole,
-            {k: v.copy() for k, v in self.params.items()},
-        )
+        out = RfaModel(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
+        for name, value in self.params.items():
+            out.params[name] = value
+        return out
 
 
 def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_bound=0.01):
@@ -96,73 +145,114 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
     rng = np.random.default_rng(seed)
-    shapes = model.param_shapes()
-    for name in PARAM_ORDER:
-        model.params[name] = rng.uniform(-init_bound, init_bound, shapes[name])
+    for tensor in model.params.values():
+        # the draws and values of rng.uniform(-bound, bound, shape), which
+        # computes low + (high - low) * u, filled in place
+        rng.random(out=tensor)
+        tensor *= 2.0 * init_bound
+        tensor -= init_bound
     return model
 
 
 def _peep(V, c):
-    return V @ c if V.ndim == 2 else V * c
+    """Peephole term V c for each row of c (B, H)."""
+    return c @ V.T if V.ndim == 2 else c * V
 
 
 def _peep_t(V, d):
-    return V.T @ d if V.ndim == 2 else V * d
+    """Transposed peephole V^T d for each row of d (B, H)."""
+    return d @ V if V.ndim == 2 else d * V
 
 
-def lstm_step(model, x, prev):
-    """One recurrence step; returns the new state and the gate record."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise DataError(f"input has shape {x.shape}, expected ({model.input_dim},)")
+def project(model, xs):
+    """Input pre-activations x W^T + b, shape (..., 4H), for inputs (..., D).
+
+    Every row goes through one GEMM."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim < 1 or xs.shape[-1] != model.input_dim:
+        raise DataError(f"input has shape {xs.shape}, expected (..., {model.input_dim})")
     p = model.params
+    ax = xs.reshape(-1, model.input_dim) @ p.W.T
+    ax += p.b
+    return ax.reshape(*xs.shape[:-1], 4 * model.hidden_dim)
+
+
+def lstm_step(model, ax, prev):
+    """One recurrence step of a batch.
+
+    ``ax`` (B, 4H) are the input pre-activations from ``project`` and ``prev``
+    the (B, H) state. Returns the new state and the gate record
+    {i, f, g, o, c, h}, each (B, H)."""
+    H = model.hidden_dim
     h_prev, c_prev = prev
-    i = _sigmoid(p["W_i"] @ x + p["U_i"] @ h_prev + _peep(p["V_i"], c_prev) + p["b_i"])
-    f = _sigmoid(p["W_f"] @ x + p["U_f"] @ h_prev + _peep(p["V_f"], c_prev) + p["b_f"])
-    g = np.tanh(p["W_c"] @ x + p["U_c"] @ h_prev + p["b_c"])
+    if ax.shape[-1] != 4 * H or ax.shape[:-1] != h_prev.shape[:-1]:
+        raise DataError(
+            f"pre-activations have shape {ax.shape}, expected {h_prev.shape[:-1] + (4 * H,)}"
+        )
+    p = model.params
+    a = ax + h_prev @ p.U.T
+    i = _sigmoid(a[..., :H] + _peep(p["V_i"], c_prev))
+    f = _sigmoid(a[..., H : 2 * H] + _peep(p["V_f"], c_prev))
+    g = np.tanh(a[..., 2 * H : 3 * H])
     c = f * c_prev + i * g
-    o = _sigmoid(p["W_o"] @ x + p["U_o"] @ h_prev + _peep(p["V_o"], c) + p["b_o"])
+    o = _sigmoid(a[..., 3 * H :] + _peep(p["V_o"], c))
     h = o * np.tanh(c)
     return LstmState(h, c), {"i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
 def softmax_predict(model, h):
-    """Class probabilities from a hidden vector, max-subtracted for stability."""
+    """Class probabilities (..., N) from hidden vectors (..., H)."""
     h = np.asarray(h, dtype=np.float64)
-    if h.shape != (model.hidden_dim,):
-        raise DataError(f"hidden vector has shape {h.shape}, expected ({model.hidden_dim},)")
-    return _softmax(model.params["W_y"] @ h + model.params["b_y"])
+    if h.ndim < 1 or h.shape[-1] != model.hidden_dim:
+        raise DataError(f"hidden vector has shape {h.shape}, expected (..., {model.hidden_dim})")
+    return _softmax(h @ model.params["W_y"].T + model.params["b_y"])
 
 
 @dataclass
 class ForwardTrace:
-    x: np.ndarray       # (L, D)
-    i: np.ndarray       # (L, H)
+    """Shapes are given for a batch; a single subsequence drops the B axis."""
+
+    x: np.ndarray       # (B, L, D)
+    i: np.ndarray       # (B, L, H)
     f: np.ndarray
     g: np.ndarray       # candidate tanh
     o: np.ndarray
     c: np.ndarray
     h: np.ndarray
-    mask: np.ndarray    # dropout keep mask, (L, H)
+    mask: np.ndarray    # dropout keep mask, (B, L, H)
     hd: np.ndarray      # h after inverted-dropout scaling
-    y: np.ndarray       # (L, N)
-    losses: np.ndarray  # (L,) per-timestep -log y[label]
-    label: int
+    y: np.ndarray       # (B, L, N)
+    losses: np.ndarray  # (B, L) per-timestep -log y[label]
+    label: object       # (B,) labels, or an int
     dropout_rate: float
     loss_mode: str
 
 
+_TRACE_ARRAYS = ("x", "i", "f", "g", "o", "c", "h", "mask", "hd", "y", "losses")
+
+
 def forward(model, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
-    """Run the subsequence through the network; returns (trace, loss).
+    """Run a subsequence (L, D) with its label, or a batch (B, L, D) with B
+    labels, through the network; returns (trace, loss), the loss per
+    subsequence.
 
     Inverted dropout is applied to h_t before the softmax: kept units are
-    divided by (1 - rate), so inference needs no rescaling. With rate 0 the
-    mask is all ones and the pass is deterministic.
+    divided by (1 - rate), so inference needs no rescaling. The keep masks
+    are drawn as one rng.random((B, L, H)) block, subsequence by subsequence
+    and step by step. With rate 0 the mask is all ones and the pass is
+    deterministic.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-        raise DataError(f"subsequence has shape {xs.shape}, expected (L, {model.input_dim})")
-    if not 0 <= label < model.num_classes:
+    single = xs.ndim == 2
+    X = xs[None] if single else xs
+    labels = np.atleast_1d(np.asarray(label))
+    if X.ndim != 3 or X.shape[2] != model.input_dim:
+        raise DataError(
+            f"subsequence has shape {xs.shape}, expected ([B,] L, {model.input_dim})"
+        )
+    if labels.shape != X.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"expected {X.shape[0]} integer labels, got {label!r}")
+    if np.any((labels < 0) | (labels >= model.num_classes)):
         raise DataError(f"label {label} out of range for {model.num_classes} classes")
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigurationError("dropout rate must be in [0, 1)")
@@ -171,91 +261,115 @@ def forward(model, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timeste
     if loss_mode not in ("per_timestep", "final"):
         raise ConfigurationError(f"unknown loss mode {loss_mode!r}")
 
-    L, H, N = xs.shape[0], model.hidden_dim, model.num_classes
-    rec = {k: np.empty((L, H)) for k in ("i", "f", "g", "o", "c", "h", "mask", "hd")}
-    ys = np.empty((L, N))
-    losses = np.empty(L)
-    keep = 1.0 - dropout_rate
-    state = LstmState(np.zeros(H), np.zeros(H))
+    B, L, H = X.shape[0], X.shape[1], model.hidden_dim
+    ax = project(model, X)
+    rec = {k: np.empty((B, L, H)) for k in ("i", "f", "g", "o", "c", "h")}
+    state = LstmState(np.zeros((B, H)), np.zeros((B, H)))
     for t in range(L):
-        state, gates = lstm_step(model, xs[t], state)
-        mask = (rng.random(H) >= dropout_rate).astype(np.float64) if dropout_rate > 0 else np.ones(H)
-        hd = gates["h"] * mask / keep
-        y = softmax_predict(model, hd)
-        for k in ("i", "f", "g", "o", "c", "h"):
-            rec[k][t] = gates[k]
-        rec["mask"][t] = mask
-        rec["hd"][t] = hd
-        ys[t] = y
-        losses[t] = -np.log(y[label])
-    loss = losses.mean() if loss_mode == "per_timestep" else losses[-1]
+        state, gates = lstm_step(model, ax[:, t], state)
+        for k, v in gates.items():
+            rec[k][:, t] = v
+    if dropout_rate > 0:
+        mask = (rng.random((B, L, H)) >= dropout_rate).astype(np.float64)
+    else:
+        mask = np.ones((B, L, H))
+    hd = rec["h"] * mask / (1.0 - dropout_rate)
+    y = softmax_predict(model, hd)
+    losses = -np.log(np.take_along_axis(y, labels[:, None, None], axis=2)[..., 0])
+    loss = losses.mean(axis=1) if loss_mode == "per_timestep" else losses[:, -1]
     trace = ForwardTrace(
-        xs, rec["i"], rec["f"], rec["g"], rec["o"], rec["c"], rec["h"],
-        rec["mask"], rec["hd"], ys, losses, label, dropout_rate, loss_mode,
+        X, rec["i"], rec["f"], rec["g"], rec["o"], rec["c"], rec["h"],
+        mask, hd, y, losses, labels, dropout_rate, loss_mode,
     )
+    if single:
+        trace = replace(
+            trace, label=int(labels[0]), **{k: getattr(trace, k)[0] for k in _TRACE_ARRAYS}
+        )
+        return trace, loss[0]
     return trace, loss
 
 
-def backward(model, trace, label):
-    """Exact gradients of the forward loss w.r.t. every parameter (BPTT)."""
-    if trace.h.shape[1] != model.hidden_dim or trace.x.shape[1] != model.input_dim:
+def _shifted(a):
+    """a[:, t - 1] at step t of a (B, L, H) record, zeros at t = 0."""
+    out = np.zeros_like(a)
+    out[:, 1:] = a[:, :-1]
+    return out
+
+
+def backward(model, trace, label, out=None):
+    """Exact gradients of the forward loss w.r.t. every parameter (BPTT),
+    summed over the batch.
+
+    ``out`` is an optional tensor set from ``model.zero_grads()`` that is
+    overwritten and returned, so a training loop can reuse one buffer.
+    """
+    if trace.h.ndim == 2:
+        trace = replace(
+            trace, label=np.atleast_1d(trace.label),
+            **{k: getattr(trace, k)[None] for k in _TRACE_ARRAYS},
+        )
+    labels = np.atleast_1d(np.asarray(label))
+    if trace.h.shape[2] != model.hidden_dim or trace.x.shape[2] != model.input_dim:
         raise DataError("trace dimensions do not match the model")
-    if label != trace.label:
+    if not np.array_equal(labels, trace.label):
         raise DataError("label does not match the traced forward pass")
     p = model.params
-    L, H = trace.h.shape
-    keep = 1.0 - trace.dropout_rate
-    grads = model.zero_grads()
-    onehot = np.zeros(model.num_classes)
-    onehot[label] = 1.0
+    B, L, H = trace.h.shape
+    N = model.num_classes
+    grads = model.zero_grads() if out is None else out
 
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
+    # softmax head, every timestep at once
+    weight = np.full(L, 1.0 / L) if trace.loss_mode == "per_timestep" else np.eye(L)[-1]
+    onehot = np.zeros((B, 1, N))
+    onehot[np.arange(B), 0, labels] = 1.0
+    dz = (trace.y - onehot) * weight[:, None]
+    np.matmul(dz.reshape(B * L, N).T, trace.hd.reshape(B * L, H), out=grads["W_y"])
+    grads["b_y"] = dz.sum(axis=(0, 1))
+    dh_head = dz @ p["W_y"] * trace.mask / (1.0 - trace.dropout_rate)
+
+    h_prev, c_prev = _shifted(trace.h), _shifted(trace.c)
+    dA = np.empty((B, L, 4 * H))  # gate pre-activation deltas, GATES order
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
     for t in range(L - 1, -1, -1):
-        wt = 1.0 / L if trace.loss_mode == "per_timestep" else float(t == L - 1)
-        c_prev = trace.c[t - 1] if t > 0 else np.zeros(H)
-        h_prev = trace.h[t - 1] if t > 0 else np.zeros(H)
-        i, f, g, o, c = trace.i[t], trace.f[t], trace.g[t], trace.o[t], trace.c[t]
+        i, f, g, o, c = trace.i[:, t], trace.f[:, t], trace.g[:, t], trace.o[:, t], trace.c[:, t]
         tc = np.tanh(c)
+        dh = dh_head[:, t] + dh_next
+        da = dA[:, t]
+        da[:, 3 * H :] = dh * tc * o * (1.0 - o)
+        dc = dh * o * (1.0 - tc * tc) + dc_next + _peep_t(p["V_o"], da[:, 3 * H :])
+        da[:, :H] = dc * g * i * (1.0 - i)
+        da[:, H : 2 * H] = dc * c_prev[:, t] * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+        dh_next = da @ p.U
+        dc_next = dc * f + _peep_t(p["V_i"], da[:, :H]) + _peep_t(p["V_f"], da[:, H : 2 * H])
 
-        dz = (trace.y[t] - onehot) * wt
-        grads["W_y"] += np.outer(dz, trace.hd[t])
-        grads["b_y"] += dz
-        dh = p["W_y"].T @ dz * trace.mask[t] / keep + dh_next
-
-        do = dh * tc
-        da_o = do * o * (1.0 - o)
-        dc = dh * o * (1.0 - tc * tc) + dc_next + _peep_t(p["V_o"], da_o)
-
-        da_i = dc * g * i * (1.0 - i)
-        da_f = dc * c_prev * f * (1.0 - f)
-        da_g = dc * i * (1.0 - g * g)
-
-        x = trace.x[t]
-        for gate, da in (("i", da_i), ("f", da_f), ("c", da_g), ("o", da_o)):
-            grads[f"W_{gate}"] += np.outer(da, x)
-            grads[f"U_{gate}"] += np.outer(da, h_prev)
-            grads[f"b_{gate}"] += da
+    rows = dA.reshape(B * L, 4 * H)
+    np.matmul(rows.T, trace.x.reshape(B * L, -1), out=grads.W)
+    np.matmul(rows.T, h_prev.reshape(B * L, H), out=grads.U)
+    grads.b[...] = rows.sum(axis=0)
+    for name, k, cell in (("V_i", 0, c_prev), ("V_f", 1, c_prev), ("V_o", 3, trace.c)):
+        delta = dA[..., k * H : (k + 1) * H]
         if model.peephole == "full":
-            grads["V_i"] += np.outer(da_i, c_prev)
-            grads["V_f"] += np.outer(da_f, c_prev)
-            grads["V_o"] += np.outer(da_o, c)
+            grads[name] = delta.reshape(B * L, H).T @ cell.reshape(B * L, H)
         else:
-            grads["V_i"] += da_i * c_prev
-            grads["V_f"] += da_f * c_prev
-            grads["V_o"] += da_o * c
-
-        dh_next = (
-            p["U_i"].T @ da_i + p["U_f"].T @ da_f + p["U_c"].T @ da_g + p["U_o"].T @ da_o
-        )
-        dc_next = dc * f + _peep_t(p["V_i"], da_i) + _peep_t(p["V_f"], da_f)
+            grads[name] = (delta * cell).sum(axis=(0, 1))
     return grads
 
 
 def sgd_update(model, grads, lr):
-    """In-place theta <- theta - lr * grad for every parameter."""
+    """In-place theta <- theta - lr * grad for every parameter.
+
+    lr * grad is formed block by block in a small scratch buffer, so the
+    update makes no temporary of a parameter's size."""
+    scratch = np.empty(_SGD_BLOCK)
     for name, g in grads.items():
-        model.params[name] -= lr * g
+        theta = model.params[name].reshape(-1)
+        g = np.asarray(g).reshape(-1)
+        for k in range(0, theta.size, _SGD_BLOCK):
+            part = scratch[: min(_SGD_BLOCK, theta.size - k)]
+            np.multiply(g[k : k + _SGD_BLOCK], lr, out=part)
+            theta[k : k + _SGD_BLOCK] -= part
     return model
 
 
@@ -306,7 +420,12 @@ class LabeledSequence:
 def train(sequences, cfg):
     """SGD over randomly drawn length-L subsequences; one instance per
     sequence per epoch, shuffled and processed in mini-batches with averaged
-    gradients. Fully deterministic given cfg.seed.
+    gradients, one forward/backward call per mini-batch. Fully deterministic
+    given cfg.seed.
+
+    Raises DataError for a sequence with non-finite features, and for a
+    batch whose loss or gate deltas are non-finite, before that batch
+    updates the model.
 
     Returns (model, per-epoch mean loss history).
     """
@@ -318,19 +437,27 @@ def train(sequences, cfg):
         raise DataError("training requires at least 2 classes")
     num_classes = max(labels) + 1
     L = cfg.subseq_len
+    input_dim = np.shape(sequences[0].features)[-1]
     for s in sequences:
+        name = s.name or s.label
+        if s.features.ndim != 2 or s.features.shape[1] != input_dim:
+            raise DataError(
+                f"sequence {name!r} has features of shape {s.features.shape}; "
+                f"expected (T, {input_dim})"
+            )
         if s.features.shape[0] < L:
             raise DataError(
-                f"sequence {s.name or s.label!r} has {s.features.shape[0]} frames; "
-                f"need at least {L}"
+                f"sequence {name!r} has {s.features.shape[0]} frames; need at least {L}"
             )
-    input_dim = sequences[0].features.shape[1]
+        if not np.all(np.isfinite(s.features)):
+            raise DataError(f"sequence {name!r} has non-finite features")
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(
         input_dim, cfg.hidden_dim, num_classes, rng.integers(2**63),
         peephole=cfg.peephole, init_bound=cfg.init_bound,
     )
+    grads = model.zero_grads()  # the one gradient buffer, reused by every batch
     history = []
     for epoch in range(cfg.epochs):
         instances = []
@@ -342,27 +469,27 @@ def train(sequences, cfg):
         epoch_losses = []
         for b in range(0, len(order), cfg.batch_size):
             batch = order[b : b + cfg.batch_size]
-            acc = model.zero_grads()
-            for idx in batch:
-                xs, label = instances[idx]
-                trace, loss = forward(
-                    model, xs, label,
-                    dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,
-                )
-                g = backward(model, trace, label)
-                for name in acc:
-                    acc[name] += g[name]
-                epoch_losses.append(loss)
-            inv = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= inv
+            xs = np.stack([instances[k][0] for k in batch])
+            labels = np.array([instances[k][1] for k in batch])
+            trace, losses = forward(
+                model, xs, labels,
+                dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,
+            )
+            backward(model, trace, labels, out=grads)
+            # b sums the gate deltas over the batch, so it is finite exactly
+            # when they all are; checking it costs no pass over W
+            for what, values in (("loss", losses), ("gate deltas", grads.b)):
+                if not np.all(np.isfinite(values)):
+                    raise DataError(f"epoch {epoch}: non-finite {what} in a training batch")
+            epoch_losses.extend(losses.tolist())
+            # grads holds the batch sum; the averaging and clipping factors
+            # go into the step size instead of another pass over grads
+            scale = 1.0 / len(batch)
             if cfg.clip_norm is not None:
-                total = np.sqrt(sum(float(np.sum(g * g)) for g in acc.values()))
+                total = scale * np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
                 if total > cfg.clip_norm:
-                    scale = cfg.clip_norm / total
-                    for name in acc:
-                        acc[name] *= scale
-            sgd_update(model, acc, lr)
+                    scale *= cfg.clip_norm / total
+            sgd_update(model, grads, lr * scale)
         history.append(float(np.mean(epoch_losses)))
     return model, history
 
@@ -436,7 +563,11 @@ def grad_check(
 # ---------------------------------------------------------------------------
 
 def save_model(path, model):
-    with open(path, "wb") as fh:
+    """Write the model as RFANET01, atomically; refuses non-finite parameters."""
+    for name in PARAM_ORDER:
+        if not np.all(np.isfinite(model.params[name])):
+            raise DataError(f"parameter {name} has non-finite entries; model not written")
+    with atomic_write(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(
             struct.pack(
@@ -468,8 +599,6 @@ def load_model(path):
         need = count * 8
         if len(data) - pos < need:
             raise FormatError(f"truncated tensor {name}", len(data))
-        model.params[name] = (
-            np.frombuffer(data, "<f8", count, pos).reshape(shape).astype(np.float64)
-        )
+        model.params[name] = np.frombuffer(data, "<f8", count, pos).reshape(shape)
         pos += need
     return model

@@ -30,3 +30,33 @@ def random_image(rng, width, height):
     return rf.RawImage(
         width, height, rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
     )
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """Atomic writes run out of space on their second write call."""
+    import builtins
+
+    import rfanet.fileio
+
+    class _Failing:
+        def __init__(self, fh):
+            self.fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(
+        rfanet.fileio, "open", lambda path, mode: _Failing(builtins.open(path, mode)),
+        raising=False,
+    )

@@ -127,3 +127,23 @@ def test_embeddings_inconsistent_dims(tmp_path, rng):
     ]
     with pytest.raises(DataError):
         rf.write_embeddings(tmp_path / "x.rfaemb", embs)
+
+
+@pytest.mark.parametrize("source_id,camera", [(None, 0), (2**32, 0), (3, 256), (3, -1)])
+def test_write_embeddings_rejects_out_of_range_ids(tmp_path, source_id, camera):
+    emb = rf.SequenceEmbedding(np.ones(3), camera=camera)  # source_id defaults to -1
+    if source_id is not None:
+        emb.source_id = source_id
+    path = tmp_path / "x.rfaemb"
+    with pytest.raises(DataError, match="source_id" if camera == 0 else "camera"):
+        rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), 0, 0), emb])
+    assert not path.exists()
+
+
+def test_embeddings_write_failing_midway_keeps_earlier_file(tmp_path, disk_full):
+    path = tmp_path / "x.rfaemb"
+    path.write_bytes(b"earlier embeddings")
+    with pytest.raises(OSError):
+        rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), 0, 0)])
+    assert path.read_bytes() == b"earlier embeddings"
+    assert list(tmp_path.iterdir()) == [path]

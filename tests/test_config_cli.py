@@ -215,10 +215,6 @@ def test_cli_gradcheck_size_cap(capsys):
     assert main(["gradcheck", "--d", "5000", "--h", "10"]) == 1
 
 
-def test_cli_bad_threads(capsys):
-    assert main(["--threads", "0", "gradcheck"]) == 1
-
-
 def test_gradcheck_corrupt_hook_fails():
     def corrupt(grads):
         grads["W_c"] += 0.05

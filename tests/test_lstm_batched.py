@@ -1,0 +1,130 @@
+"""The batched stacked-gate kernel against the per-step loop in
+lstm_reference.py. Summation order differs (GEMMs over the batch against
+per-step outer products), so values agree to a tolerance, not bit for bit;
+random draws, init values and the model file are compared exactly."""
+
+import numpy as np
+import pytest
+
+import lstm_reference as ref
+import rfanet as rf
+from rfanet.aggregate import sample_starts
+from rfanet.rnn import PARAM_ORDER
+
+D, H, N, L = 7, 4, 3, 5
+RTOL = 1e-10
+TRACE_KEYS = ("i", "f", "g", "o", "c", "h", "mask", "hd", "y", "losses")
+
+
+def _model(peephole, seed=3):
+    return rf.init_model(D, H, N, seed=seed, peephole=peephole, init_bound=0.4)
+
+
+def _plain(model):
+    return {name: model.params[name].copy() for name in PARAM_ORDER}
+
+
+def test_init_and_file_match_reference(tmp_path):
+    for peephole in ("full", "diagonal"):
+        model = rf.init_model(D, H, N, seed=12, peephole=peephole, init_bound=0.05)
+        params = ref.init_params(model.param_shapes(), 12, 0.05)
+        for name in PARAM_ORDER:
+            assert np.array_equal(model.params[name], params[name]), name
+        path = tmp_path / f"{peephole}.rfanet"
+        rf.save_model(path, model)
+        assert path.read_bytes() == ref.model_bytes(D, H, N, peephole, params)
+
+
+def test_params_are_views_of_stacked_storage():
+    model = _model("full")
+    p = model.params
+    for k, gate in enumerate("ifco"):
+        assert np.shares_memory(p[f"W_{gate}"], p.W)
+        assert np.array_equal(p.W[k * H : (k + 1) * H], p[f"W_{gate}"])
+        assert np.array_equal(p.U[k * H : (k + 1) * H], p[f"U_{gate}"])
+        assert np.array_equal(p.b[k * H : (k + 1) * H], p[f"b_{gate}"])
+    # assigning a name writes through to the stacked arrays
+    p["U_c"] = np.ones((H, H))
+    assert np.all(p.U[2 * H : 3 * H] == 1.0)
+    copy = model.copy()
+    copy.params["W_o"][...] = 0.0
+    assert np.all(copy.params.W[3 * H :] == 0.0) and not np.all(p.W[3 * H :] == 0.0)
+
+
+@pytest.mark.parametrize("peephole", ["full", "diagonal"])
+@pytest.mark.parametrize("loss_mode", ["per_timestep", "final"])
+@pytest.mark.parametrize("B", [None, 1, 3])
+def test_forward_backward_match_loop(peephole, loss_mode, B):
+    model = _model(peephole)
+    data = np.random.default_rng(8)
+    xs = data.standard_normal((B or 1, L, D))
+    labels = data.integers(0, N, size=B or 1)
+    rate = 0.4
+
+    if B is None:
+        trace, loss = rf.forward(model, xs[0], int(labels[0]), rate,
+                                 np.random.default_rng(5), loss_mode)
+        grads = rf.backward(model, trace, int(labels[0]))
+        trace = {k: getattr(trace, k)[None] for k in TRACE_KEYS}
+        loss = np.atleast_1d(loss)
+    else:
+        batch_trace, loss = rf.forward(model, xs, labels, rate,
+                                       np.random.default_rng(5), loss_mode)
+        grads = rf.backward(model, batch_trace, labels)
+        trace = {k: getattr(batch_trace, k) for k in TRACE_KEYS}
+
+    p = _plain(model)
+    draws = np.random.default_rng(5)  # one stream, instance by instance
+    want_grads = {k: np.zeros_like(v) for k, v in p.items()}
+    for b in range(len(labels)):
+        rec, want_loss = ref.forward(p, xs[b], labels[b], rate, draws, loss_mode)
+        assert loss[b] == pytest.approx(want_loss, rel=RTOL, abs=0)
+        for k, v in trace.items():
+            if k == "mask":
+                assert np.array_equal(v[b], rec[k])
+            else:
+                np.testing.assert_allclose(v[b], rec[k], rtol=RTOL, atol=0, err_msg=k)
+        g = ref.backward(p, xs[b], rec, labels[b], rate, loss_mode, peephole)
+        for name in want_grads:
+            want_grads[name] += g[name]
+    assert list(grads) == list(PARAM_ORDER)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(grads[name], want_grads[name], rtol=RTOL, atol=0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("peephole,loss_mode,clip_norm",
+                         [("full", "per_timestep", None), ("diagonal", "final", 0.5)])
+def test_train_matches_loop(peephole, loss_mode, clip_norm):
+    data = np.random.default_rng(21)
+    seqs = [
+        rf.LabeledSequence(k % N, data.standard_normal((L + 3, D)) + k % N, f"s{k}")
+        for k in range(7)
+    ]
+    # 7 instances in batches of 3: the last batch of every epoch is partial
+    cfg = rf.TrainConfig(
+        subseq_len=L, epochs=3, lr_initial=0.5, lr_after=0.1, lr_switch_epoch=2,
+        dropout_rate=0.3, batch_size=3, seed=4, init_bound=0.3, hidden_dim=H,
+        peephole=peephole, loss_mode=loss_mode, clip_norm=clip_norm,
+    )
+    model, history = rf.train(seqs, cfg)
+    shapes = rf.RfaModel(D, H, N, peephole).param_shapes()
+    params, want_history = ref.train(seqs, cfg, shapes)
+    np.testing.assert_allclose(history, want_history, rtol=1e-9, atol=0)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(model.params[name], params[name], rtol=1e-9, atol=0,
+                                   err_msg=name)
+
+
+def test_embeddings_match_per_window_mean():
+    model = _model("full")
+    frames = np.random.default_rng(2).standard_normal((11, D))
+    cfg = rf.AggregationConfig(L, 6, seed=9)
+    p = _plain(model)
+    starts = sample_starts(11, L, 6, seed=9)
+    windows = np.array([ref.hidden_states(p, frames[s : s + L]) for s in starts])
+    np.testing.assert_allclose(rf.embed_sequence(model, frames, cfg).values,
+                               windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
+    for depth in range(1, L + 1):
+        np.testing.assert_allclose(rf.embed_at_depth(model, frames, depth, cfg),
+                                   windows[:, depth - 1].mean(axis=0), rtol=RTOL, atol=0)

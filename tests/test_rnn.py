@@ -52,13 +52,17 @@ def test_init_shapes():
 # lstm_step
 # ---------------------------------------------------------------------------
 
+def _zero_state(B, H):
+    return rf.LstmState(np.zeros((B, H)), np.zeros((B, H)))
+
+
 def test_step_zero_parameters():
     model = zero_model(D=3, H=2)
-    state = rf.LstmState(np.zeros(2), np.zeros(2))
-    new, gates = rf.lstm_step(model, np.array([1.0, -2.0, 3.0]), state)
-    assert gates["i"] == pytest.approx([0.5, 0.5])
-    assert gates["f"] == pytest.approx([0.5, 0.5])
-    assert gates["o"] == pytest.approx([0.5, 0.5])
+    ax = rf.project(model, np.array([[1.0, -2.0, 3.0]]))
+    new, gates = rf.lstm_step(model, ax, _zero_state(1, 2))
+    assert gates["i"][0] == pytest.approx([0.5, 0.5])
+    assert gates["f"][0] == pytest.approx([0.5, 0.5])
+    assert gates["o"][0] == pytest.approx([0.5, 0.5])
     assert np.all(new.c == 0.0) and np.all(new.h == 0.0)
 
 
@@ -66,30 +70,35 @@ def test_step_scalar_oracle():
     # H=1, only b_c=10 and b_o=0 set: c = 0.5*tanh(10), h = 0.5*tanh(c)
     model = zero_model(D=1, H=1)
     model.params["b_c"][0] = 10.0
-    state = rf.LstmState(np.zeros(1), np.zeros(1))
-    new, _ = rf.lstm_step(model, np.zeros(1), state)
+    new, _ = rf.lstm_step(model, rf.project(model, np.zeros((1, 1))), _zero_state(1, 1))
     c_expect = 0.5 * math.tanh(10.0)
-    assert new.c[0] == pytest.approx(c_expect, abs=1e-12)
-    assert new.h[0] == pytest.approx(0.5 * math.tanh(c_expect), abs=1e-12)
-    assert new.h[0] == pytest.approx(0.23105, abs=1e-5)
+    assert new.c[0, 0] == pytest.approx(c_expect, abs=1e-12)
+    assert new.h[0, 0] == pytest.approx(0.5 * math.tanh(c_expect), abs=1e-12)
+    assert new.h[0, 0] == pytest.approx(0.23105, abs=1e-5)
 
 
 def test_step_memory_carry():
-    # f-gate saturated to 1 and i-gate to 0: the cell is carried unchanged
+    # f-gate saturated to 1 and i-gate to 0: the cell is carried unchanged,
+    # in every row of a batch
     model = zero_model(D=2, H=3)
     model.params["b_f"][...] = 50.0
     model.params["b_i"][...] = -50.0
-    c0 = np.array([0.3, -0.7, 1.1])
-    state = rf.LstmState(np.zeros(3), c0.copy())
+    c0 = np.array([[0.3, -0.7, 1.1], [-0.2, 0.4, 0.9]])
+    state = rf.LstmState(np.zeros((2, 3)), c0.copy())
+    ax = rf.project(model, np.array([[0.5, -0.5], [1.5, 2.0]]))
     for _ in range(4):
-        state, _ = rf.lstm_step(model, np.array([0.5, -0.5]), state)
+        state, _ = rf.lstm_step(model, ax, state)
     assert state.c == pytest.approx(c0, abs=1e-9)
 
 
 def test_step_dimension_mismatch():
     model = zero_model(D=3, H=2)
     with pytest.raises(DataError):
-        rf.lstm_step(model, np.zeros(4), rf.LstmState(np.zeros(2), np.zeros(2)))
+        rf.project(model, np.zeros((1, 4)))
+    with pytest.raises(DataError):
+        rf.lstm_step(model, np.zeros((1, 4)), _zero_state(1, 2))
+    with pytest.raises(DataError):
+        rf.lstm_step(model, np.zeros((2, 8)), _zero_state(1, 2))
 
 
 def test_gate_activations_open_interval(rng):
@@ -366,6 +375,35 @@ def test_train_rejects_short_sequence(rng):
         rf.train(seqs, _small_train_config())
 
 
+def test_train_rejects_nonfinite_features(rng):
+    seqs = _separable_sequences(rng)
+    seqs[2].features[3, 1] = np.nan
+    with pytest.raises(DataError, match="'b0' has non-finite features"):
+        rf.train(seqs, _small_train_config())
+
+
+def test_train_stops_when_a_batch_goes_nonfinite(rng, monkeypatch):
+    # finite features do not overflow the saturating gates, so a NaN is put
+    # into the head bias of the freshly initialised model instead
+    import rfanet.rnn
+
+    def init_with_nan(*args, **kwargs):
+        model = rf.init_model(*args, **kwargs)
+        model.params["b_y"][0] = np.nan
+        return model
+
+    monkeypatch.setattr(rfanet.rnn, "init_model", init_with_nan)
+    with pytest.raises(DataError, match="epoch 0: non-finite loss"):
+        rf.train(_separable_sequences(rng), _small_train_config())
+
+
+def test_train_rejects_mismatched_feature_dims(rng):
+    seqs = _separable_sequences(rng)
+    seqs.append(rf.LabeledSequence(1, rng.standard_normal((20, 5)), "narrow"))
+    with pytest.raises(DataError, match="narrow"):
+        rf.train(seqs, _small_train_config())
+
+
 def test_train_rejects_single_class(rng):
     seqs = [s for s in _separable_sequences(rng) if s.label == 0]
     with pytest.raises(DataError, match="2 classes"):
@@ -394,3 +432,21 @@ def test_model_save_is_bit_stable(tmp_path):
     rf.save_model(p1, model)
     rf.save_model(p2, model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_model_refuses_nonfinite(tmp_path):
+    model = rf.init_model(4, 3, 2, seed=6)
+    model.params["U_f"][1, 2] = np.inf
+    path = tmp_path / "m.rfanet"
+    with pytest.raises(DataError, match="U_f"):
+        rf.save_model(path, model)
+    assert not path.exists()
+
+
+def test_model_write_failing_midway_keeps_earlier_file(tmp_path, disk_full):
+    path = tmp_path / "m.rfanet"
+    path.write_bytes(b"earlier model")
+    with pytest.raises(OSError):
+        rf.save_model(path, rf.init_model(4, 3, 2, seed=6))
+    assert path.read_bytes() == b"earlier model"
+    assert list(tmp_path.iterdir()) == [path]
