@@ -55,14 +55,11 @@ from .features import (
     decode_image,
     extract_frame_feature,
     image_to_feature,
-    lbp_code,
     lbp_codes,
-    read_feature_cache,
     read_image,
     resize_bilinear,
     sequence_features,
     to_frame_tensor,
-    write_feature_cache,
 )
 from .matching import (
     CosineScorer,

@@ -8,6 +8,7 @@ Camera a is the probe view, camera b the gallery view, throughout.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -19,6 +20,7 @@ import numpy as np
 from .aggregate import AggregationConfig, SequenceEmbedding, embed_at_depth, embed_sequence
 from .errors import ConfigurationError, DataError
 from .features import RawImage, encode_ppm, read_image, sequence_features
+from .fileio import atomic_write
 from .matching import CosineScorer, RankSvmScorer, rank_gallery, train_ranksvm
 from .rnn import LabeledSequence, train
 
@@ -70,30 +72,43 @@ def save_dataset(dataset, out_dir):
     return manifest_path
 
 
+def _string_list(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{what} must be a list of path strings")
+    return value
+
+
 def load_dataset(manifest_path):
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    if "persons" not in manifest or not manifest["persons"]:
+    if not isinstance(manifest, dict) or not manifest.get("persons"):
         raise DataError(f"manifest {manifest_path} lists no persons")
+    if not isinstance(manifest["persons"], list):
+        raise DataError(f"manifest {manifest_path}: persons must be a list")
     root = manifest_path.parent
     persons = []
     seen = set()
-    for entry in manifest["persons"]:
-        pid = entry["id"]
+    for k, entry in enumerate(manifest["persons"]):
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest person entry {k} is not an object")
+        pid = entry.get("id")
+        if not isinstance(pid, int) or isinstance(pid, bool):
+            raise DataError(f"manifest person entry {k} has no integer id (got {pid!r})")
         if pid in seen:
             raise DataError(f"duplicate person id {pid} in manifest")
         seen.add(pid)
         frames = {}
         for cam in ("a", "b"):
-            paths = entry.get(f"camera_{cam}", [])
+            paths = _string_list(entry.get(f"camera_{cam}", []), f"person {pid} camera_{cam}")
             if not paths:
                 raise DataError(f"person {pid} has no camera_{cam} frames")
             frames[cam] = [read_image(root / rel) for rel in paths]
         persons.append(PersonSequences(pid, frames["a"], frames["b"]))
-    pool = [read_image(root / rel) for rel in manifest.get("noise_pool", [])]
+    pool_paths = _string_list(manifest.get("noise_pool", []), "noise_pool")
+    pool = [read_image(root / rel) for rel in pool_paths]
     return Dataset(persons, pool)
 
 
@@ -287,6 +302,26 @@ def _make_scorer(run_config, model, feats, train_ids, agg_cfg, depth=None):
     return RankSvmScorer(svm)
 
 
+def _splice_noise(clean, pool_feats, fraction, seed):
+    """Descriptors of ``inject_noise(frames, fraction, pool, seed)`` spliced
+    from the clean rows and the pool rows.
+
+    ``inject_noise`` runs on row indices, with the pool numbered after the T
+    clean rows, so it makes the same draws and picks the same frames; the
+    descriptor is per frame, so the rows equal re-described noisy frames.
+    """
+    T = len(clean)
+    rows = np.asarray(
+        inject_noise(list(range(T)), fraction, list(range(T, T + len(pool_feats))), seed)
+    )
+    noisy = rows >= T
+    if not noisy.any():
+        return clean
+    out = clean.copy()
+    out[noisy] = pool_feats[rows[noisy] - T]
+    return out
+
+
 def run_experiment(dataset, run_config, experiment=None):
     """Train per trial on the train split and evaluate CMC on the test split,
     once per factor level of the selected sweep. Returns an ExperimentReport
@@ -307,17 +342,6 @@ def run_experiment(dataset, run_config, experiment=None):
                     f"need at least {L}"
                 )
 
-    t0 = time.perf_counter()
-    feats = {}
-    images = {}
-    for person in dataset.persons:
-        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
-            images[(person.person_id, cam)] = frames
-            feats[(person.person_id, cam)] = sequence_features(
-                frames, grid, rc.image_w, rc.image_h
-            )
-    timings = {"feature_extraction": time.perf_counter() - t0}
-
     if ex.kind == "standard":
         levels = ["standard"]
     elif ex.kind == "noise":
@@ -328,6 +352,17 @@ def run_experiment(dataset, run_config, experiment=None):
         levels = list(ex.depths) if ex.depths is not None else [1, L]
     else:
         levels = list(ex.subseq_counts)
+
+    t0 = time.perf_counter()
+    feats = {}
+    for person in dataset.persons:
+        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
+            feats[(person.person_id, cam)] = sequence_features(
+                frames, grid, rc.image_w, rc.image_h
+            )
+    if ex.kind == "noise":
+        pool_feats = sequence_features(dataset.noise_pool, grid, rc.image_w, rc.image_h)
+    timings = {"feature_extraction": time.perf_counter() - t0}
 
     splits = make_splits(dataset.ids(), ex.trials, ex.master_seed)
     curves = {lv: [] for lv in levels}
@@ -346,6 +381,9 @@ def run_experiment(dataset, run_config, experiment=None):
         t_train += time.perf_counter() - t1
 
         t1 = time.perf_counter()
+        if ex.kind in ("standard", "noise"):
+            # the training embeddings do not depend on the level: fit once
+            scorer = _make_scorer(rc, model, feats, train_ids, agg_base)
         for li, level in enumerate(levels):
             agg_cfg = agg_base
             depth = None
@@ -354,21 +392,17 @@ def run_experiment(dataset, run_config, experiment=None):
                 level_feats = dict(feats)
                 for pid in test_ids:
                     for cam in (0, 1):
-                        noisy = inject_noise(
-                            images[(pid, cam)],
-                            level,
-                            dataset.noise_pool,
+                        level_feats[(pid, cam)] = _splice_noise(
+                            feats[(pid, cam)], pool_feats, level,
                             _derive_seed(ex.master_seed, trial, li, pid, cam),
-                        )
-                        level_feats[(pid, cam)] = sequence_features(
-                            noisy, grid, rc.image_w, rc.image_h
                         )
             elif ex.kind == "depth":
                 depth = level
             elif ex.kind == "subseq":
                 agg_cfg = replace(agg_base, num_subsequences=level)
 
-            scorer = _make_scorer(rc, model, feats, train_ids, agg_cfg, depth)
+            if ex.kind in ("depth", "subseq"):
+                scorer = _make_scorer(rc, model, feats, train_ids, agg_cfg, depth)
             probes, gallery = _embed_test_set(model, level_feats, test_ids, agg_cfg, depth)
             curves[level].append(compute_cmc(probes, gallery, scorer))
         t_eval += time.perf_counter() - t1
@@ -403,8 +437,10 @@ def report_csv_rows(report):
 
 
 def write_report_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(report_csv_rows(report))
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(report_csv_rows(report))
+    with atomic_write(path) as fh:
+        fh.write(buf.getvalue().encode())
 
 
 def report_text(report, include_timings=True):
@@ -433,6 +469,7 @@ def report_text(report, include_timings=True):
 def write_report(out_dir, report):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report_text(report))
+    with atomic_write(out / "report.txt") as fh:
+        fh.write(report_text(report).encode())
     write_report_csv(out / "report.csv", report)
     return out / "report.txt", out / "report.csv"

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FormatError
 
 IMAGE_MAGIC = b"RFAIMG1\n"
-FEATURE_MAGIC = b"RFAFEAT1"
 
 LBP_BINS = 256
 CHANNELS_PER_PATCH = LBP_BINS + 6
@@ -229,11 +229,6 @@ def encode_ppm(img):
     return header + img.pixels.tobytes()
 
 
-def encode_pgm_gray(gray, width, height):
-    header = f"P5\n{width} {height}\n255\n".encode()
-    return header + np.ascontiguousarray(gray, dtype=np.uint8).tobytes()
-
-
 def encode_raw(img):
     return IMAGE_MAGIC + struct.pack("<IIB", img.width, img.height, 3) + img.pixels.tobytes()
 
@@ -312,23 +307,6 @@ def to_frame_tensor(img):
 _LBP_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 
 
-def lbp_code(gray, row, col):
-    """8-bit LBP code at (row, col); requires a full 3x3 neighborhood.
-
-    Neighbors are visited clockwise starting at the top-left, which carries
-    the most significant bit; a bit is set iff neighbor >= center.
-    """
-    h, w = gray.shape
-    if not (1 <= row <= h - 2 and 1 <= col <= w - 2):
-        raise DataError(f"({row}, {col}) lacks a full 3x3 neighborhood in {h}x{w} plane")
-    center = gray[row, col]
-    code = 0
-    for bit, (dy, dx) in zip(range(7, -1, -1), _LBP_OFFSETS):
-        if gray[row + dy, col + dx] >= center:
-            code |= 1 << bit
-    return code
-
-
 def lbp_codes(gray):
     """Vectorized LBP codes for all interior pixels; shape (h-2, w-2)."""
     h, w = gray.shape
@@ -342,36 +320,61 @@ def lbp_codes(gray):
     return codes
 
 
+@lru_cache(maxsize=16)
+def _patch_code_index(height, width, patch_h, patch_w, stride_v, stride_h):
+    """Gather index and bincount offsets for every patch's interior codes.
+
+    ``gather`` holds, patch after patch, the flat positions in the whole-plane
+    code array (h-2, w-2) of each patch's interior pixels; ``offsets`` holds
+    ``patch_idx * 256`` for the same entries, so one bincount over
+    ``offsets + codes.ravel()[gather]`` yields all patch histograms.
+    """
+    ys = np.arange(0, height - patch_h + 1, stride_v)
+    xs = np.arange(0, width - patch_w + 1, stride_h)
+    inner = (np.arange(patch_h - 2)[:, None] * (width - 2) + np.arange(patch_w - 2)).ravel()
+    corners = (ys[:, None] * (width - 2) + xs).ravel()
+    gather = (corners[:, None] + inner).ravel()
+    offsets = np.repeat(np.arange(corners.size) * LBP_BINS, inner.size)
+    gather.setflags(write=False)
+    offsets.setflags(write=False)
+    return gather, offsets
+
+
 def extract_frame_feature(frame, grid):
     """Concatenated per-patch descriptors, patches enumerated row-major.
 
     Each patch block is its normalized 256-bin LBP histogram (interior pixels
     only) followed by the mean of the H, S, V, L*, a*, b* channels over all
     patch pixels.
+
+    The LBP codes are computed once for the whole gray plane: an interior
+    pixel's code only reads pixels of its own patch, so the whole-plane codes
+    cropped to a patch equal the codes of the patch alone. All histograms come
+    from one bincount and all color means from one summed-area table.
     """
     height, width = frame.height, frame.width
     rows, cols = grid.grid_shape(height, width)
-    if grid.patch_h < 3 or grid.patch_w < 3:
-        raise ConfigurationError(
-            f"patch {grid.patch_h}x{grid.patch_w} has no interior pixel (needs >= 3x3)"
-        )
-    gray = frame.planes[0]
-    color = frame.planes[1:]
-    out = np.empty(rows * cols * CHANNELS_PER_PATCH)
-    pos = 0
-    for r in range(rows):
-        y = r * grid.stride_v
-        for c in range(cols):
-            x = c * grid.stride_h
-            codes = lbp_codes(gray[y : y + grid.patch_h, x : x + grid.patch_w]).ravel()
-            hist = np.bincount(codes, minlength=LBP_BINS).astype(np.float64)
-            hist /= codes.size
-            out[pos : pos + LBP_BINS] = hist
-            out[pos + LBP_BINS : pos + CHANNELS_PER_PATCH] = color[
-                :, y : y + grid.patch_h, x : x + grid.patch_w
-            ].mean(axis=(1, 2))
-            pos += CHANNELS_PER_PATCH
-    return out
+    ph, pw = grid.patch_h, grid.patch_w
+    if ph < 3 or pw < 3:
+        raise ConfigurationError(f"patch {ph}x{pw} has no interior pixel (needs >= 3x3)")
+    gather, offsets = _patch_code_index(height, width, ph, pw, grid.stride_v, grid.stride_h)
+    patches = rows * cols
+    out = np.empty((patches, CHANNELS_PER_PATCH))
+
+    codes = lbp_codes(frame.planes[0]).ravel()
+    counts = np.bincount(offsets + codes[gather], minlength=patches * LBP_BINS)
+    np.divide(counts.reshape(patches, LBP_BINS), (ph - 2) * (pw - 2), out=out[:, :LBP_BINS])
+
+    sat = np.zeros((6, height + 1, width + 1))
+    np.cumsum(np.cumsum(frame.planes[1:], axis=1), axis=2, out=sat[:, 1:, 1:])
+    top = np.arange(rows)[:, None] * grid.stride_v
+    left = np.arange(cols) * grid.stride_h
+    sums = (
+        sat[:, top + ph, left + pw] - sat[:, top, left + pw]
+        - sat[:, top + ph, left] + sat[:, top, left]
+    )
+    out[:, LBP_BINS:] = sums.reshape(6, patches).T / (ph * pw)
+    return out.ravel()
 
 
 def image_to_feature(img, grid, frame_w=64, frame_h=128):
@@ -383,30 +386,3 @@ def image_to_feature(img, grid, frame_w=64, frame_h=128):
 def sequence_features(images, grid, frame_w=64, frame_h=128):
     """(T, D) descriptor matrix for an ordered list of images."""
     return np.stack([image_to_feature(img, grid, frame_w, frame_h) for img in images])
-
-
-# ---------------------------------------------------------------------------
-# feature cache file
-# ---------------------------------------------------------------------------
-
-def write_feature_cache(path, features):
-    """Write a (count, dim) feature matrix as little-endian f32."""
-    arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 2:
-        raise DataError("feature cache expects a 2-D (count, dim) array")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes())
-
-
-def read_feature_cache(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != FEATURE_MAGIC:
-        raise FormatError("bad feature cache magic", 0)
-    dim, count = struct.unpack_from("<II", data, 8)
-    need = dim * count * 4
-    if len(data) - 16 < need:
-        raise FormatError(f"truncated feature payload: need {need} bytes", len(data))
-    return np.frombuffer(data, "<f4", dim * count, 16).reshape(count, dim).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Atomic file output shared by the model and embedding writers."""
+"""Atomic file output shared by the model, embedding, RankSVM and report writers."""
 
 from __future__ import annotations
 

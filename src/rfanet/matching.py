@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateProblemError, FormatError
+from .fileio import atomic_write
 
 RANKSVM_MAGIC = b"RFASVM1"
 
@@ -163,7 +164,7 @@ def ranking_accuracy(model, probe_embeddings, gallery_embeddings):
 # ---------------------------------------------------------------------------
 
 def save_ranksvm(path, model):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(RANKSVM_MAGIC)
         fh.write(struct.pack("<IdIQ", model.w.size, model.C, model.iters, model.seed))
         fh.write(np.ascontiguousarray(model.w, dtype="<f8").tobytes())
@@ -174,9 +175,16 @@ def load_ranksvm(path):
         data = fh.read()
     if data[:7] != RANKSVM_MAGIC:
         raise FormatError("bad RankSVM magic", 0)
-    dim, C, iters, seed = struct.unpack_from("<IdIQ", data, 7)
     pos = 7 + struct.calcsize("<IdIQ")
+    if len(data) < pos:
+        raise FormatError("truncated RankSVM header", len(data))
+    dim, C, iters, seed = struct.unpack_from("<IdIQ", data, 7)
+    if dim == 0:
+        raise FormatError("RankSVM weight dimension is 0", 7)
     if len(data) - pos < dim * 8:
         raise FormatError("truncated RankSVM weights", len(data))
+    if len(data) - pos > dim * 8:
+        raise FormatError(f"{len(data) - pos - dim * 8} trailing bytes after RankSVM weights",
+                          pos + dim * 8)
     w = np.frombuffer(data, "<f8", dim, pos).astype(np.float64)
     return RankSvmModel(w, C, iters, seed)

@@ -32,9 +32,8 @@ def random_image(rng, width, height):
     )
 
 
-@pytest.fixture
-def disk_full(monkeypatch):
-    """Atomic writes run out of space on their second write call."""
+def _fail_writes_after(monkeypatch, writes_ok):
+    """Make every atomic write raise ENOSPC after ``writes_ok`` write calls."""
     import builtins
 
     import rfanet.fileio
@@ -52,7 +51,7 @@ def disk_full(monkeypatch):
 
         def write(self, data):
             self.writes += 1
-            if self.writes > 1:
+            if self.writes > writes_ok:
                 raise OSError(28, "No space left on device")
             return self.fh.write(data)
 
@@ -60,3 +59,15 @@ def disk_full(monkeypatch):
         rfanet.fileio, "open", lambda path, mode: _Failing(builtins.open(path, mode)),
         raising=False,
     )
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """Atomic writes run out of space on their second write call."""
+    _fail_writes_after(monkeypatch, 1)
+
+
+@pytest.fixture
+def disk_full_at_once(monkeypatch):
+    """Atomic writes run out of space on their first write call."""
+    _fail_writes_after(monkeypatch, 0)

@@ -204,6 +204,46 @@ def test_cli_corrupt_manifest(tmp_path, capsys):
     assert main(["train", "--config", cfg_path]) == 1
 
 
+def _drop_id(m):
+    del m["persons"][0]["id"]
+
+
+def _set(key, value, person=None):
+    def edit(m):
+        (m if person is None else m["persons"][person])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_id,
+        _set("id", "1", person=0),
+        _set("id", 1.5, person=0),
+        _set("id", True, person=0),
+        _set("persons", {"0": {"id": 0}}),
+        _set("persons", ["p0000"]),
+        _set("camera_a", "p0000/cam_a/frame_0000.ppm", person=0),
+        _set("camera_b", [0, 1], person=1),
+        _set("noise_pool", "noise"),
+    ],
+    ids=[
+        "missing-id", "string-id", "float-id", "bool-id", "persons-not-list",
+        "entry-not-object", "camera-a-string", "camera-b-ints", "noise-pool-string",
+    ],
+)
+def test_cli_malformed_manifest_exit_code(tmp_path, capsys, edit):
+    data_dir = tmp_path / "data"
+    manifest = rf.save_dataset(rf.generate_synthetic(2, 5, width=16, height=32), data_dir)
+    content = json.loads(manifest.read_text())
+    edit(content)
+    manifest.write_text(json.dumps(content))
+    cfg = tiny_config_dict(manifest=str(manifest), model=str(tmp_path / "model.rfanet"))
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "model.rfanet").exists()
+
+
 def test_cli_gradcheck_pass(capsys):
     code = main(["gradcheck", "--d", "4", "--h", "3", "--n", "2", "--l", "3"])
     out = capsys.readouterr().out

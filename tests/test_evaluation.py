@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import rfanet as rf
+import rfanet.evaluation as evaluation
 from rfanet.errors import DataError
-from rfanet.evaluation import make_splits, mean_cmc, report_csv_rows
+from rfanet.evaluation import (
+    _derive_seed,
+    _embed_test_set,
+    _make_scorer,
+    make_splits,
+    mean_cmc,
+    report_csv_rows,
+    write_report_csv,
+)
 
 from conftest import random_image
 
@@ -313,3 +324,108 @@ def test_report_text_mean_matches_trials(tiny_dataset):
     report = rf.run_experiment(tiny_dataset, _tiny_config())
     expected = np.mean([c.rates for c in report.curves["standard"]], axis=0)
     assert report.mean_curves["standard"].rates == pytest.approx(expected)
+
+
+def test_report_write_failing_keeps_earlier_files(tmp_path, disk_full_at_once):
+    curve = rf.CmcCurve([0.5, 1.0])
+    report = rf.ExperimentReport("standard", ["standard"], {"standard": [curve]},
+                                 {"standard": curve}, {}, {})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.txt").write_bytes(b"earlier text")
+    (out / "report.csv").write_bytes(b"earlier csv")
+    with pytest.raises(OSError):
+        rf.write_report(out, report)
+    with pytest.raises(OSError):
+        write_report_csv(out / "report.csv", report)
+    assert (out / "report.txt").read_bytes() == b"earlier text"
+    assert (out / "report.csv").read_bytes() == b"earlier csv"
+    assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.txt"]
+
+
+# ---------------------------------------------------------------------------
+# noise sweep: spliced descriptors and one RankSVM fit per trial
+# ---------------------------------------------------------------------------
+
+def _per_level_noise_sweep(dataset, cfg, ex):
+    """The noise sweep as a per-level loop: every level re-describes the
+    noisy test frames and refits the RankSVM."""
+    grid, w, h = cfg.grid, cfg.image_w, cfg.image_h
+    agg = rf.AggregationConfig(cfg.train.subseq_len, cfg.agg.num_subsequences, cfg.agg.seed)
+    frames = {
+        (p.person_id, cam): fr
+        for p in dataset.persons
+        for cam, fr in ((0, p.frames_a), (1, p.frames_b))
+    }
+    feats = {k: rf.sequence_features(v, grid, w, h) for k, v in frames.items()}
+    curves = {level: [] for level in ex.noise_levels}
+    for trial, split in enumerate(make_splits(dataset.ids(), ex.trials, ex.master_seed)):
+        train_ids = list(split.train_ids)
+        seqs = [
+            rf.LabeledSequence(idx, feats[(pid, cam)])
+            for idx, pid in enumerate(train_ids)
+            for cam in (0, 1)
+        ]
+        model, _ = rf.train(seqs, replace(cfg.train, seed=_derive_seed(cfg.train.seed, trial)))
+        for li, level in enumerate(ex.noise_levels):
+            level_feats = dict(feats)
+            for pid in split.test_ids:
+                for cam in (0, 1):
+                    noisy = rf.inject_noise(
+                        frames[(pid, cam)], level, dataset.noise_pool,
+                        _derive_seed(ex.master_seed, trial, li, pid, cam),
+                    )
+                    level_feats[(pid, cam)] = rf.sequence_features(noisy, grid, w, h)
+            scorer = _make_scorer(cfg, model, feats, train_ids, agg)
+            probes, gallery = _embed_test_set(model, level_feats, list(split.test_ids), agg)
+            curves[level].append(rf.compute_cmc(probes, gallery, scorer).rates)
+    return curves
+
+
+def test_noise_sweep_fits_ranksvm_once_per_trial(tiny_dataset, monkeypatch):
+    cfg = _tiny_config()
+    cfg.scorer = "ranksvm"
+    cfg.ranksvm_iters = 200
+    ex = rf.ExperimentSpec(kind="noise", trials=2, master_seed=5, noise_levels=(0.0, 0.3, 0.5))
+    expected = _per_level_noise_sweep(tiny_dataset, cfg, ex)
+
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return rf.train_ranksvm(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_ranksvm", counting_fit)
+    report = rf.run_experiment(tiny_dataset, cfg, ex)
+    assert len(fits) == ex.trials
+    for level in ex.noise_levels:
+        got = [curve.rates for curve in report.curves[level]]
+        assert np.array_equal(got, expected[level])
+
+
+def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
+    cfg = _tiny_config()
+    ex = rf.ExperimentSpec(kind="noise", trials=1, master_seed=9, noise_levels=(0.0, 0.3, 1.0))
+    seen = []
+
+    def recording_embed(model, feats, test_ids, *rest):
+        seen.append((feats, list(test_ids)))
+        return _embed_test_set(model, feats, test_ids, *rest)
+
+    monkeypatch.setattr(evaluation, "_embed_test_set", recording_embed)
+    report = rf.run_experiment(tiny_dataset, cfg, ex)
+    assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set
+    frames = {(p.person_id, 0): p.frames_a for p in tiny_dataset.persons}
+    frames.update({(p.person_id, 1): p.frames_b for p in tiny_dataset.persons})
+    for li, (level, (feats, test_ids)) in enumerate(zip(ex.noise_levels, seen)):
+        for pid in test_ids:
+            for cam in (0, 1):
+                noisy = rf.inject_noise(
+                    frames[(pid, cam)], level, tiny_dataset.noise_pool,
+                    _derive_seed(ex.master_seed, 0, li, pid, cam),
+                )
+                want = rf.sequence_features(noisy, cfg.grid, cfg.image_w, cfg.image_h)
+                assert feats[(pid, cam)].tobytes() == want.tobytes()
+
+    again = rf.run_experiment(tiny_dataset, cfg, ex)
+    assert report_csv_rows(again) == report_csv_rows(report)

@@ -5,8 +5,9 @@ import pytest
 
 import rfanet as rf
 from rfanet.errors import ConfigurationError, DataError, FormatError
-from rfanet.features import CHANNELS_PER_PATCH, encode_ppm, encode_raw, lbp_codes
+from rfanet.features import CHANNELS_PER_PATCH, LBP_BINS, encode_ppm, encode_raw, lbp_codes
 
+import feature_reference
 from conftest import random_image
 
 
@@ -156,25 +157,25 @@ def test_planes_in_unit_interval(rng):
 
 def test_lbp_uniform_plane_all_ties():
     plane = np.full((5, 5), 0.3)
-    assert rf.lbp_code(plane, 2, 2) == 255
+    assert lbp_codes(plane)[1, 1] == 255
 
 
 def test_lbp_center_strictly_greater():
     plane = np.zeros((3, 3))
     plane[1, 1] = 1.0
-    assert rf.lbp_code(plane, 1, 1) == 0
+    assert lbp_codes(plane)[0, 0] == 0
 
 
 def test_lbp_worked_example():
     # clockwise from top-left: 1,2,3,4,9,8,7,6 around center 5 -> 00001111
     plane = np.array([[1.0, 2.0, 3.0], [6.0, 5.0, 4.0], [7.0, 8.0, 9.0]])
-    assert rf.lbp_code(plane, 1, 1) == 15
+    assert lbp_codes(plane)[0, 0] == 15
 
 
 def test_lbp_out_of_bounds():
-    plane = np.zeros((4, 4))
+    # a plane with fewer than 3 rows has no pixel with a full 3x3 neighborhood
     with pytest.raises(DataError):
-        rf.lbp_code(plane, 0, 1)
+        lbp_codes(np.zeros((2, 4)))
 
 
 def _naive_lbp(plane, row, col):
@@ -260,20 +261,40 @@ def test_patch_without_interior_rejected():
 
 
 # ---------------------------------------------------------------------------
-# feature cache
+# whole-plane descriptor against the per-patch reference loop
 # ---------------------------------------------------------------------------
 
-def test_feature_cache_roundtrip(tmp_path, rng):
-    feats = rng.random((7, 13)).astype(np.float32)
-    path = tmp_path / "cache.rfafeat"
-    rf.write_feature_cache(path, feats)
-    back = rf.read_feature_cache(path)
-    assert back.shape == (7, 13)
-    assert np.array_equal(back, feats)
+def _assert_matches_reference(frame, grid):
+    got = rf.extract_frame_feature(frame, grid).reshape(-1, CHANNELS_PER_PATCH)
+    want = feature_reference.extract_frame_feature(frame, grid).reshape(-1, CHANNELS_PER_PATCH)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, :LBP_BINS], want[:, :LBP_BINS])
+    assert np.max(np.abs(got[:, LBP_BINS:] - want[:, LBP_BINS:])) <= 1e-12
 
 
-def test_feature_cache_bad_magic(tmp_path):
-    path = tmp_path / "bad.rfafeat"
-    path.write_bytes(b"NOTAFEAT" + bytes(16))
-    with pytest.raises(FormatError):
-        rf.read_feature_cache(path)
+@pytest.mark.parametrize(
+    "height, width, grid",
+    [
+        (32, 16, rf.PatchGridSpec(8, 4, 4, 2)),     # desk geometry
+        (128, 64, rf.PatchGridSpec()),              # full geometry
+        (29, 19, rf.PatchGridSpec(9, 7, 4, 3)),     # strides do not divide the patch
+        (9, 7, rf.PatchGridSpec(3, 3, 2, 2)),       # one interior pixel per patch
+        (20, 12, rf.PatchGridSpec(20, 12, 1, 1)),   # a single patch, the whole frame
+    ],
+)
+def test_descriptor_matches_reference_loop(rng, height, width, grid):
+    for _ in range(3):
+        frame = rf.to_frame_tensor(random_image(rng, width, height))
+        _assert_matches_reference(frame, grid)
+
+
+def test_descriptor_matches_reference_on_ties(rng):
+    # few gray levels give many equal neighbors, where ">=" decides the bits
+    pixels = (rng.integers(0, 3, size=(32, 16, 3)) * 100).astype(np.uint8)
+    _assert_matches_reference(rf.to_frame_tensor(rf.RawImage(16, 32, pixels)),
+                              rf.PatchGridSpec(8, 4, 4, 2))
+
+
+def test_descriptor_matches_reference_constant_frame():
+    frame = rf.to_frame_tensor(rf.RawImage(64, 128, np.full((128, 64, 3), 77, np.uint8)))
+    _assert_matches_reference(frame, rf.PatchGridSpec())

@@ -203,3 +203,35 @@ def test_ranksvm_bad_magic(tmp_path):
     path.write_bytes(b"XXXXXXX" + bytes(32))
     with pytest.raises(FormatError):
         rf.load_ranksvm(path)
+
+
+def test_ranksvm_write_failing_midway_keeps_earlier_file(tmp_path, disk_full):
+    path = tmp_path / "model.rfasvm"
+    path.write_bytes(b"earlier ranksvm")
+    model = rf.RankSvmModel(np.ones(4), 1.0, 10, 0)
+    with pytest.raises(OSError):
+        rf.save_ranksvm(path, model)
+    assert path.read_bytes() == b"earlier ranksvm"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_ranksvm_reader_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.rfasvm"
+    rf.save_ranksvm(path, rf.RankSvmModel(np.arange(3.0), 1.0, 10, 0))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(FormatError, match="trailing"):
+        rf.load_ranksvm(path)
+
+
+def test_ranksvm_reader_rejects_zero_dim(tmp_path):
+    path = tmp_path / "model.rfasvm"
+    rf.save_ranksvm(path, rf.RankSvmModel(np.zeros(0), 1.0, 10, 0))
+    with pytest.raises(FormatError, match="dimension is 0"):
+        rf.load_ranksvm(path)
+
+
+def test_ranksvm_reader_rejects_truncated_header(tmp_path):
+    path = tmp_path / "model.rfasvm"
+    path.write_bytes(b"RFASVM1" + bytes(10))
+    with pytest.raises(FormatError, match="header"):
+        rf.load_ranksvm(path)
