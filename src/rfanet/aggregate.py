@@ -131,7 +131,11 @@ def read_embeddings(path):
         data = fh.read()
     if data[:7] != EMBEDDING_MAGIC:
         raise FormatError("bad embedding magic", 0)
+    if len(data) < 15:
+        raise FormatError("truncated embedding header", len(data))
     dim, count = struct.unpack_from("<II", data, 7)
+    if dim == 0:
+        raise FormatError("embedding dimension is 0", 7)
     pos = 15
     out = []
     for _ in range(count):
@@ -142,4 +146,6 @@ def read_embeddings(path):
         values = np.frombuffer(data, "<f4", dim, pos).astype(np.float64)
         pos += dim * 4
         out.append(SequenceEmbedding(values, source_id, camera))
+    if len(data) > pos:
+        raise FormatError(f"{len(data) - pos} trailing bytes after embedding records", pos)
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -45,7 +46,6 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="run the configured experiment and write reports")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", default=None, help="unused placeholder; eval trains per trial")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the BPTT gradients")
     p.add_argument("--d", type=int, default=6, help="input dimension")
@@ -102,6 +102,7 @@ def cmd_train(args):
     from .errors import ConfigurationError
     from .evaluation import load_dataset
     from .features import sequence_features
+    from .fileio import atomic_write
     from .rnn import LabeledSequence, save_model, train
 
     cfg = _load_config(args.config)
@@ -119,11 +120,13 @@ def cmd_train(args):
     model, history = train(seqs, cfg.train)
     save_model(model_path, model)
     loss_path = model_path.with_suffix(".loss.csv")
-    with open(loss_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "mean_loss"))
-        for epoch, loss in enumerate(history):
-            writer.writerow((epoch, f"{loss:.12f}"))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("epoch", "mean_loss"))
+    for epoch, loss in enumerate(history):
+        writer.writerow((epoch, f"{loss:.12f}"))
+    with atomic_write(loss_path) as fh:
+        fh.write(buf.getvalue().encode())
     print(f"trained on {len(seqs)} sequences ({len(ids)} identities); "
           f"model -> {model_path}, loss history -> {loss_path}")
     return EXIT_OK

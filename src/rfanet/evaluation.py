@@ -21,7 +21,7 @@ from .aggregate import AggregationConfig, SequenceEmbedding, embed_at_depth, emb
 from .errors import ConfigurationError, DataError
 from .features import RawImage, encode_ppm, read_image, sequence_features
 from .fileio import atomic_write
-from .matching import CosineScorer, RankSvmScorer, rank_gallery, train_ranksvm
+from .matching import CosineScorer, RankSvmScorer, as_scorer, train_ranksvm
 from .rnn import LabeledSequence, train
 
 
@@ -151,19 +151,62 @@ class CmcCurve:
         return float(self.rates[k - 1])
 
 
+# probes scored per scores() call: one block is 64 x dim float64 (2.6 MB at
+# dim 5,120), where stacking every probe at once would add a full copy of them
+_PROBE_BLOCK = 64
+
+
+def _stack_values(embeddings, role):
+    """(n, dim) float64 rows of the embeddings; DataError names the id of a
+    row of another dimension or with a non-finite value."""
+    rows = [np.asarray(e.values, dtype=np.float64) for e in embeddings]
+    for e, row in zip(embeddings, rows):
+        if row.shape != rows[0].shape:
+            raise DataError(f"{role} id {e.source_id}: embedding shape {row.shape}, "
+                            f"expected {rows[0].shape}")
+    X = np.stack(rows)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{role} id {embeddings[int(np.argmin(finite))].source_id} "
+                        "has a non-finite embedding")
+    return X
+
+
 def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
-    """rates[k-1] = fraction of probes whose true match ranks within top k."""
-    gallery_ids = [g.source_id for g in gallery_embeddings]
-    if len(set(gallery_ids)) != len(gallery_ids):
-        raise DataError("gallery contains duplicate person ids")
-    n = len(gallery_embeddings)
-    counts = np.zeros(n)
+    """rates[k-1] = fraction of probes whose true match ranks within top k.
+
+    ``scorer`` is ``"cosine"`` or has ``scores(P, G)`` returning the
+    (n_p, n_g) score matrix, higher meaning more similar. The gallery is
+    stacked once and the probes are scored in blocks. The rank of the true
+    match is the count of higher scores plus the count of equal scores at a
+    lower gallery index: its place in a stable sort by descending score.
+    """
+    if len(gallery_embeddings) == 0:
+        raise DataError("empty gallery")
+    column = {}
+    for k, g in enumerate(gallery_embeddings):
+        if column.setdefault(g.source_id, k) != k:
+            raise DataError(f"gallery contains duplicate person id {g.source_id}")
+    truth = []
     for probe in probe_embeddings:
-        if gallery_ids.count(probe.source_id) != 1:
-            raise DataError(f"probe id {probe.source_id} not unique in gallery")
-        order = rank_gallery(probe, gallery_embeddings, scorer)
-        ranked_ids = [gallery_ids[i] for i in order]
-        counts[ranked_ids.index(probe.source_id)] += 1
+        if probe.source_id not in column:
+            raise DataError(f"probe id {probe.source_id} not in gallery")
+        truth.append(column[probe.source_id])
+    truth = np.asarray(truth, dtype=np.intp)
+    scorer = as_scorer(scorer)
+    G = _stack_values(gallery_embeddings, "gallery")
+    n = len(gallery_embeddings)
+    position = np.arange(n)
+    counts = np.zeros(n)
+    for start in range(0, len(probe_embeddings), _PROBE_BLOCK):
+        P = _stack_values(probe_embeddings[start:start + _PROBE_BLOCK], "probe")
+        own = truth[start:start + len(P)]
+        S = scorer.scores(P, G)
+        if not np.isfinite(S).all():
+            raise DataError("scorer returned non-finite scores")
+        s_own = S[np.arange(len(P)), own][:, None]
+        rank = (S > s_own).sum(axis=1) + ((S == s_own) & (position < own[:, None])).sum(axis=1)
+        counts += np.bincount(rank, minlength=n)
     return CmcCurve(np.cumsum(counts) / len(probe_embeddings))
 
 

@@ -1,4 +1,5 @@
-"""Atomic file output shared by the model, embedding, RankSVM and report writers."""
+"""Atomic file output shared by the model, embedding, RankSVM, loss-history
+and report writers."""
 
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Probe-gallery scoring: cosine similarity and a linear RankSVM trained on
 element-wise absolute-difference pair features.
 
-Both scorers return HIGHER values for more similar pairs; ranking sorts by
+Both scorers return HIGHER values for more similar pairs, as a whole
+(n_probes, n_gallery) matrix from ``scores(P, G)``; ranking sorts by
 descending score with ties broken by ascending gallery index.
 """
 
@@ -22,15 +23,71 @@ def _vec(x):
     return np.asarray(getattr(x, "values", x), dtype=np.float64)
 
 
-def cosine_score(a, b):
-    """(a . b) / (|a| |b|), in [-1, 1]; higher means more similar."""
+def _score_inputs(P, G, dim=None):
+    """(n_p, d) probes and (n_g, d) gallery as float64, or DataError."""
+    P = np.asarray(P, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    if P.ndim != 2 or G.ndim != 2 or P.shape[1] != G.shape[1]:
+        raise DataError(f"dimension mismatch: probes {P.shape} vs gallery {G.shape}")
+    if dim is not None and P.shape[1] != dim:
+        raise DataError(f"dimension mismatch: embeddings of dim {P.shape[1]}, model of dim {dim}")
+    return P, G
+
+
+class CosineScorer:
+    """(p . g) / (|p| |g|), in [-1, 1]; higher means more similar."""
+
+    def scores(self, P, G):
+        """(n_p, n_g) cosine similarities of every probe row with every gallery row."""
+        P, G = _score_inputs(P, G)
+        p_norm = np.linalg.norm(P, axis=1)
+        g_norm = np.linalg.norm(G, axis=1)
+        if not (p_norm.all() and g_norm.all()):
+            raise DataError("cosine score undefined for a zero-norm vector")
+        return (P @ G.T) / np.outer(p_norm, g_norm)
+
+
+# gallery rows per |G_blk - p| block: 16 x 5,120 float64 is 640 kB, which
+# stays in L2 while every probe of a call is scored against it
+_GALLERY_BLOCK = 16
+
+
+class RankSvmScorer:
+    """w . |p - g| of a trained RankSvmModel; higher means more similar."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def scores(self, P, G):
+        """(n_p, n_g) RankSVM scores of every probe row with every gallery row."""
+        w = self.model.w
+        P, G = _score_inputs(P, G, w.size)
+        out = np.empty((len(P), len(G)))
+        buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
+        for g0 in range(0, len(G), _GALLERY_BLOCK):
+            block = G[g0:g0 + _GALLERY_BLOCK]
+            absdiff = buf[:len(block)]
+            for i, p in enumerate(P):
+                np.abs(np.subtract(block, p, out=absdiff), out=absdiff)
+                out[i, g0:g0 + len(block)] = absdiff @ w
+        return out
+
+
+def as_scorer(scorer):
+    """The scorer itself, or a CosineScorer for the name ``"cosine"``."""
+    return CosineScorer() if scorer == "cosine" else scorer
+
+
+def _pair_score(scorer, a, b):
     va, vb = _vec(a), _vec(b)
     if va.shape != vb.shape:
         raise DataError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine score undefined for a zero-norm vector")
-    return float(va @ vb / (na * nb))
+    return float(scorer.scores(va.reshape(1, -1), vb.reshape(1, -1))[0, 0])
+
+
+def cosine_score(a, b):
+    """(a . b) / (|a| |b|) of one pair, in [-1, 1]; higher means more similar."""
+    return _pair_score(CosineScorer(), a, b)
 
 
 @dataclass
@@ -47,41 +104,25 @@ class RankSvmModel:
 
 
 def ranksvm_score(model, probe, gallery_item):
-    """w . |probe - gallery_item|; higher means more similar."""
-    vp, vg = _vec(probe), _vec(gallery_item)
-    if vp.shape != vg.shape or vp.shape != model.w.shape:
-        raise DataError("dimension mismatch between model and embeddings")
-    return float(model.w @ np.abs(vp - vg))
-
-
-class CosineScorer:
-    def score(self, probe, gallery_item):
-        return cosine_score(probe, gallery_item)
-
-
-class RankSvmScorer:
-    def __init__(self, model):
-        self.model = model
-
-    def score(self, probe, gallery_item):
-        return ranksvm_score(self.model, probe, gallery_item)
+    """w . |probe - gallery_item| of one pair; higher means more similar."""
+    return _pair_score(RankSvmScorer(model), probe, gallery_item)
 
 
 def rank_gallery(probe, gallery, scorer):
     """Gallery indices by descending score; ties broken by ascending index."""
     if len(gallery) == 0:
         raise DataError("empty gallery")
-    if scorer == "cosine":
-        scorer = CosineScorer()
-    scores = np.array([scorer.score(probe, g) for g in gallery])
+    G = np.stack([_vec(g) for g in gallery])
+    scores = as_scorer(scorer).scores(_vec(probe).reshape(1, -1), G)[0]
     return np.argsort(-scores, kind="stable")
 
 
 def pair_difference_features(probe_embeddings, gallery_embeddings):
-    """Margin rows s+_i - s-_ij for every i and j != i.
+    """Margin rows s+_i - s-_ij for every i and j != i, in that order.
 
     s+_i = |a_i - b_i| (true pair), s-_ij = |a_i - b_j| (wrong pair); the
-    solver wants w . (s+_i - s-_ij) >= 1.
+    solver wants w . (s+_i - s-_ij) >= 1. The n(n-1) x dim matrix is filled
+    in place, one block of n-1 rows per probe.
     """
     n = len(probe_embeddings)
     if n != len(gallery_embeddings):
@@ -90,22 +131,25 @@ def pair_difference_features(probe_embeddings, gallery_embeddings):
         raise DataError("RankSVM training needs at least 2 persons")
     probes = np.stack([_vec(e) for e in probe_embeddings])
     gallery = np.stack([_vec(e) for e in gallery_embeddings])
-    rows = []
+    diffs = np.empty((n * (n - 1), probes.shape[1]))
     for i in range(n):
-        pos = np.abs(probes[i] - gallery[i])
-        for j in range(n):
-            if j != i:
-                rows.append(pos - np.abs(probes[i] - gallery[j]))
-    diffs = np.stack(rows)
-    if np.all(diffs == 0.0):
+        block = diffs[i * (n - 1):(i + 1) * (n - 1)]
+        np.subtract(probes[i], gallery[:i], out=block[:i])
+        np.subtract(probes[i], gallery[i + 1:], out=block[i:])
+        np.abs(block, out=block)
+        np.subtract(np.abs(probes[i] - gallery[i]), block, out=block)
+    if not diffs.any():
         raise DegenerateProblemError("all pair features are identical; nothing to rank")
     return diffs
 
 
+def _objective(w, margins, C):
+    return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
+
+
 def hinge_objective(w, diffs, C):
     """0.5 |w|^2 + C * sum max(0, 1 - w . d) over all constraint rows."""
-    margins = diffs @ w
-    return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
+    return _objective(w, diffs @ w, C)
 
 
 def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500, seed=0):
@@ -119,6 +163,13 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500, seed=0
     convergence rate). Since subgradient steps are not descent steps, the
     best averaged iterate seen so far is tracked and returned; its objective
     is recorded each iteration and is non-increasing by construction.
+
+    The margins diffs @ w are linear in w, so they are carried from one
+    iteration to the next: a step with no violated row only scales w by
+    1 - 1/t, which keeps it inside the ball, and the margins are scaled with
+    it; diffs @ w is recomputed only after a step that adds violated rows.
+    The averaged iterate's margins follow the same recurrence as w_avg, so
+    its objective needs no pass over the pair matrix.
     """
     if C <= 0:
         raise DataError("C must be > 0")
@@ -130,22 +181,32 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500, seed=0
     radius = 1.0 / np.sqrt(lam)
 
     w = np.zeros(diffs.shape[1])
+    margins = np.zeros(m)  # diffs @ w
     w_avg = np.zeros_like(w)
+    m_avg = np.zeros(m)    # diffs @ w_avg
     w_best = w_avg.copy()
-    best = hinge_objective(w_best, diffs, C)
+    best = _objective(w_best, m_avg, C)
     weight_sum = 0.0
     history = []
     for t in range(1, iters + 1):
-        margins = diffs @ w
+        # w - (lambda w - sum of violated rows / m) / (lambda t)
         violated = margins < 1.0
-        subgrad = lam * w - diffs[violated].sum(axis=0) / m
-        w = w - subgrad / (lam * t)
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w *= radius / norm
+        scale = 1.0 - 1.0 / t
+        w *= scale
+        if violated.any():
+            # one pass over the pair matrix, with no copy of the violated rows
+            w += (violated @ diffs) / (lam * m * t)
+            norm = np.linalg.norm(w)
+            if norm > radius:
+                w *= radius / norm
+            margins = diffs @ w
+        else:
+            # w was inside the ball and only shrank, so no projection is due
+            margins *= scale
         weight_sum += t
         w_avg += (w - w_avg) * t / weight_sum
-        obj = hinge_objective(w_avg, diffs, C)
+        m_avg += (margins - m_avg) * t / weight_sum
+        obj = _objective(w_avg, m_avg, C)
         if obj < best:
             best = obj
             w_best = w_avg.copy()

@@ -587,7 +587,12 @@ def load_model(path):
         data = fh.read()
     if data[:8] != MODEL_MAGIC:
         raise FormatError("bad model magic", 0)
+    if len(data) < 21:
+        raise FormatError("truncated model header", len(data))
     D, H, N, mode = struct.unpack_from("<IIIB", data, 8)
+    for name, value, offset in (("D", D, 8), ("H", H, 12), ("N", N, 16)):
+        if value == 0:
+            raise FormatError(f"model dimension {name} is 0", offset)
     if mode not in (0, 1):
         raise FormatError(f"unknown peephole mode byte {mode}", 20)
     model = RfaModel(D, H, N, "full" if mode == 0 else "diagonal")
@@ -601,4 +606,6 @@ def load_model(path):
             raise FormatError(f"truncated tensor {name}", len(data))
         model.params[name] = np.frombuffer(data, "<f8", count, pos).reshape(shape)
         pos += need
+    if len(data) > pos:
+        raise FormatError(f"{len(data) - pos} trailing bytes after the model tensors", pos)
     return model

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,9 @@ def random_image(rng, width, height):
     )
 
 
-def _fail_writes_after(monkeypatch, writes_ok):
-    """Make every atomic write raise ENOSPC after ``writes_ok`` write calls."""
+def _fail_writes_after(monkeypatch, writes_ok, only=""):
+    """Make every atomic write raise ENOSPC after ``writes_ok`` write calls;
+    with ``only``, just the writes to files whose name contains it."""
     import builtins
 
     import rfanet.fileio
@@ -55,10 +58,11 @@ def _fail_writes_after(monkeypatch, writes_ok):
                 raise OSError(28, "No space left on device")
             return self.fh.write(data)
 
-    monkeypatch.setattr(
-        rfanet.fileio, "open", lambda path, mode: _Failing(builtins.open(path, mode)),
-        raising=False,
-    )
+    def failing_open(path, mode):
+        fh = builtins.open(path, mode)
+        return _Failing(fh) if only in Path(path).name else fh
+
+    monkeypatch.setattr(rfanet.fileio, "open", failing_open, raising=False)
 
 
 @pytest.fixture

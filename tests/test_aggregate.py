@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,23 @@ def test_embeddings_bad_magic(tmp_path):
     path = tmp_path / "bad.rfaemb"
     path.write_bytes(b"WRONGMAG" + bytes(8))
     with pytest.raises(FormatError):
+        rf.read_embeddings(path)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda data: data[:10], "truncated embedding header"),
+        (lambda data: data + bytes(2), "2 trailing bytes"),
+        (lambda data: data[:7] + struct.pack("<I", 0) + data[11:], "dimension is 0"),
+    ],
+    ids=["short-header", "trailing-bytes", "zero-dim"],
+)
+def test_read_embeddings_rejects_malformed_file(tmp_path, edit, message):
+    path = tmp_path / "embs.rfaemb"
+    rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), k, 0) for k in range(2)])
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=message):
         rf.read_embeddings(path)
 
 

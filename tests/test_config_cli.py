@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import rfanet as rf
 from rfanet.cli import main
 from rfanet.errors import ConfigurationError
+
+from conftest import _fail_writes_after
 
 
 def tiny_config_dict(**paths):
@@ -169,12 +172,64 @@ def test_cli_embed(pipeline):
     assert sorted({e.source_id for e in embs}) == list(range(6))
 
 
+def _model_file_edits():
+    def header(D, H, N):
+        return b"RFANET01" + struct.pack("<IIIB", D, H, N, 0)
+
+    return {
+        "short-header": (lambda data: b"RFANET01" + bytes(4), "truncated model header"),
+        "trailing-bytes": (lambda data: data + bytes(3), "3 trailing bytes"),
+        "zero-D": (lambda data: header(0, 8, 6) + data[21:], "dimension D is 0"),
+        "zero-H": (lambda data: header(40, 0, 6) + data[21:], "dimension H is 0"),
+        "zero-N": (lambda data: header(40, 8, 0) + data[21:], "dimension N is 0"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_model_file_edits()))
+def test_cli_embed_rejects_malformed_model(pipeline, tmp_path, capsys, case):
+    edit, message = _model_file_edits()[case]
+    bad = tmp_path / "bad.rfanet"
+    bad.write_bytes(edit(pipeline["model"].read_bytes()))
+    out = tmp_path / "embs.rfaemb"
+    code = main([
+        "embed", "--config", pipeline["cfg_path"], "--model", str(bad), "--out", str(out),
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_train_loss_history_write_failing_keeps_earlier_file(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    model_path = tmp_path / "model.rfanet"
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                           model=str(model_path))
+    cfg_path = write_config(tmp_path, cfg)
+    loss_csv = tmp_path / "model.loss.csv"
+    loss_csv.write_bytes(b"earlier loss history")
+    _fail_writes_after(monkeypatch, 0, only=".loss.csv")
+    assert main(["train", "--config", cfg_path]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert loss_csv.read_bytes() == b"earlier loss history"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "model.loss.csv", "model.rfanet",
+    ]
+
+
 def test_cli_eval(pipeline, capsys):
     assert main(["eval", "--config", pipeline["cfg_path"]]) == 0
     out = capsys.readouterr().out
     assert "mean rank-1" in out
     assert (pipeline["root"] / "out" / "report.csv").exists()
     assert (pipeline["root"] / "out" / "report.txt").exists()
+
+
+def test_cli_eval_has_no_model_flag(pipeline, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", pipeline["cfg_path"], "--model", str(pipeline["model"])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --model" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

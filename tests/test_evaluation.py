@@ -53,10 +53,11 @@ def test_splits_need_two_ids():
 # ---------------------------------------------------------------------------
 
 class IdentityScorer:
-    """Scores 1.0 for the true match, 0.0 otherwise."""
+    """Scores 1.0 for the true match, 0.0 otherwise; an embedding's first
+    value is its person id."""
 
-    def score(self, probe, gallery_item):
-        return 1.0 if probe.source_id == gallery_item.source_id else 0.0
+    def scores(self, P, G):
+        return (P[:, :1] == G[:, 0]).astype(float)
 
 
 def _emb(vec, pid, cam=0):
@@ -74,8 +75,8 @@ def test_cmc_perfect_scorer():
 def test_cmc_constant_scorer_staircase():
     # all scores tie, so ranks follow gallery order: probe i lands at rank i+1
     class Constant:
-        def score(self, probe, gallery_item):
-            return 0.5
+        def scores(self, P, G):
+            return np.full((len(P), len(G)), 0.5)
 
     gallery = [_emb([1.0], i, 1) for i in range(4)]
     probes = [_emb([1.0], i, 0) for i in range(4)]
@@ -109,6 +110,33 @@ def test_cmc_probe_missing_from_gallery():
     gallery = [_emb([1.0], 0, 1)]
     with pytest.raises(DataError):
         rf.compute_cmc([_emb([1.0], 9, 0)], gallery, "cosine")
+
+
+@pytest.mark.parametrize("role,pid,value", [("probe", 2, np.nan), ("gallery", 1, np.inf)])
+def test_cmc_rejects_non_finite_embedding(role, pid, value):
+    gallery = [_emb([1.0, i], i, 1) for i in range(4)]
+    probes = [_emb([1.0, i], i, 0) for i in range(4)]
+    # SequenceEmbedding refuses non-finite values, so poison one in place
+    (probes if role == "probe" else gallery)[pid].values[1] = value
+    for scorer in ("cosine", rf.RankSvmScorer(rf.RankSvmModel(np.ones(2), 1.0, 1, 0))):
+        with pytest.raises(DataError, match=f"{role} id {pid} has a non-finite embedding"):
+            rf.compute_cmc(probes, gallery, scorer)
+
+
+def test_cmc_rejects_mixed_dimensions():
+    gallery = [_emb([1.0, 0.0], 0, 1), _emb([1.0], 1, 1)]
+    with pytest.raises(DataError, match="gallery id 1"):
+        rf.compute_cmc([_emb([1.0, 0.0], 0, 0)], gallery, "cosine")
+
+
+def test_cmc_rejects_non_finite_scores():
+    class Broken:
+        def scores(self, P, G):
+            return np.full((len(P), len(G)), np.nan)
+
+    gallery = [_emb([1.0], i, 1) for i in range(2)]
+    with pytest.raises(DataError, match="non-finite scores"):
+        rf.compute_cmc([_emb([1.0], 0, 0)], gallery, Broken())
 
 
 def test_mean_cmc():

@@ -55,13 +55,14 @@ def test_rank_gallery_descending():
 
 def test_rank_gallery_stable_ties():
     class FixedScorer:
-        def __init__(self, scores):
-            self.scores = list(scores)
+        def __init__(self, row):
+            self.row = np.array([row])
 
-        def score(self, probe, g):
-            return self.scores.pop(0)
+        def scores(self, P, G):
+            assert P.shape == (1, 1) and G.shape == (3, 1)
+            return self.row
 
-    order = rf.rank_gallery(None, [0, 1, 2], FixedScorer([0.2, 0.9, 0.9]))
+    order = rf.rank_gallery(np.zeros(1), np.zeros((3, 1)), FixedScorer([0.2, 0.9, 0.9]))
     assert order.tolist() == [1, 2, 0]
 
 
