@@ -15,6 +15,7 @@ from .aggregate import AggregationConfig
 from .errors import ConfigurationError
 from .evaluation import ExperimentSpec
 from .features import PatchGridSpec
+from .fileio import atomic_write
 from .rnn import TrainConfig
 
 
@@ -24,8 +25,8 @@ class SyntheticSpec:
     frames_per_camera: int = 30
     appearance_seed: int = 0
     jitter: float = 0.02
-    camera_gain: tuple = (1.0, 1.0, 1.0)
-    camera_offset: tuple = (0.05, 0.0, -0.05)
+    camera_gain: tuple[float, ...] = (1.0, 1.0, 1.0)
+    camera_offset: tuple[float, ...] = (0.05, 0.0, -0.05)
     noise_pool_size: int = 20
 
 
@@ -160,20 +161,44 @@ def _apply_overrides(cfg, overrides):
 # JSON loading
 # ---------------------------------------------------------------------------
 
-def _build_section(cls, data, section, **extra):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+# the JSON values accepted for each field annotation
+_JSON_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_JSON_TYPES["int"], v)),
+    "tuple[float, ...]": lambda v: (
+        isinstance(v, (list, tuple)) and all(map(_JSON_TYPES["float"], v))
+    ),
+}
+
+
+def _field_types(cls, *names):
+    """Field name -> annotation, for the named fields of a dataclass (all by
+    default)."""
+    return {f.name: f.type for f in fields(cls) if not names or f.name in names}
+
+
+def _section(data, section, types):
+    """``data[section]`` (empty if absent), checked to be a JSON object whose
+    keys are in ``types`` (key -> annotation) and whose values have those
+    types."""
+    values = data.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"[{section}] must be a JSON object, not {values!r}")
+    unknown = set(values) - set(types)
     if unknown:
         raise ConfigurationError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    kwargs = dict(data)
-    kwargs.update(extra)
-    for key in ("camera_gain", "camera_offset", "noise_levels", "depths", "subseq_counts"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid [{section}] section: {exc}") from exc
+    for key, value in values.items():
+        if not any(_JSON_TYPES[t.strip()](value) for t in types[key].split("|")):
+            raise ConfigurationError(f"[{section}] {key} must be {types[key]}, not {value!r}")
+    return values
+
+
+def _build_section(cls, data, section, **overrides):
+    values = {**_section(data, section, _field_types(cls)), **overrides}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def config_from_dict(data):
@@ -185,43 +210,29 @@ def config_from_dict(data):
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
 
-    image = data.get("image", {})
-    bad = set(image) - {"width", "height"}
-    if bad:
-        raise ConfigurationError(f"unknown keys in [image]: {sorted(bad)}")
-    model = data.get("model", {})
-    bad = set(model) - {"hidden_dim", "peephole"}
-    if bad:
-        raise ConfigurationError(f"unknown keys in [model]: {sorted(bad)}")
-    matching = data.get("matching", {})
-    bad = set(matching) - {"scorer", "ranksvm_C", "ranksvm_iters", "ranksvm_seed"}
-    if bad:
-        raise ConfigurationError(f"unknown keys in [matching]: {sorted(bad)}")
-
-    train_data = dict(data.get("train", {}))
-    if "hidden_dim" in model:
-        train_data["hidden_dim"] = model["hidden_dim"]
-    if "peephole" in model:
-        train_data["peephole"] = model["peephole"]
-    train = _build_section(TrainConfig, train_data, "train")
-
-    agg_data = dict(data.get("aggregation", {}))
-    agg_data.setdefault("subseq_len", train.subseq_len)
-    agg = _build_section(AggregationConfig, agg_data, "aggregation")
+    image = _section(data, "image", {"width": "int", "height": "int"})
+    model = _section(data, "model", _field_types(TrainConfig, "hidden_dim", "peephole"))
+    matching = _section(
+        data, "matching",
+        _field_types(RunConfig, "scorer", "ranksvm_C", "ranksvm_iters", "ranksvm_seed"),
+    )
+    train = _build_section(TrainConfig, data, "train", **model)
+    aggregation = _section(data, "aggregation", _field_types(AggregationConfig))
+    agg = _build_section(
+        AggregationConfig, data, "aggregation",
+        subseq_len=aggregation.get("subseq_len", train.subseq_len),
+    )
 
     cfg = RunConfig(
         image_w=image.get("width", 64),
         image_h=image.get("height", 128),
-        grid=_build_section(PatchGridSpec, data.get("grid", {}), "grid"),
+        grid=_build_section(PatchGridSpec, data, "grid"),
         train=train,
         agg=agg,
-        scorer=matching.get("scorer", "cosine"),
-        ranksvm_C=matching.get("ranksvm_C", 1.0),
-        ranksvm_iters=matching.get("ranksvm_iters", 2000),
-        ranksvm_seed=matching.get("ranksvm_seed", 0),
-        experiment=_build_section(ExperimentSpec, data.get("experiment", {}), "experiment"),
-        synthetic=_build_section(SyntheticSpec, data.get("synthetic", {}), "synthetic"),
-        paths=_build_section(PathsConfig, data.get("paths", {}), "paths"),
+        experiment=_build_section(ExperimentSpec, data, "experiment"),
+        synthetic=_build_section(SyntheticSpec, data, "synthetic"),
+        paths=_build_section(PathsConfig, data, "paths"),
+        **matching,
     )
     return cfg.validate()
 
@@ -239,4 +250,6 @@ def load_config(path):
 
 
 def save_config(path, cfg):
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    """Write the configuration as JSON, atomically."""
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n").encode())

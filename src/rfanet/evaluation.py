@@ -68,7 +68,8 @@ def save_dataset(dataset, out_dir):
         path.write_bytes(encode_ppm(img))
         manifest["noise_pool"].append(rel)
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(manifest_path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest_path
 
 
@@ -294,9 +295,9 @@ class ExperimentSpec:
     kind: str = "standard"  # standard | noise | depth | subseq
     trials: int = 10
     master_seed: int = 0
-    noise_levels: tuple = (0.0, 0.1, 0.3, 0.5)
-    depths: tuple | None = None  # None -> (1, L)
-    subseq_counts: tuple = (1, 5, 10, 15)
+    noise_levels: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5)
+    depths: tuple[int, ...] | None = None  # None -> (1, L)
+    subseq_counts: tuple[int, ...] = (1, 5, 10, 15)
 
     def validate(self):
         if self.kind not in ("standard", "noise", "depth", "subseq"):

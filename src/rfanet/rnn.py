@@ -20,6 +20,10 @@ dU = dA^T H_prev as single GEMMs over the batch, where dA (B, L, 4H) holds
 the gate deltas. Training and embedding share this kernel. A single (L, D)
 subsequence is a batch of one whose trace and loss drop the batch axis.
 
+Training never forms the (4H, D) input-weight gradient: ``backward`` can
+return it as its factors dA and X, and ``sgd_update`` applies dA^T X to W
+one cache-sized tile at a time.
+
 Training minimizes the cross entropy of the softmax over identities, by
 default averaged over every timestep of the subsequence. Gradients are exact
 analytic backpropagation through time, including every peephole path; a
@@ -28,8 +32,10 @@ central finite-difference checker is provided as an independent oracle.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +58,17 @@ MODEL_MAGIC = b"RFANET01"
 
 # elements per block of the SGD update's scratch buffer
 _SGD_BLOCK = 1 << 16
+
+# (rows, columns) of the W tiles that a factored SGD step forms one at a time
+_STEP_TILE = (64, 4096)
+
+# elements per init chunk, drawn and then scaled while in cache, and the
+# threads that fill the chunks: the usable cores, at most 4
+_INIT_CHUNK = 1 << 17
+_INIT_WORKERS = min(
+    4,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 LstmState = namedtuple("LstmState", ["h", "c"])
 
@@ -79,18 +96,26 @@ class Params(dict):
     order, and ``W_i``, ``U_i``, ``b_i``, ... are views of their row blocks.
     Assigning to a name copies into the existing tensor, so the views and the
     stacked arrays never come apart.
+
+    A gradient set made with ``dense_W=False`` has no ``W`` and no ``W_*``
+    names; ``W_factors`` then holds (dA, X), whose product dA^T X is the
+    W gradient.
     """
 
-    def __init__(self, shapes):
+    W_factors = None
+
+    def __init__(self, shapes, dense_W=True):
         super().__init__()
         H, D = shapes["W_i"]
-        self.W = np.zeros((4 * H, D))
+        self.W = np.zeros((4 * H, D)) if dense_W else None
         self.U = np.zeros((4 * H, H))
         self.b = np.zeros(4 * H)
         stacked = {"W": self.W, "U": self.U, "b": self.b}
         for name in PARAM_ORDER:
             kind, gate = name.split("_")
             if kind in stacked and gate in GATES:
+                if stacked[kind] is None:
+                    continue
                 k = GATES.index(gate)
                 tensor = stacked[kind][k * H : (k + 1) * H]
             else:
@@ -138,19 +163,38 @@ class RfaModel:
 
 
 def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_bound=0.01):
-    """All weights and biases i.i.d. uniform in [-init_bound, init_bound]."""
+    """All weights and biases i.i.d. uniform in [-init_bound, init_bound].
+
+    The values are those of one ``default_rng(seed)`` drawing
+    ``uniform(-init_bound, init_bound, shape)`` for each tensor in
+    PARAM_ORDER. The tensors are cut into chunks that a few threads fill:
+    each chunk advances its own copy of the stream to the chunk's position,
+    so the values do not depend on the number of threads.
+    """
     if min(input_dim, hidden_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be >= 1")
     if peephole not in ("full", "diagonal"):
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
-    rng = np.random.default_rng(seed)
-    for tensor in model.params.values():
-        # the draws and values of rng.uniform(-bound, bound, shape), which
-        # computes low + (high - low) * u, filled in place
-        rng.random(out=tensor)
-        tensor *= 2.0 * init_bound
-        tensor -= init_bound
+    seed = np.random.SeedSequence(seed)  # one entropy draw even for seed=None
+    chunks, position = [], 0
+    for name in PARAM_ORDER:
+        flat = model.params[name].reshape(-1)  # a view: every tensor is contiguous
+        chunks += [(position + k, flat[k : k + _INIT_CHUNK])
+                   for k in range(0, flat.size, _INIT_CHUNK)]
+        position += flat.size
+
+    def fill(chunk):
+        start, values = chunk
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(start)  # one 64-bit draw per double
+        # rng.uniform(-bound, bound) computes low + (high - low) * u
+        rng.random(out=values)
+        values *= 2.0 * init_bound
+        values -= init_bound
+
+    with ThreadPoolExecutor(min(_INIT_WORKERS, len(chunks))) as pool:
+        list(pool.map(fill, chunks))
     return model
 
 
@@ -296,12 +340,13 @@ def _shifted(a):
     return out
 
 
-def backward(model, trace, label, out=None):
+def backward(model, trace, label, factored=False):
     """Exact gradients of the forward loss w.r.t. every parameter (BPTT),
     summed over the batch.
 
-    ``out`` is an optional tensor set from ``model.zero_grads()`` that is
-    overwritten and returned, so a training loop can reuse one buffer.
+    With ``factored`` the (4H, D) W gradient dA^T X is not formed: the
+    result has no W tensors, and its ``W_factors`` hold the (B*L, 4H) gate
+    deltas dA and the (B*L, D) inputs X, for ``sgd_update`` to apply.
     """
     if trace.h.ndim == 2:
         trace = replace(
@@ -316,7 +361,7 @@ def backward(model, trace, label, out=None):
     p = model.params
     B, L, H = trace.h.shape
     N = model.num_classes
-    grads = model.zero_grads() if out is None else out
+    grads = Params(model.param_shapes(), dense_W=not factored)
 
     # softmax head, every timestep at once
     weight = np.full(L, 1.0 / L) if trace.loss_mode == "per_timestep" else np.eye(L)[-1]
@@ -345,7 +390,11 @@ def backward(model, trace, label, out=None):
         dc_next = dc * f + _peep_t(p["V_i"], da[:, :H]) + _peep_t(p["V_f"], da[:, H : 2 * H])
 
     rows = dA.reshape(B * L, 4 * H)
-    np.matmul(rows.T, trace.x.reshape(B * L, -1), out=grads.W)
+    X = trace.x.reshape(B * L, -1)
+    if factored:
+        grads.W_factors = (rows, X)
+    else:
+        np.matmul(rows.T, X, out=grads.W)
     np.matmul(rows.T, h_prev.reshape(B * L, H), out=grads.U)
     grads.b[...] = rows.sum(axis=0)
     for name, k, cell in (("V_i", 0, c_prev), ("V_f", 1, c_prev), ("V_o", 3, trace.c)):
@@ -358,10 +407,13 @@ def backward(model, trace, label, out=None):
 
 
 def sgd_update(model, grads, lr):
-    """In-place theta <- theta - lr * grad for every parameter.
+    """In-place theta <- theta - lr * grad for every parameter in ``grads``.
 
     lr * grad is formed block by block in a small scratch buffer, so the
-    update makes no temporary of a parameter's size."""
+    update makes no temporary of a parameter's size. A factored W gradient
+    (``grads.W_factors``, see ``backward``) is applied one _STEP_TILE tile
+    of W at a time: the tile's part of (-lr dA)^T X is one GEMM into a
+    cache-sized buffer, which is then added to W."""
     scratch = np.empty(_SGD_BLOCK)
     for name, g in grads.items():
         theta = model.params[name].reshape(-1)
@@ -370,7 +422,30 @@ def sgd_update(model, grads, lr):
             part = scratch[: min(_SGD_BLOCK, theta.size - k)]
             np.multiply(g[k : k + _SGD_BLOCK], lr, out=part)
             theta[k : k + _SGD_BLOCK] -= part
+    factors = getattr(grads, "W_factors", None)
+    if factors is not None:
+        dA, X = factors
+        step = dA * -lr
+        W = model.params.W
+        rows, cols = _STEP_TILE
+        tile = np.empty((min(rows, W.shape[0]), min(cols, W.shape[1])))
+        for r in range(0, W.shape[0], rows):
+            for c in range(0, W.shape[1], cols):
+                part = W[r : r + rows, c : c + cols]
+                delta = tile[: part.shape[0], : part.shape[1]]
+                np.matmul(step[:, r : r + rows].T, X[:, c : c + cols], out=delta)
+                part += delta
     return model
+
+
+def _grad_norm(grads):
+    """The Frobenius norm of every gradient in ``grads``, the factored W
+    gradient included, through ||dA^T X||^2 = sum((dA dA^T) * (X X^T)):
+    two (B*L, B*L) Gram matrices in place of the (4H, D) product."""
+    total = sum(float(np.vdot(g, g)) for g in grads.values())
+    dA, X = grads.W_factors
+    total += float(np.sum((dA @ dA.T) * (X @ X.T)))
+    return np.sqrt(max(total, 0.0))  # rounding can take a near-zero sum below 0
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +483,31 @@ class TrainConfig:
             raise ConfigurationError(f"unknown peephole mode {self.peephole!r}")
         if self.loss_mode not in ("per_timestep", "final"):
             raise ConfigurationError(f"unknown loss mode {self.loss_mode!r}")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            # a clip norm <= 0 would scale every step by 0 or flip its sign
+            raise ConfigurationError("clip_norm must be > 0, or None for no clipping")
 
 
 @dataclass
 class LabeledSequence:
     label: int
-    features: np.ndarray  # (T, D)
+    features: np.ndarray  # (T, D), float64
     name: str = ""
+
+    def __post_init__(self):
+        try:
+            self.features = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"sequence {self.name or self.label!r}: features are not "
+                            f"a numeric array: {exc}") from exc
 
 
 def train(sequences, cfg):
     """SGD over randomly drawn length-L subsequences; one instance per
     sequence per epoch, shuffled and processed in mini-batches with averaged
-    gradients, one forward/backward call per mini-batch. Fully deterministic
-    given cfg.seed.
+    gradients, one forward/backward call per mini-batch. The W gradient of a
+    batch stays factored (see ``backward``), so training holds no array of
+    W's size besides W itself. Fully deterministic given cfg.seed.
 
     Raises DataError for a sequence with non-finite features, and for a
     batch whose loss or gate deltas are non-finite, before that batch
@@ -457,7 +543,6 @@ def train(sequences, cfg):
         input_dim, cfg.hidden_dim, num_classes, rng.integers(2**63),
         peephole=cfg.peephole, init_bound=cfg.init_bound,
     )
-    grads = model.zero_grads()  # the one gradient buffer, reused by every batch
     history = []
     for epoch in range(cfg.epochs):
         instances = []
@@ -475,7 +560,7 @@ def train(sequences, cfg):
                 model, xs, labels,
                 dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,
             )
-            backward(model, trace, labels, out=grads)
+            grads = backward(model, trace, labels, factored=True)
             # b sums the gate deltas over the batch, so it is finite exactly
             # when they all are; checking it costs no pass over W
             for what, values in (("loss", losses), ("gate deltas", grads.b)):
@@ -486,7 +571,7 @@ def train(sequences, cfg):
             # go into the step size instead of another pass over grads
             scale = 1.0 / len(batch)
             if cfg.clip_norm is not None:
-                total = scale * np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+                total = scale * _grad_norm(grads)
                 if total > cfg.clip_norm:
                     scale *= cfg.clip_norm / total
             sgd_update(model, grads, lr * scale)

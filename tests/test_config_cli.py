@@ -240,6 +240,46 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,value,message", [
+    ("image", 5, r"\[image\] must be a JSON object"),
+    ("train", [1], r"\[train\] must be a JSON object"),
+    ("grid", None, r"\[grid\] must be a JSON object"),
+    ("image", {"width": "a"}, r"\[image\] width must be int"),
+    ("train", {"epochs": "x"}, r"\[train\] epochs must be int"),
+    ("train", {"clip_norm": True}, r"\[train\] clip_norm must be float \| None"),
+    ("model", {"peephole": 1}, r"\[model\] peephole must be str"),
+    ("matching", {"ranksvm_C": "high"}, r"\[matching\] ranksvm_C must be float"),
+    ("experiment", {"noise_levels": [0.1, "x"]},
+     r"\[experiment\] noise_levels must be tuple\[float, \.\.\.\]"),
+    ("experiment", {"depths": [1.5]}, r"\[experiment\] depths must be tuple\[int, \.\.\.\] \| None"),
+    ("matching", {"ranksvm_X": 1}, r"unknown keys in \[matching\]"),
+    ("train", {"clip_norm": -1.0}, r"clip_norm must be > 0"),
+    ("train", {"clip_norm": 0}, r"clip_norm must be > 0"),
+], ids=["image-int", "train-list", "grid-null", "width-str", "epochs-str", "clip-bool",
+        "peephole-int", "C-str", "noise-level-str", "depth-float", "unknown-matching-key",
+        "clip-negative", "clip-zero"])
+def test_cli_invalid_config_exit_code(tmp_path, capsys, section, value, message):
+    data = tiny_config_dict()
+    data[section] = value if not isinstance(value, dict) else {**data[section], **value}
+    cfg_path = write_config(tmp_path, data)
+    assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
+
+
+def test_save_config_write_failing_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    rf.save_config(path, rf.desk_scale())
+    before = path.read_bytes()
+    _fail_writes_after(monkeypatch, 0)
+    with pytest.raises(OSError):
+        rf.save_config(path, rf.full_scale())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_cli_missing_manifest_no_model_file(tmp_path, capsys):
     cfg = tiny_config_dict(
         manifest=str(tmp_path / "missing" / "manifest.json"),

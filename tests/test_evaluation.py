@@ -255,6 +255,17 @@ def test_dataset_roundtrip(tmp_path):
             assert np.array_equal(f_in.pixels, f_out.pixels)
 
 
+def test_manifest_write_failing_keeps_earlier_file(tmp_path, disk_full_at_once):
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_bytes(b"earlier manifest")
+    ds = rf.generate_synthetic(2, 1, width=8, height=12)
+    with pytest.raises(OSError):
+        rf.save_dataset(ds, tmp_path / "data")
+    assert manifest.read_bytes() == b"earlier manifest"
+    assert not [p for p in manifest.parent.iterdir() if p.suffix == ".tmp"]
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         rf.load_dataset(tmp_path / "nope" / "manifest.json")

@@ -3,6 +3,8 @@ lstm_reference.py. Summation order differs (GEMMs over the batch against
 per-step outer products), so values agree to a tolerance, not bit for bit;
 random draws, init values and the model file are compared exactly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,118 @@ def test_embeddings_match_per_window_mean():
     for depth in range(1, L + 1):
         np.testing.assert_allclose(rf.embed_at_depth(model, frames, depth, cfg),
                                    windows[:, depth - 1].mean(axis=0), rtol=RTOL, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# factored training step and threaded init
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_threaded_init_equals_stacked_uniform_draws(monkeypatch, tmp_path, workers):
+    import rfanet.rnn
+
+    monkeypatch.setattr(rfanet.rnn, "_INIT_WORKERS", workers)
+    # W_i alone spans 2.4 chunks, so chunks start inside tensors and cross
+    # from one gate's rows into the next
+    D_big, H_small, seed = 40_000, 8, np.int64(2**62 + 7)
+    model = rf.init_model(D_big, H_small, 3, seed=seed, peephole="diagonal", init_bound=0.05)
+    assert model.params["W_i"].size > 2 * rfanet.rnn._INIT_CHUNK
+    params = ref.init_params(model.param_shapes(), seed, 0.05)
+    for name in PARAM_ORDER:
+        assert np.array_equal(model.params[name], params[name]), name
+    # odd-sized chunks on a small model, in both peephole modes
+    monkeypatch.setattr(rfanet.rnn, "_INIT_CHUNK", 13)
+    for peephole in ("full", "diagonal"):
+        model = rf.init_model(D, H, N, seed=12, peephole=peephole, init_bound=0.05)
+        path = tmp_path / f"{peephole}.rfanet"
+        rf.save_model(path, model)
+        params = ref.init_params(model.param_shapes(), 12, 0.05)
+        assert path.read_bytes() == ref.model_bytes(D, H, N, peephole, params)
+
+
+@pytest.mark.parametrize("peephole", ["full", "diagonal"])
+def test_factored_gradients_equal_dense(monkeypatch, peephole):
+    import rfanet.rnn
+
+    model = _model(peephole)
+    data = np.random.default_rng(6)
+    xs = data.standard_normal((3, L, D))
+    labels = np.array([0, 2, 1])
+    trace, _ = rf.forward(model, xs, labels)
+    dense = rf.backward(model, trace, labels)
+    factored = rf.backward(model, trace, labels, factored=True)
+    assert factored.W is None and dense.W_factors is None
+    assert list(factored) == [n for n in PARAM_ORDER if n[:2] != "W_" or n == "W_y"]
+    for name in factored:
+        assert np.array_equal(factored[name], dense[name]), name
+    dA, X = factored.W_factors
+    assert dA.shape == (3 * L, 4 * H) and X.shape == (3 * L, D)
+    np.testing.assert_allclose(dA.T @ X, dense.W, rtol=1e-12, atol=0)
+    want_norm = np.sqrt(sum(float(np.sum(g * g)) for g in dense.values()))
+    assert rfanet.rnn._grad_norm(factored) == pytest.approx(want_norm, rel=1e-12)
+
+    # tiles that do not divide W, so the last row and column tiles are partial
+    monkeypatch.setattr(rfanet.rnn, "_STEP_TILE", (5, 3))
+    m_dense, m_factored = model.copy(), model.copy()
+    rf.sgd_update(m_dense, dense, 0.3)
+    rf.sgd_update(m_factored, factored, 0.3)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(m_factored.params[name], m_dense.params[name],
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_grad_norm_floors_a_rounded_negative_sum():
+    import rfanet.rnn
+
+    # one-column inputs a step of one ulp apart: every Gram entry is a single
+    # rounded product, and a^2 - ab - ab + b^2 sums to -2.2e-16, where the
+    # exact squared norm (a - b)^2 is 4.9e-32
+    X = np.array([[1.2535131086748066], [1.2535131086748068]])
+    grads = rfanet.rnn.Params(rf.RfaModel(1, 1, 2).param_shapes(), dense_W=False)
+    grads.W_factors = (np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]), X)
+    assert 0.0 <= rfanet.rnn._grad_norm(grads) < 1e-7
+
+
+@pytest.mark.parametrize("peephole", ["full", "diagonal"])
+def test_train_with_firing_clip_matches_loop(peephole):
+    data = np.random.default_rng(23)
+    seqs = [
+        rf.LabeledSequence(k % N, data.standard_normal((L + 2, D)) + k % N, f"s{k}")
+        for k in range(5)
+    ]
+    cfg = rf.TrainConfig(
+        subseq_len=L, epochs=3, lr_initial=0.5, lr_after=0.1, lr_switch_epoch=2,
+        dropout_rate=0.2, batch_size=2, seed=9, init_bound=0.3, hidden_dim=H,
+        peephole=peephole, clip_norm=0.05,
+    )
+    shapes = rf.RfaModel(D, H, N, peephole).param_shapes()
+    params, want_history = ref.train(seqs, cfg, shapes)
+    unclipped, _ = ref.train(seqs, replace(cfg, clip_norm=None), shapes)
+    # the clip fires: the clipped run ends far from the unclipped one
+    assert not np.allclose(params["W_c"], unclipped["W_c"], rtol=1e-3, atol=0)
+    model, history = rf.train(seqs, cfg)
+    np.testing.assert_allclose(history, want_history, rtol=1e-9, atol=0)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(model.params[name], params[name], rtol=1e-9, atol=0,
+                                   err_msg=name)
+
+
+def test_train_allocates_no_second_w():
+    import tracemalloc
+
+    data = np.random.default_rng(4)
+    D_big, H_small = 40_000, 8
+    seqs = [rf.LabeledSequence(k, data.standard_normal((3, D_big)), f"s{k}") for k in range(2)]
+    cfg = rf.TrainConfig(subseq_len=2, epochs=2, lr_switch_epoch=2, dropout_rate=0.5,
+                         batch_size=16, seed=1, hidden_dim=H_small, clip_norm=1.0)
+    w_bytes = 4 * H_small * D_big * 8
+    tracemalloc.start()
+    try:
+        model, _ = rf.train(seqs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.params.W.nbytes == w_bytes
+    # W itself, the (B, L, D) batch and one step tile; a dense W gradient
+    # would take the peak past 2 * w_bytes
+    assert peak < 1.5 * w_bytes, peak / w_bytes

@@ -387,14 +387,30 @@ def test_train_stops_when_a_batch_goes_nonfinite(rng, monkeypatch):
     # into the head bias of the freshly initialised model instead
     import rfanet.rnn
 
+    made = []
+
     def init_with_nan(*args, **kwargs):
         model = rf.init_model(*args, **kwargs)
         model.params["b_y"][0] = np.nan
+        made.append((model, model.params.W.copy()))
         return model
 
     monkeypatch.setattr(rfanet.rnn, "init_model", init_with_nan)
     with pytest.raises(DataError, match="epoch 0: non-finite loss"):
         rf.train(_separable_sequences(rng), _small_train_config())
+    # the batch raised before its step reached W
+    (model, w_before), = made
+    assert np.array_equal(model.params.W, w_before)
+
+
+def test_labeled_sequence_coerces_list_features(rng):
+    arrays = _separable_sequences(rng)
+    lists = [rf.LabeledSequence(s.label, s.features.tolist(), s.name) for s in arrays]
+    assert all(s.features.dtype == np.float64 and s.features.ndim == 2 for s in lists)
+    cfg = _small_train_config(epochs=2, lr_switch_epoch=1)
+    assert rf.train(lists, cfg)[1] == rf.train(arrays, cfg)[1]
+    with pytest.raises(DataError, match="'ragged': features are not a numeric array"):
+        rf.LabeledSequence(0, [[1.0, 2.0], [3.0]], "ragged")
 
 
 def test_train_rejects_mismatched_feature_dims(rng):
