@@ -3,7 +3,7 @@
 Generates colored-block identities seen by two cameras with a deliberate
 color shift between views, trains the recurrent classifier on half the
 identities, embeds the held-out half, and reports the CMC curve. Takes
-around half a minute.
+a few seconds.
 """
 
 import numpy as np

@@ -65,12 +65,7 @@ from .matching import (
     CosineScorer,
     RankSvmModel,
     RankSvmScorer,
-    cosine_score,
-    load_ranksvm,
-    rank_gallery,
     ranking_accuracy,
-    ranksvm_score,
-    save_ranksvm,
     train_ranksvm,
 )
 from .rnn import (

@@ -58,14 +58,9 @@ def _unroll(model, ax):
     return hs
 
 
-def run_hidden_states(model, xs):
-    """(..., L, H) hidden states for subsequences (..., L, D), dropout disabled."""
-    return _unroll(model, project(model, xs))
-
-
 def embed_subsequence(model, xs):
-    """Concatenate h_1..h_L in time order; dimension H*L."""
-    return run_hidden_states(model, xs).ravel()
+    """Concatenate h_1..h_L of one (L, D) subsequence in time order; dimension H*L."""
+    return _unroll(model, project(model, xs)).ravel()
 
 
 def sample_starts(num_frames, subseq_len, num_subsequences, seed):

@@ -47,7 +47,6 @@ class RunConfig:
     scorer: str = "cosine"
     ranksvm_C: float = 1.0
     ranksvm_iters: int = 2000
-    ranksvm_seed: int = 0
     experiment: ExperimentSpec = field(default_factory=ExperimentSpec)
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     paths: PathsConfig = field(default_factory=PathsConfig)
@@ -75,7 +74,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown scorer {self.scorer!r}")
         if self.ranksvm_C <= 0 or self.ranksvm_iters < 1:
             raise ConfigurationError("ranksvm_C must be > 0 and ranksvm_iters >= 1")
-        self.experiment.validate()
+        self.experiment.validate(self.train.subseq_len)
         if self.synthetic.num_persons < 2:
             raise ConfigurationError("synthetic dataset needs at least 2 persons")
         if self.synthetic.frames_per_camera < self.train.subseq_len:
@@ -100,7 +99,6 @@ class RunConfig:
                 "scorer": self.scorer,
                 "ranksvm_C": self.ranksvm_C,
                 "ranksvm_iters": self.ranksvm_iters,
-                "ranksvm_seed": self.ranksvm_seed,
             },
             "experiment": {
                 "kind": self.experiment.kind,
@@ -213,8 +211,7 @@ def config_from_dict(data):
     image = _section(data, "image", {"width": "int", "height": "int"})
     model = _section(data, "model", _field_types(TrainConfig, "hidden_dim", "peephole"))
     matching = _section(
-        data, "matching",
-        _field_types(RunConfig, "scorer", "ranksvm_C", "ranksvm_iters", "ranksvm_seed"),
+        data, "matching", _field_types(RunConfig, "scorer", "ranksvm_C", "ranksvm_iters")
     )
     train = _build_section(TrainConfig, data, "train", **model)
     aggregation = _section(data, "aggregation", _field_types(AggregationConfig))

@@ -6,7 +6,7 @@ class RfaError(Exception):
 
 
 class FormatError(RfaError):
-    """Malformed binary input (image file, cache file, model file)."""
+    """Malformed binary input (image, model or embedding file)."""
 
     def __init__(self, message, offset=None):
         if offset is not None:

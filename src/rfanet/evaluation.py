@@ -21,7 +21,7 @@ from .aggregate import AggregationConfig, SequenceEmbedding, embed_at_depth, emb
 from .errors import ConfigurationError, DataError
 from .features import RawImage, encode_ppm, read_image, sequence_features
 from .fileio import atomic_write
-from .matching import CosineScorer, RankSvmScorer, as_scorer, train_ranksvm
+from .matching import CosineScorer, RankSvmScorer, train_ranksvm
 from .rnn import LabeledSequence, train
 
 
@@ -194,7 +194,8 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
             raise DataError(f"probe id {probe.source_id} not in gallery")
         truth.append(column[probe.source_id])
     truth = np.asarray(truth, dtype=np.intp)
-    scorer = as_scorer(scorer)
+    if scorer == "cosine":
+        scorer = CosineScorer()
     G = _stack_values(gallery_embeddings, "gallery")
     n = len(gallery_embeddings)
     position = np.arange(n)
@@ -299,11 +300,19 @@ class ExperimentSpec:
     depths: tuple[int, ...] | None = None  # None -> (1, L)
     subseq_counts: tuple[int, ...] = (1, 5, 10, 15)
 
-    def validate(self):
+    def validate(self, L):
+        """Check the kind, the trial count and every sweep level against the
+        subsequence length L, before any frame is described."""
         if self.kind not in ("standard", "noise", "depth", "subseq"):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if not all(0.0 <= f <= 1.0 for f in self.noise_levels):
+            raise ConfigurationError(f"noise levels must be in [0, 1], got {self.noise_levels}")
+        if self.depths is not None and not all(1 <= d <= L for d in self.depths):
+            raise ConfigurationError(f"depths must be in [1, {L}], got {self.depths}")
+        if not all(k >= 1 for k in self.subseq_counts):
+            raise ConfigurationError(f"subsequence counts must be >= 1, got {self.subseq_counts}")
 
 
 @dataclass
@@ -337,12 +346,7 @@ def _make_scorer(run_config, model, feats, train_ids, agg_cfg, depth=None):
     if run_config.scorer == "cosine":
         return CosineScorer()
     probes, gallery = _embed_test_set(model, feats, train_ids, agg_cfg, depth)
-    svm = train_ranksvm(
-        probes, gallery,
-        C=run_config.ranksvm_C,
-        iters=run_config.ranksvm_iters,
-        seed=run_config.ranksvm_seed,
-    )
+    svm = train_ranksvm(probes, gallery, C=run_config.ranksvm_C, iters=run_config.ranksvm_iters)
     return RankSvmScorer(svm)
 
 
@@ -372,10 +376,10 @@ def run_experiment(dataset, run_config, experiment=None):
     whose mean curves are arithmetic means over trials."""
     rc = run_config
     ex = experiment if experiment is not None else rc.experiment
-    ex.validate()
     rc.validate()
     grid = rc.grid
     L = rc.train.subseq_len
+    ex.validate(L)
     agg_base = AggregationConfig(L, rc.agg.num_subsequences, rc.agg.seed)
 
     for person in dataset.persons:

@@ -8,15 +8,12 @@ gray plane plus the mean of the six color channels (H, S, V, L*, a*, b*).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FormatError
-
-IMAGE_MAGIC = b"RFAIMG1\n"
 
 LBP_BINS = 256
 CHANNELS_PER_PATCH = LBP_BINS + 6
@@ -82,11 +79,8 @@ class PatchGridSpec:
     patch_w: int = 8
     stride_v: int = 8
     stride_h: int = 4
-    lbp_bins: int = LBP_BINS
 
     def __post_init__(self):
-        if self.lbp_bins != LBP_BINS:
-            raise ConfigurationError("lbp_bins is fixed at 256")
         if self.stride_v < 1 or self.stride_h < 1:
             raise ConfigurationError("strides must be >= 1")
         if self.patch_h < 1 or self.patch_w < 1:
@@ -159,58 +153,27 @@ def _parse_pnm(data, magic):
 
 
 def decode_image(data, fmt):
-    """Decode bytes in the declared format ('PGM', 'PPM' or 'RAW') to RawImage.
+    """Decode bytes in the declared format ('PGM' or 'PPM') to RawImage.
 
-    PGM (P5) input is replicated to all three channels; RAW is the package's
-    own header format (magic, little-endian u32 width/height, u8 channels).
+    PGM (P5) input is replicated to all three channels.
     """
-    fmt = fmt.upper()
-    if fmt == "PPM":
-        width, height, pos = _parse_pnm(data, b"P6")
-        need = width * height * 3
-        if len(data) - pos < need:
-            raise FormatError(
-                f"truncated pixel payload: need {need} bytes, have {len(data) - pos}",
-                len(data),
-            )
-        pixels = np.frombuffer(data, np.uint8, need, pos).reshape(height, width, 3)
-        return RawImage(width, height, pixels)
-    if fmt == "PGM":
-        width, height, pos = _parse_pnm(data, b"P5")
-        need = width * height
-        if len(data) - pos < need:
-            raise FormatError(
-                f"truncated pixel payload: need {need} bytes, have {len(data) - pos}",
-                len(data),
-            )
-        gray = np.frombuffer(data, np.uint8, need, pos).reshape(height, width)
-        return RawImage(width, height, np.repeat(gray[:, :, None], 3, axis=2))
-    if fmt == "RAW":
-        if data[:8] != IMAGE_MAGIC:
-            raise FormatError("bad RAW magic", 0)
-        if len(data) < 17:
-            raise FormatError("truncated RAW header", len(data))
-        width, height, channels = struct.unpack_from("<IIB", data, 8)
-        if channels not in (1, 3):
-            raise FormatError(f"RAW channels must be 1 or 3, got {channels}", 16)
-        if width < 1 or height < 1:
-            raise FormatError("image dimensions must be >= 1", 8)
-        need = width * height * channels
-        if len(data) - 17 < need:
-            raise FormatError(
-                f"truncated pixel payload: need {need} bytes, have {len(data) - 17}",
-                len(data),
-            )
-        raw = np.frombuffer(data, np.uint8, need, 17)
-        if channels == 1:
-            raw = np.repeat(raw[:, None], 3, axis=1)
-        return RawImage(width, height, raw.reshape(height, width, 3))
-    raise FormatError(f"unknown image format {fmt!r}")
+    channels = {"PPM": 3, "PGM": 1}.get(fmt.upper())
+    if channels is None:
+        raise FormatError(f"unknown image format {fmt!r}")
+    width, height, pos = _parse_pnm(data, b"P6" if channels == 3 else b"P5")
+    need = width * height * channels
+    if len(data) - pos < need:
+        raise FormatError(
+            f"truncated pixel payload: need {need} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    pixels = np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)
+    if channels == 1:
+        pixels = np.repeat(pixels, 3, axis=2)
+    return RawImage(width, height, pixels)
 
 
 def sniff_image_format(data):
-    if data[:8] == IMAGE_MAGIC:
-        return "RAW"
     if data[:2] == b"P6":
         return "PPM"
     if data[:2] == b"P5":
@@ -227,10 +190,6 @@ def read_image(path):
 def encode_ppm(img):
     header = f"P6\n{img.width} {img.height}\n255\n".encode()
     return header + img.pixels.tobytes()
-
-
-def encode_raw(img):
-    return IMAGE_MAGIC + struct.pack("<IIB", img.width, img.height, 3) + img.pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Atomic file output shared by the model, embedding, RankSVM, loss-history,
-report, config and dataset-manifest writers."""
+"""Atomic file output shared by the model, embedding, loss-history, report,
+config and dataset-manifest writers."""
 
 from __future__ import annotations
 

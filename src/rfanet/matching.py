@@ -8,15 +8,11 @@ descending score with ties broken by ascending gallery index.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateProblemError, FormatError
-from .fileio import atomic_write
-
-RANKSVM_MAGIC = b"RFASVM1"
+from .errors import DataError, DegenerateProblemError
 
 
 def _vec(x):
@@ -73,48 +69,16 @@ class RankSvmScorer:
         return out
 
 
-def as_scorer(scorer):
-    """The scorer itself, or a CosineScorer for the name ``"cosine"``."""
-    return CosineScorer() if scorer == "cosine" else scorer
-
-
-def _pair_score(scorer, a, b):
-    va, vb = _vec(a), _vec(b)
-    if va.shape != vb.shape:
-        raise DataError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(scorer.scores(va.reshape(1, -1), vb.reshape(1, -1))[0, 0])
-
-
-def cosine_score(a, b):
-    """(a . b) / (|a| |b|) of one pair, in [-1, 1]; higher means more similar."""
-    return _pair_score(CosineScorer(), a, b)
-
-
 @dataclass
 class RankSvmModel:
     w: np.ndarray
     C: float
     iters: int
-    seed: int
     objective_history: list = field(default_factory=list)
 
     @property
     def final_objective(self):
         return self.objective_history[-1] if self.objective_history else None
-
-
-def ranksvm_score(model, probe, gallery_item):
-    """w . |probe - gallery_item| of one pair; higher means more similar."""
-    return _pair_score(RankSvmScorer(model), probe, gallery_item)
-
-
-def rank_gallery(probe, gallery, scorer):
-    """Gallery indices by descending score; ties broken by ascending index."""
-    if len(gallery) == 0:
-        raise DataError("empty gallery")
-    G = np.stack([_vec(g) for g in gallery])
-    scores = as_scorer(scorer).scores(_vec(probe).reshape(1, -1), G)[0]
-    return np.argsort(-scores, kind="stable")
 
 
 def pair_difference_features(probe_embeddings, gallery_embeddings):
@@ -144,15 +108,11 @@ def pair_difference_features(probe_embeddings, gallery_embeddings):
 
 
 def _objective(w, margins, C):
+    """0.5 |w|^2 + C * sum max(0, 1 - m) over the constraint margins m = diffs @ w."""
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
-def hinge_objective(w, diffs, C):
-    """0.5 |w|^2 + C * sum max(0, 1 - w . d) over all constraint rows."""
-    return _objective(w, diffs @ w, C)
-
-
-def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500, seed=0):
+def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     """Deterministic averaged projected subgradient on the hinge objective.
 
     The constrained problem  min 0.5|w|^2 + C sum xi  s.t. w.(s+ - s-) >= 1 - xi
@@ -211,41 +171,10 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500, seed=0
             best = obj
             w_best = w_avg.copy()
         history.append(best)
-    return RankSvmModel(w_best, C, iters, seed, history)
+    return RankSvmModel(w_best, C, iters, history)
 
 
 def ranking_accuracy(model, probe_embeddings, gallery_embeddings):
     """Fraction of (i, j != i) pairs with F(s+_i) > F(s-_ij)."""
     diffs = pair_difference_features(probe_embeddings, gallery_embeddings)
     return float(np.mean(diffs @ model.w > 0.0))
-
-
-# ---------------------------------------------------------------------------
-# model file
-# ---------------------------------------------------------------------------
-
-def save_ranksvm(path, model):
-    with atomic_write(path) as fh:
-        fh.write(RANKSVM_MAGIC)
-        fh.write(struct.pack("<IdIQ", model.w.size, model.C, model.iters, model.seed))
-        fh.write(np.ascontiguousarray(model.w, dtype="<f8").tobytes())
-
-
-def load_ranksvm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:7] != RANKSVM_MAGIC:
-        raise FormatError("bad RankSVM magic", 0)
-    pos = 7 + struct.calcsize("<IdIQ")
-    if len(data) < pos:
-        raise FormatError("truncated RankSVM header", len(data))
-    dim, C, iters, seed = struct.unpack_from("<IdIQ", data, 7)
-    if dim == 0:
-        raise FormatError("RankSVM weight dimension is 0", 7)
-    if len(data) - pos < dim * 8:
-        raise FormatError("truncated RankSVM weights", len(data))
-    if len(data) - pos > dim * 8:
-        raise FormatError(f"{len(data) - pos - dim * 8} trailing bytes after RankSVM weights",
-                          pos + dim * 8)
-    w = np.frombuffer(data, "<f8", dim, pos).astype(np.float64)
-    return RankSvmModel(w, C, iters, seed)

@@ -151,10 +151,6 @@ class RfaModel:
         shapes["b_y"] = (N,)
         return shapes
 
-    def zero_grads(self):
-        """A zeroed tensor set of the model's shapes, stacked like ``params``."""
-        return Params(self.param_shapes())
-
     def copy(self):
         out = RfaModel(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
         for name, value in self.params.items():

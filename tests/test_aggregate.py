@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rfanet as rf
-from rfanet.aggregate import run_hidden_states, sample_starts
+from rfanet.aggregate import _unroll, sample_starts
 from rfanet.errors import DataError, FormatError
 
 
@@ -15,7 +15,7 @@ def model():
 
 def test_subsequence_layout_is_time_major(model, rng):
     xs = rng.standard_normal((5, 4))
-    hs = run_hidden_states(model, xs)
+    hs = _unroll(model, rf.project(model, xs))
     emb = rf.embed_subsequence(model, xs)
     assert emb.shape == (15,)
     for t in range(5):
@@ -25,8 +25,8 @@ def test_subsequence_layout_is_time_major(model, rng):
 def test_hidden_states_prefix_consistency(model, rng):
     # the LSTM is causal: running a prefix gives the prefix of the states
     xs = rng.standard_normal((6, 4))
-    full = run_hidden_states(model, xs)
-    assert run_hidden_states(model, xs[:4]) == pytest.approx(full[:4], abs=1e-15)
+    full = _unroll(model, rf.project(model, xs))
+    assert _unroll(model, rf.project(model, xs[:4])) == pytest.approx(full[:4], abs=1e-15)
 
 
 def test_zero_model_zero_embedding(rng):

@@ -225,6 +225,25 @@ def test_cli_eval(pipeline, capsys):
     assert (pipeline["root"] / "out" / "report.txt").exists()
 
 
+@pytest.mark.parametrize("level", [
+    {"kind": "noise", "noise_levels": [0.0, 5.0]},
+    {"kind": "depth", "depths": [0]},
+    {"kind": "subseq", "subseq_counts": [0]},
+], ids=["noise", "depth", "subseq"])
+def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatch, level):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training started before the sweep levels were checked")
+
+    monkeypatch.setattr(rf.evaluation, "train", forbidden)
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                           out_dir=str(tmp_path / "out"))
+    cfg["experiment"].update(level)
+    assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_cli_eval_has_no_model_flag(pipeline, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--config", pipeline["cfg_path"], "--model", str(pipeline["model"])])
@@ -255,9 +274,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("matching", {"ranksvm_X": 1}, r"unknown keys in \[matching\]"),
     ("train", {"clip_norm": -1.0}, r"clip_norm must be > 0"),
     ("train", {"clip_norm": 0}, r"clip_norm must be > 0"),
+    ("grid", {"lbp_bins": 256}, r"unknown keys in \[grid\]"),
+    ("matching", {"ranksvm_seed": 0}, r"unknown keys in \[matching\]"),
 ], ids=["image-int", "train-list", "grid-null", "width-str", "epochs-str", "clip-bool",
         "peephole-int", "C-str", "noise-level-str", "depth-float", "unknown-matching-key",
-        "clip-negative", "clip-zero"])
+        "clip-negative", "clip-zero", "lbp-bins-key", "ranksvm-seed-key"])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, section, value, message):
     data = tiny_config_dict()
     data[section] = value if not isinstance(value, dict) else {**data[section], **value}

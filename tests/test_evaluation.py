@@ -5,7 +5,7 @@ import pytest
 
 import rfanet as rf
 import rfanet.evaluation as evaluation
-from rfanet.errors import DataError
+from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
     _derive_seed,
     _embed_test_set,
@@ -118,7 +118,7 @@ def test_cmc_rejects_non_finite_embedding(role, pid, value):
     probes = [_emb([1.0, i], i, 0) for i in range(4)]
     # SequenceEmbedding refuses non-finite values, so poison one in place
     (probes if role == "probe" else gallery)[pid].values[1] = value
-    for scorer in ("cosine", rf.RankSvmScorer(rf.RankSvmModel(np.ones(2), 1.0, 1, 0))):
+    for scorer in ("cosine", rf.RankSvmScorer(rf.RankSvmModel(np.ones(2), 1.0, 1))):
         with pytest.raises(DataError, match=f"{role} id {pid} has a non-finite embedding"):
             rf.compute_cmc(probes, gallery, scorer)
 
@@ -338,6 +338,27 @@ def test_run_experiment_depth_defaults(tiny_dataset):
         tiny_dataset, _tiny_config(), rf.ExperimentSpec(kind="depth", trials=1)
     )
     assert report.levels == [1, 5]
+
+
+@pytest.mark.parametrize("spec", [
+    rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(0.0, 5.0)),
+    rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(-0.1,)),
+    rf.ExperimentSpec(kind="depth", trials=1, depths=(0,)),
+    rf.ExperimentSpec(kind="depth", trials=1, depths=(1, 6)),
+    rf.ExperimentSpec(kind="subseq", trials=1, subseq_counts=(0,)),
+], ids=["noise-above-1", "noise-negative", "depth-0", "depth-above-L", "subseq-0"])
+def test_run_experiment_checks_levels_before_any_work(tiny_dataset, monkeypatch, spec):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the sweep levels were checked")
+
+    monkeypatch.setattr(evaluation, "sequence_features", forbidden)
+    monkeypatch.setattr(evaluation, "train", forbidden)
+    with pytest.raises(ConfigurationError):
+        rf.run_experiment(tiny_dataset, _tiny_config(), spec)
+    cfg = _tiny_config()
+    cfg.experiment = spec
+    with pytest.raises(ConfigurationError):
+        cfg.validate()
 
 
 def test_run_experiment_rejects_short_sequences():

@@ -5,7 +5,7 @@ import pytest
 
 import rfanet as rf
 from rfanet.errors import ConfigurationError, DataError, FormatError
-from rfanet.features import CHANNELS_PER_PATCH, LBP_BINS, encode_ppm, encode_raw, lbp_codes
+from rfanet.features import CHANNELS_PER_PATCH, LBP_BINS, encode_ppm, lbp_codes
 
 import feature_reference
 from conftest import random_image
@@ -41,17 +41,6 @@ def test_decode_bad_maxval():
 def test_decode_with_comment():
     data = b"P6\n# a comment\n1 1\n255\n" + bytes([9, 8, 7])
     assert rf.decode_image(data, "PPM").pixels.tolist() == [[[9, 8, 7]]]
-
-
-def test_decode_raw_roundtrip(rng):
-    img = random_image(rng, 5, 4)
-    back = rf.decode_image(encode_raw(img), "RAW")
-    assert np.array_equal(back.pixels, img.pixels)
-
-
-def test_decode_raw_single_channel():
-    data = b"RFAIMG1\n" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + bytes([1, 77])
-    assert rf.decode_image(data, "RAW").pixels.tolist() == [[[77, 77, 77]]]
 
 
 def test_ppm_roundtrip(rng, tmp_path):

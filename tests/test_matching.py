@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+import matching_reference as ref
 import rfanet as rf
-from rfanet.errors import DataError, DegenerateProblemError, FormatError
-from rfanet.matching import hinge_objective, pair_difference_features, ranksvm_score
+from rfanet.errors import DataError, DegenerateProblemError
+from rfanet.matching import _objective, pair_difference_features
+
+
+def _cosine(a, b):
+    """The cosine score of one pair through the matrix path."""
+    return float(rf.CosineScorer().scores([a], [b])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -11,64 +17,66 @@ from rfanet.matching import hinge_objective, pair_difference_features, ranksvm_s
 # ---------------------------------------------------------------------------
 
 def test_cosine_parallel_and_orthogonal():
-    assert rf.cosine_score([1, 0], [2, 0]) == pytest.approx(1.0)
-    assert rf.cosine_score([1, 0], [0, 3]) == pytest.approx(0.0)
-    assert rf.cosine_score([1, 1], [-1, -1]) == pytest.approx(-1.0)
+    assert _cosine([1, 0], [2, 0]) == pytest.approx(1.0)
+    assert _cosine([1, 0], [0, 3]) == pytest.approx(0.0)
+    assert _cosine([1, 1], [-1, -1]) == pytest.approx(-1.0)
 
 
 def test_cosine_worked_example():
     # (3,4).(4,3) / (5*5) = 24/25
-    assert rf.cosine_score([3, 4], [4, 3]) == pytest.approx(24 / 25, abs=1e-12)
+    assert _cosine([3, 4], [4, 3]) == pytest.approx(24 / 25, abs=1e-12)
 
 
 def test_cosine_scale_invariant(rng):
     a, b = rng.standard_normal(8), rng.standard_normal(8)
-    assert rf.cosine_score(a, b) == pytest.approx(rf.cosine_score(3.7 * a, 0.2 * b), abs=1e-12)
+    assert _cosine(a, b) == pytest.approx(_cosine(3.7 * a, 0.2 * b), abs=1e-12)
 
 
 def test_cosine_accepts_embeddings(rng):
     a, b = rng.standard_normal(5), rng.standard_normal(5)
     ea, eb = rf.SequenceEmbedding(a), rf.SequenceEmbedding(b)
-    assert rf.cosine_score(ea, eb) == rf.cosine_score(a, b)
+    assert _cosine(ea.values, eb.values) == _cosine(a, b)
 
 
 def test_cosine_zero_vector_rejected():
     with pytest.raises(DataError, match="zero-norm"):
-        rf.cosine_score([0.0, 0.0], [1.0, 2.0])
+        rf.CosineScorer().scores([[0.0, 0.0]], [[1.0, 2.0]])
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DataError):
-        rf.cosine_score([1.0, 2.0], [1.0, 2.0, 3.0])
+        rf.CosineScorer().scores([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------
-# ranking
+# ranking: compute_cmc ranks the gallery by descending score, ties broken by
+# ascending gallery index
 # ---------------------------------------------------------------------------
 
 def test_rank_gallery_descending():
     probe = np.array([1.0, 0.0])
-    gallery = [np.array(v) for v in ([0.0, 1.0], [1.0, 0.1], [1.0, 1.0])]
-    order = rf.rank_gallery(probe, gallery, "cosine")
+    gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 1.0]])
+    order = np.argsort(-rf.CosineScorer().scores([probe], gallery)[0], kind="stable")
     assert order.tolist() == [1, 2, 0]
 
 
 def test_rank_gallery_stable_ties():
     class FixedScorer:
-        def __init__(self, row):
-            self.row = np.array([row])
-
         def scores(self, P, G):
             assert P.shape == (1, 1) and G.shape == (3, 1)
-            return self.row
+            return np.array([[0.2, 0.9, 0.9]])
 
-    order = rf.rank_gallery(np.zeros(1), np.zeros((3, 1)), FixedScorer([0.2, 0.9, 0.9]))
-    assert order.tolist() == [1, 2, 0]
+    # the scores order the gallery as 1, 2, 0: true match k ranks 3, 1, 2
+    gallery = [rf.SequenceEmbedding([0.0], k, 1) for k in range(3)]
+    for k, rank in enumerate((3, 1, 2)):
+        probe = [rf.SequenceEmbedding([0.0], k, 0)]
+        rates = rf.compute_cmc(probe, gallery, FixedScorer()).rates
+        assert rates.tolist() == [0.0] * (rank - 1) + [1.0] * (4 - rank)
 
 
 def test_rank_gallery_empty():
-    with pytest.raises(DataError):
-        rf.rank_gallery(np.ones(2), [], "cosine")
+    with pytest.raises(DataError, match="empty gallery"):
+        rf.compute_cmc([rf.SequenceEmbedding(np.ones(2), 0, 0)], [], "cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def test_hinge_objective_closed_form():
     w = np.array([1.0, -2.0])
     diffs = np.array([[3.0, 0.0], [0.0, 1.0]])
     # 0.5*5 + C*(max(0,1-3) + max(0,1+2)) = 2.5 + 3C
-    assert hinge_objective(w, diffs, 2.0) == pytest.approx(2.5 + 6.0)
+    assert _objective(w, diffs @ w, 2.0) == pytest.approx(2.5 + 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +128,18 @@ def _separable_instance(rng, n=5, dim=2):
 
 def test_ranksvm_separable_perfect_accuracy(rng):
     probes, gallery = _separable_instance(rng)
-    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=2000, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=2000)
     assert rf.ranking_accuracy(model, probes, gallery) == 1.0
 
 
 def test_ranksvm_history_monotone(rng):
     probes, gallery = _separable_instance(rng)
-    model = rf.train_ranksvm(probes, gallery, C=100.0, iters=1500, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=100.0, iters=1500)
     hist = np.array(model.objective_history)
     assert len(hist) == 1500
     assert np.all(np.diff(hist) <= 0.0)
     assert model.final_objective == pytest.approx(
-        hinge_objective(model.w, pair_difference_features(probes, gallery), 100.0)
+        ref.hinge_objective(model.w, pair_difference_features(probes, gallery), 100.0)
     )
 
 
@@ -139,18 +147,18 @@ def test_ranksvm_matches_grid_search_oracle(rng):
     # exhaustive 2-D grid over the weight plane as an independent solver
     probes, gallery = _separable_instance(rng)
     diffs = pair_difference_features(probes, gallery)
-    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=10000, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=10000)
     span = max(3.0 * np.abs(model.w).max(), 1.0)
     axis = np.linspace(-span, span, 1201)
     best = min(
-        hinge_objective(np.array([u, v]), diffs, 5.0) for u in axis for v in axis
+        ref.hinge_objective(np.array([u, v]), diffs, 5.0) for u in axis for v in axis
     )
     assert model.final_objective <= best * 1.01
 
 
 def test_ranksvm_tiny_c_shrinks_weights(rng):
     probes, gallery = _separable_instance(rng)
-    model = rf.train_ranksvm(probes, gallery, C=1e-9, iters=200, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=1e-9, iters=200)
     assert np.linalg.norm(model.w) < 1e-3
 
 
@@ -158,27 +166,27 @@ def test_ranksvm_one_dimensional_sign():
     # scalar embeddings where true pairs are closer: optimum has w < 0
     probes = [np.array([0.0]), np.array([10.0]), np.array([20.0])]
     gallery = [np.array([1.0]), np.array([11.0]), np.array([21.0])]
-    model = rf.train_ranksvm(probes, gallery, C=10.0, iters=2000, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=10.0, iters=2000)
     assert model.w[0] < 0.0
     assert rf.ranking_accuracy(model, probes, gallery) == 1.0
 
 
 def test_ranksvm_deterministic(rng):
     probes, gallery = _separable_instance(rng)
-    m1 = rf.train_ranksvm(probes, gallery, C=2.0, iters=300, seed=4)
-    m2 = rf.train_ranksvm(probes, gallery, C=2.0, iters=300, seed=4)
+    m1 = rf.train_ranksvm(probes, gallery, C=2.0, iters=300)
+    m2 = rf.train_ranksvm(probes, gallery, C=2.0, iters=300)
     assert np.array_equal(m1.w, m2.w)
     assert m1.objective_history == m2.objective_history
 
 
 def test_ranksvm_score_direction(rng):
     probes, gallery = _separable_instance(rng)
-    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=2000, seed=0)
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=2000)
+    scores = rf.RankSvmScorer(model).scores(probes, gallery)
     for i in range(len(probes)):
-        own = ranksvm_score(model, probes[i], gallery[i])
         for j in range(len(gallery)):
             if j != i:
-                assert own > ranksvm_score(model, probes[i], gallery[j])
+                assert scores[i, i] > scores[i, j]
 
 
 def test_ranksvm_invalid_arguments(rng):
@@ -188,51 +196,3 @@ def test_ranksvm_invalid_arguments(rng):
     with pytest.raises(DataError):
         rf.train_ranksvm(probes, gallery, iters=0)
 
-
-def test_ranksvm_roundtrip(tmp_path, rng):
-    probes, gallery = _separable_instance(rng)
-    model = rf.train_ranksvm(probes, gallery, C=3.5, iters=50, seed=12)
-    path = tmp_path / "model.rfasvm"
-    rf.save_ranksvm(path, model)
-    back = rf.load_ranksvm(path)
-    assert np.array_equal(back.w, model.w)
-    assert (back.C, back.iters, back.seed) == (3.5, 50, 12)
-
-
-def test_ranksvm_bad_magic(tmp_path):
-    path = tmp_path / "bad.rfasvm"
-    path.write_bytes(b"XXXXXXX" + bytes(32))
-    with pytest.raises(FormatError):
-        rf.load_ranksvm(path)
-
-
-def test_ranksvm_write_failing_midway_keeps_earlier_file(tmp_path, disk_full):
-    path = tmp_path / "model.rfasvm"
-    path.write_bytes(b"earlier ranksvm")
-    model = rf.RankSvmModel(np.ones(4), 1.0, 10, 0)
-    with pytest.raises(OSError):
-        rf.save_ranksvm(path, model)
-    assert path.read_bytes() == b"earlier ranksvm"
-    assert list(tmp_path.iterdir()) == [path]
-
-
-def test_ranksvm_reader_rejects_trailing_bytes(tmp_path):
-    path = tmp_path / "model.rfasvm"
-    rf.save_ranksvm(path, rf.RankSvmModel(np.arange(3.0), 1.0, 10, 0))
-    path.write_bytes(path.read_bytes() + bytes(8))
-    with pytest.raises(FormatError, match="trailing"):
-        rf.load_ranksvm(path)
-
-
-def test_ranksvm_reader_rejects_zero_dim(tmp_path):
-    path = tmp_path / "model.rfasvm"
-    rf.save_ranksvm(path, rf.RankSvmModel(np.zeros(0), 1.0, 10, 0))
-    with pytest.raises(FormatError, match="dimension is 0"):
-        rf.load_ranksvm(path)
-
-
-def test_ranksvm_reader_rejects_truncated_header(tmp_path):
-    path = tmp_path / "model.rfasvm"
-    path.write_bytes(b"RFASVM1" + bytes(10))
-    with pytest.raises(FormatError, match="header"):
-        rf.load_ranksvm(path)

@@ -5,7 +5,7 @@ import pytest
 
 import rfanet as rf
 from rfanet.errors import ConfigurationError, DataError
-from rfanet.rnn import PARAM_ORDER
+from rfanet.rnn import PARAM_ORDER, Params
 
 
 def zero_model(D=3, H=2, N=2, peephole="full"):
@@ -289,7 +289,7 @@ def test_backward_deterministic(rng):
 def test_sgd_zero_lr():
     model = rf.init_model(3, 2, 2, seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
-    rf.sgd_update(model, model.zero_grads(), 0.0)
+    rf.sgd_update(model, Params(model.param_shapes()), 0.0)
     for name in before:
         assert np.array_equal(model.params[name], before[name])
 
@@ -297,7 +297,7 @@ def test_sgd_zero_lr():
 def test_sgd_scalar_update():
     model = zero_model(D=1, H=1, N=2)
     model.params["b_c"][0] = 1.0
-    grads = model.zero_grads()
+    grads = Params(model.param_shapes())
     grads["b_c"][0] = 2.0
     rf.sgd_update(model, grads, 0.1)
     assert model.params["b_c"][0] == pytest.approx(0.8)
