@@ -10,6 +10,7 @@ from .aggregate import (
     AggregationConfig,
     SequenceEmbedding,
     embed_at_depth,
+    embed_projected,
     embed_sequence,
     embed_subsequence,
     read_embeddings,

@@ -5,8 +5,12 @@ A subsequence of L frames maps to the concatenation of its L hidden states
 randomly sampled length-L windows. Per-depth embeddings expose the t-th
 node's output for the fusion-depth analysis.
 
-The frames a sequence's windows use are projected once, and the K windows
-then run as one (K, H) batch through the LSTM recurrence step.
+``embed_projected`` embeds many sequences from input pre-activations that
+were projected beforehand (one ``project`` GEMM per model over every frame
+of a dataset): the K seeded windows of every sequence run through the LSTM
+recurrence as one batch, so each step is one GEMM over all windows.
+``embed_sequence`` and ``embed_at_depth`` are its one-sequence case: they
+project the frames that the sequence's windows use, then call it.
 """
 
 from __future__ import annotations
@@ -71,22 +75,77 @@ def sample_starts(num_frames, subseq_len, num_subsequences, seed):
     return rng.integers(0, num_frames - subseq_len + 1, size=num_subsequences)
 
 
-def _window_states(model, frames, cfg):
-    """Hidden states (K, L, H) of the K seeded windows of a sequence. Each
-    frame some window uses is projected once; the windows run as one batch."""
+def _windows(num_frames, cfg):
+    """Frame indices (K, L) of the K seeded windows of a sequence."""
+    starts = sample_starts(num_frames, cfg.subseq_len, cfg.num_subsequences, cfg.seed)
+    return starts[:, None] + np.arange(cfg.subseq_len)
+
+
+# pre-activation values gathered for one recurrence batch (32 MB of float64):
+# every window of a desk-scale split, about 200 windows at the full geometry
+_WINDOW_BLOCK = 1 << 22
+
+
+def embed_projected(model, ax, rows, cfgs, depth=None):
+    """Embeddings of S sequences from pre-activations projected beforehand.
+
+    ``ax`` (N, 4H) holds ``project`` output; ``rows[s]`` are the rows of ``ax``
+    that hold sequence s's frames, in time order, and ``cfgs[s]`` is its
+    AggregationConfig. All sequences share one subsequence length L. The K
+    seeded windows of every sequence run through the recurrence together, in
+    batches of whole sequences of at most ``_WINDOW_BLOCK`` gathered values.
+
+    Returns (S, H*L) means of the K window embeddings, or with ``depth`` in
+    1..L the (S, H) means of h_depth over the same windows. They equal each
+    sequence embedded alone, bit for bit, unless a batch holds a single
+    window: numpy computes a one-row product as a matrix-vector product,
+    whose sums can differ in the last bit.
+    """
+    L = cfgs[0].subseq_len if cfgs else 1
+    for cfg in cfgs:
+        cfg.validate()
+        if cfg.subseq_len != L:
+            raise DataError(f"sequences embedded together have subsequence lengths "
+                            f"{L} and {cfg.subseq_len}")
+    if depth is not None and not 1 <= depth <= L:
+        raise DataError(f"depth {depth} out of range 1..{L}")
+    H = model.hidden_dim
+    windows = [np.asarray(r)[_windows(len(r), cfg)] for r, cfg in zip(rows, cfgs)]
+    out = np.empty((len(windows), H * L if depth is None else H))
+    per_window = L * 4 * H
+    start = 0
+    while start < len(windows):
+        stop, count = start + 1, len(windows[start])
+        while stop < len(windows) and (count + len(windows[stop])) * per_window <= _WINDOW_BLOCK:
+            count += len(windows[stop])
+            stop += 1
+        hs = _unroll(model, ax[np.concatenate(windows[start:stop])])
+        first = 0
+        for s in range(start, stop):
+            own = hs[first : first + len(windows[s])]
+            first += len(own)
+            picked = own.reshape(len(own), -1) if depth is None else own[:, depth - 1]
+            out[s] = picked.mean(axis=0)
+        start = stop
+    return out
+
+
+def _project_used(model, frames, cfg):
+    """Pre-activations of the frames that cfg's windows use, each projected
+    once, and the row of each frame among them; a frame no window uses maps
+    to row 0 and is never read."""
     cfg.validate()
     frames = np.asarray(frames, dtype=np.float64)
-    starts = sample_starts(frames.shape[0], cfg.subseq_len, cfg.num_subsequences, cfg.seed)
-    windows = starts[:, None] + np.arange(cfg.subseq_len)
-    used, where = np.unique(windows, return_inverse=True)
-    ax = project(model, frames[used])
-    return _unroll(model, ax[where.reshape(windows.shape)])
+    used = np.unique(_windows(len(frames), cfg))
+    rows = np.zeros(len(frames), dtype=np.intp)
+    rows[used] = np.arange(used.size)
+    return project(model, frames[used]), rows
 
 
 def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
     """Mean of K seeded-window subsequence embeddings; no post-normalization."""
-    hs = _window_states(model, frames, cfg)
-    return SequenceEmbedding(hs.reshape(len(hs), -1).mean(axis=0), source_id, camera)
+    ax, rows = _project_used(model, frames, cfg)
+    return SequenceEmbedding(embed_projected(model, ax, [rows], [cfg])[0], source_id, camera)
 
 
 def embed_at_depth(model, frames, depth, cfg):
@@ -94,7 +153,8 @@ def embed_at_depth(model, frames, depth, cfg):
     cfg.validate()
     if not 1 <= depth <= cfg.subseq_len:
         raise DataError(f"depth {depth} out of range 1..{cfg.subseq_len}")
-    return _window_states(model, frames, cfg)[:, depth - 1].mean(axis=0)
+    ax, rows = _project_used(model, frames, cfg)
+    return embed_projected(model, ax, [rows], [cfg], depth)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@ noise-robustness / fusion-depth / subsequence-count sweeps, and a synthetic
 dataset generator for desk-scale verification.
 
 Camera a is the probe view, camera b the gallery view, throughout.
+
+``run_experiment`` describes every frame once, into one (N, D) descriptor
+matrix whose row ranges are the sequences (and, for the noise sweep, the
+noise pool after them). Each trained model maps the whole matrix to gate
+pre-activations with one ``project`` call; each split is then embedded by
+one batched ``embed_projected`` call. A noisy test sequence is a list of row
+indices, the pool rows spliced in where ``inject_noise`` puts them, so no
+descriptor is copied or described again.
 """
 
 from __future__ import annotations
@@ -17,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import AggregationConfig, SequenceEmbedding, embed_at_depth, embed_sequence
+from .aggregate import AggregationConfig, SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError
 from .features import RawImage, encode_ppm, read_image, sequence_features
 from .fileio import atomic_write
 from .matching import CosineScorer, RankSvmScorer, train_ranksvm
-from .rnn import LabeledSequence, train
+from .rnn import LabeledSequence, project, train
 
 
 # ---------------------------------------------------------------------------
@@ -47,27 +55,37 @@ class Dataset:
 
 def save_dataset(dataset, out_dir):
     """Materialize images as PPM files plus a JSON manifest; returns the
-    manifest path. Paths in the manifest are relative to it."""
+    manifest path. Paths in the manifest are relative to it.
+
+    The manifest is the commit point. It is written last and atomically, and
+    an existing manifest is removed before the first frame that replaces an
+    existing file, so a save cut short never leaves a manifest next to frames
+    it does not describe."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"persons": [], "noise_pool": []}
+    frames = []  # (path relative to the manifest, image)
     for person in dataset.persons:
         entry = {"id": person.person_id, "camera_a": [], "camera_b": []}
-        for cam, frames in (("a", person.frames_a), ("b", person.frames_b)):
-            for k, img in enumerate(frames):
+        for cam, images in (("a", person.frames_a), ("b", person.frames_b)):
+            for k, img in enumerate(images):
                 rel = f"p{person.person_id:04d}/cam_{cam}/frame_{k:04d}.ppm"
-                path = out / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(encode_ppm(img))
                 entry[f"camera_{cam}"].append(rel)
+                frames.append((rel, img))
         manifest["persons"].append(entry)
     for k, img in enumerate(dataset.noise_pool):
         rel = f"noise/frame_{k:04d}.ppm"
+        manifest["noise_pool"].append(rel)
+        frames.append((rel, img))
+    manifest_path = out / "manifest.json"
+    earlier = manifest_path.exists()  # once it is gone, frames need no check
+    for rel, img in frames:
         path = out / rel
+        if earlier and path.exists():
+            manifest_path.unlink()
+            earlier = False
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(encode_ppm(img))
-        manifest["noise_pool"].append(rel)
-    manifest_path = out / "manifest.json"
     with atomic_write(manifest_path) as fh:
         fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest_path
@@ -297,7 +315,7 @@ class ExperimentSpec:
     trials: int = 10
     master_seed: int = 0
     noise_levels: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5)
-    depths: tuple[int, ...] | None = None  # None -> (1, L)
+    depths: tuple[int, ...] | None = None  # None -> (1, L), or (1,) when L is 1
     subseq_counts: tuple[int, ...] = (1, 5, 10, 15)
 
     def validate(self, L):
@@ -313,6 +331,11 @@ class ExperimentSpec:
             raise ConfigurationError(f"depths must be in [1, {L}], got {self.depths}")
         if not all(k >= 1 for k in self.subseq_counts):
             raise ConfigurationError(f"subsequence counts must be >= 1, got {self.subseq_counts}")
+        # curves are keyed by level: a repeated level would merge two sweeps
+        for name in ("noise_levels", "depths", "subseq_counts"):
+            levels = getattr(self, name) or ()
+            if len(set(levels)) != len(levels):
+                raise ConfigurationError(f"{name} repeats a level: {tuple(levels)}")
 
 
 @dataclass
@@ -329,45 +352,34 @@ def _derive_seed(*parts):
     return int(np.random.SeedSequence([int(p) & (2**31 - 1) for p in parts]).generate_state(1)[0])
 
 
-def _embed_test_set(model, feats, test_ids, agg_cfg, depth=None):
-    probes, gallery = [], []
-    for pid in test_ids:
-        for cam, bucket in ((0, probes), (1, gallery)):
-            cfg = replace(agg_cfg, seed=_derive_seed(agg_cfg.seed, pid, cam))
-            if depth is None:
-                bucket.append(embed_sequence(model, feats[(pid, cam)], cfg, pid, cam))
-            else:
-                vec = embed_at_depth(model, feats[(pid, cam)], depth, cfg)
-                bucket.append(SequenceEmbedding(vec, pid, cam))
-    return probes, gallery
+def _embed_split(model, ax, rows, ids, agg_cfg, depth=None):
+    """Probe (camera 0) and gallery (camera 1) embeddings of the persons
+    ``ids``, from the pre-activations ``ax`` of every descriptor row, by one
+    batched call; ``rows[(pid, cam)]`` are a sequence's rows of ``ax``."""
+    keys = [(pid, cam) for pid in ids for cam in (0, 1)]
+    cfgs = [replace(agg_cfg, seed=_derive_seed(agg_cfg.seed, pid, cam)) for pid, cam in keys]
+    values = embed_projected(model, ax, [rows[key] for key in keys], cfgs, depth)
+    embeddings = [SequenceEmbedding(v, pid, cam) for v, (pid, cam) in zip(values, keys)]
+    return embeddings[0::2], embeddings[1::2]
 
 
-def _make_scorer(run_config, model, feats, train_ids, agg_cfg, depth=None):
+def _make_scorer(run_config, model, ax, rows, train_ids, agg_cfg, depth=None):
     if run_config.scorer == "cosine":
         return CosineScorer()
-    probes, gallery = _embed_test_set(model, feats, train_ids, agg_cfg, depth)
+    probes, gallery = _embed_split(model, ax, rows, train_ids, agg_cfg, depth)
     svm = train_ranksvm(probes, gallery, C=run_config.ranksvm_C, iters=run_config.ranksvm_iters)
     return RankSvmScorer(svm)
 
 
-def _splice_noise(clean, pool_feats, fraction, seed):
-    """Descriptors of ``inject_noise(frames, fraction, pool, seed)`` spliced
-    from the clean rows and the pool rows.
+def _splice_noise(rows, pool_rows, fraction, seed):
+    """Descriptor rows of ``inject_noise(frames, fraction, pool, seed)``.
 
-    ``inject_noise`` runs on row indices, with the pool numbered after the T
-    clean rows, so it makes the same draws and picks the same frames; the
-    descriptor is per frame, so the rows equal re-described noisy frames.
+    ``inject_noise`` runs on the row indices themselves, the sequence's clean
+    rows and the pool's rows, so it makes the same draws and picks the same
+    frames; the descriptor is per frame, so these rows hold the descriptors
+    of the re-described noisy frames.
     """
-    T = len(clean)
-    rows = np.asarray(
-        inject_noise(list(range(T)), fraction, list(range(T, T + len(pool_feats))), seed)
-    )
-    noisy = rows >= T
-    if not noisy.any():
-        return clean
-    out = clean.copy()
-    out[noisy] = pool_feats[rows[noisy] - T]
-    return out
+    return np.asarray(inject_noise(list(rows), fraction, list(pool_rows), seed))
 
 
 def run_experiment(dataset, run_config, experiment=None):
@@ -397,19 +409,28 @@ def run_experiment(dataset, run_config, experiment=None):
         if not dataset.noise_pool:
             raise DataError("noise sweep requires a dataset with a noise pool")
     elif ex.kind == "depth":
-        levels = list(ex.depths) if ex.depths is not None else [1, L]
+        levels = list(ex.depths) if ex.depths is not None else sorted({1, L})
     else:
         levels = list(ex.subseq_counts)
 
     t0 = time.perf_counter()
-    feats = {}
-    for person in dataset.persons:
-        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
-            feats[(person.person_id, cam)] = sequence_features(
-                frames, grid, rc.image_w, rc.image_h
-            )
+    sequences = {
+        (person.person_id, cam): frames
+        for person in dataset.persons
+        for cam, frames in ((0, person.frames_a), (1, person.frames_b))
+    }
     if ex.kind == "noise":
-        pool_feats = sequence_features(dataset.noise_pool, grid, rc.image_w, rc.image_h)
+        sequences["pool"] = dataset.noise_pool
+    descriptors = np.empty(
+        (sum(map(len, sequences.values())), grid.feature_dim(rc.image_h, rc.image_w))
+    )
+    feats, rows, start = {}, {}, 0  # row views and row indices per sequence
+    for key, frames in sequences.items():
+        stop = start + len(frames)
+        feats[key], rows[key] = descriptors[start:stop], np.arange(start, stop)
+        feats[key][...] = sequence_features(frames, grid, rc.image_w, rc.image_h)
+        start = stop
+    pool_rows = rows.pop("pool", None)
     timings = {"feature_extraction": time.perf_counter() - t0}
 
     splits = make_splits(dataset.ids(), ex.trials, ex.master_seed)
@@ -429,19 +450,20 @@ def run_experiment(dataset, run_config, experiment=None):
         t_train += time.perf_counter() - t1
 
         t1 = time.perf_counter()
+        ax = project(model, descriptors)
         if ex.kind in ("standard", "noise"):
             # the training embeddings do not depend on the level: fit once
-            scorer = _make_scorer(rc, model, feats, train_ids, agg_base)
+            scorer = _make_scorer(rc, model, ax, rows, train_ids, agg_base)
         for li, level in enumerate(levels):
             agg_cfg = agg_base
             depth = None
-            level_feats = feats
+            level_rows = rows
             if ex.kind == "noise":
-                level_feats = dict(feats)
+                level_rows = dict(rows)
                 for pid in test_ids:
                     for cam in (0, 1):
-                        level_feats[(pid, cam)] = _splice_noise(
-                            feats[(pid, cam)], pool_feats, level,
+                        level_rows[(pid, cam)] = _splice_noise(
+                            rows[(pid, cam)], pool_rows, level,
                             _derive_seed(ex.master_seed, trial, li, pid, cam),
                         )
             elif ex.kind == "depth":
@@ -450,8 +472,8 @@ def run_experiment(dataset, run_config, experiment=None):
                 agg_cfg = replace(agg_base, num_subsequences=level)
 
             if ex.kind in ("depth", "subseq"):
-                scorer = _make_scorer(rc, model, feats, train_ids, agg_cfg, depth)
-            probes, gallery = _embed_test_set(model, level_feats, test_ids, agg_cfg, depth)
+                scorer = _make_scorer(rc, model, ax, rows, train_ids, agg_cfg, depth)
+            probes, gallery = _embed_split(model, ax, level_rows, test_ids, agg_cfg, depth)
             curves[level].append(compute_cmc(probes, gallery, scorer))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train

@@ -74,12 +74,11 @@ LstmState = namedtuple("LstmState", ["h", "c"])
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    overflows. min(z, -z) is -z on the first branch and z on the second, and
+    passes a NaN through with its sign, as the per-branch exp did."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(logits):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rfanet as rf
-from rfanet.aggregate import _unroll, sample_starts
+import rfanet.aggregate as aggregate
+from rfanet.aggregate import _unroll, embed_projected, sample_starts
 from rfanet.errors import DataError, FormatError
 
 
@@ -94,6 +95,45 @@ def test_depth_out_of_range(model, rng):
     for bad in (0, 5):
         with pytest.raises(DataError, match="depth"):
             rf.embed_at_depth(model, xs, bad, cfg)
+
+
+@pytest.mark.parametrize("block", [aggregate._WINDOW_BLOCK, 1], ids=["one-batch", "per-sequence"])
+def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
+    # sequences of different lengths, window counts and seeds, stacked into
+    # one descriptor matrix and projected once; with a block of 1 value every
+    # sequence runs as its own batch
+    monkeypatch.setattr(aggregate, "_WINDOW_BLOCK", block)
+    lengths, counts = (9, 4, 12, 6, 4), (3, 2, 5, 4, 7)
+    seqs = [rng.standard_normal((T, 4)) for T in lengths]
+    cfgs = [rf.AggregationConfig(4, K, seed=10 + s) for s, K in enumerate(counts)]
+    starts = np.cumsum((0,) + lengths)
+    rows = [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    ax = rf.project(model, np.concatenate(seqs))
+
+    means = embed_projected(model, ax, rows, cfgs)
+    assert means.shape == (len(seqs), 12)
+    for xs, cfg, got in zip(seqs, cfgs, means):
+        assert got.tobytes() == rf.embed_sequence(model, xs, cfg).values.tobytes()
+    for depth in range(1, 5):
+        at_depth = embed_projected(model, ax, rows, cfgs, depth)
+        for xs, cfg, got in zip(seqs, cfgs, at_depth):
+            assert got.tobytes() == rf.embed_at_depth(model, xs, depth, cfg).tobytes()
+
+    # rows may be any rows of ax, in any order: a reversed sequence
+    back = embed_projected(model, ax, [rows[0][::-1]], cfgs[:1])[0]
+    assert back.tobytes() == rf.embed_sequence(model, seqs[0][::-1], cfgs[0]).values.tobytes()
+
+
+def test_batched_embedding_checks(model, rng):
+    ax = rf.project(model, rng.standard_normal((8, 4)))
+    rows = [np.arange(8)]
+    two_lengths = [rf.AggregationConfig(3, 2), rf.AggregationConfig(4, 2)]
+    with pytest.raises(DataError, match="subsequence lengths"):
+        embed_projected(model, ax, rows * 2, two_lengths)
+    with pytest.raises(DataError, match="depth"):
+        embed_projected(model, ax, rows, [rf.AggregationConfig(3, 2)], depth=4)
+    with pytest.raises(DataError, match="shorter"):
+        embed_projected(model, ax, [np.arange(2)], [rf.AggregationConfig(3, 2)])
 
 
 def test_nonfinite_embedding_rejected():

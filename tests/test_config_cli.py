@@ -229,7 +229,8 @@ def test_cli_eval(pipeline, capsys):
     {"kind": "noise", "noise_levels": [0.0, 5.0]},
     {"kind": "depth", "depths": [0]},
     {"kind": "subseq", "subseq_counts": [0]},
-], ids=["noise", "depth", "subseq"])
+    {"kind": "noise", "noise_levels": [0.3, 0.3]},
+], ids=["noise", "depth", "subseq", "noise-repeated"])
 def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatch, level):
     def forbidden(*args, **kwargs):
         raise AssertionError("training started before the sweep levels were checked")

@@ -8,8 +8,7 @@ import rfanet.evaluation as evaluation
 from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
     _derive_seed,
-    _embed_test_set,
-    _make_scorer,
+    _embed_split,
     make_splits,
     mean_cmc,
     report_csv_rows,
@@ -266,6 +265,28 @@ def test_manifest_write_failing_keeps_earlier_file(tmp_path, disk_full_at_once):
     assert not [p for p in manifest.parent.iterdir() if p.suffix == ".tmp"]
 
 
+@pytest.mark.parametrize("frames_written", [0, 1, 5])
+def test_interrupted_resave_leaves_no_manifest(tmp_path, monkeypatch, frames_written):
+    # the manifest is the commit point: a re-save cut short after k frames
+    # must not leave the earlier manifest next to frames it does not describe
+    out = tmp_path / "data"
+    rf.save_dataset(rf.generate_synthetic(3, 2, width=8, height=12, appearance_seed=1), out)
+    encode = evaluation.encode_ppm
+    calls = []
+
+    def failing_encode(img):
+        calls.append(img)
+        if len(calls) > frames_written:
+            raise OSError(5, "Input/output error")
+        return encode(img)
+
+    monkeypatch.setattr(evaluation, "encode_ppm", failing_encode)
+    with pytest.raises(OSError):
+        rf.save_dataset(rf.generate_synthetic(3, 2, width=8, height=12, appearance_seed=2), out)
+    with pytest.raises(rf.RfaError):
+        rf.load_dataset(out / "manifest.json")
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         rf.load_dataset(tmp_path / "nope" / "manifest.json")
@@ -340,13 +361,26 @@ def test_run_experiment_depth_defaults(tiny_dataset):
     assert report.levels == [1, 5]
 
 
+def test_run_experiment_depth_default_at_l1_is_one_level(tiny_dataset):
+    cfg = _tiny_config()
+    cfg.train = replace(cfg.train, subseq_len=1)
+    cfg.agg = replace(cfg.agg, subseq_len=1)
+    report = rf.run_experiment(tiny_dataset, cfg, rf.ExperimentSpec(kind="depth", trials=1))
+    assert report.levels == [1]
+    assert len(report.curves[1]) == 1
+
+
 @pytest.mark.parametrize("spec", [
     rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(0.0, 5.0)),
     rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(-0.1,)),
     rf.ExperimentSpec(kind="depth", trials=1, depths=(0,)),
     rf.ExperimentSpec(kind="depth", trials=1, depths=(1, 6)),
     rf.ExperimentSpec(kind="subseq", trials=1, subseq_counts=(0,)),
-], ids=["noise-above-1", "noise-negative", "depth-0", "depth-above-L", "subseq-0"])
+    rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(0.0, 0.0)),
+    rf.ExperimentSpec(kind="depth", trials=1, depths=(1, 5, 1)),
+    rf.ExperimentSpec(kind="subseq", trials=1, subseq_counts=(3, 3)),
+], ids=["noise-above-1", "noise-negative", "depth-0", "depth-above-L", "subseq-0",
+        "noise-repeated", "depth-repeated", "subseq-repeated"])
 def test_run_experiment_checks_levels_before_any_work(tiny_dataset, monkeypatch, spec):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the sweep levels were checked")
@@ -408,8 +442,9 @@ def test_report_write_failing_keeps_earlier_files(tmp_path, disk_full_at_once):
 # ---------------------------------------------------------------------------
 
 def _per_level_noise_sweep(dataset, cfg, ex):
-    """The noise sweep as a per-level loop: every level re-describes the
-    noisy test frames and refits the RankSVM."""
+    """The noise sweep as a per-level loop through the public per-sequence
+    API: every level re-describes the noisy test frames, embeds each
+    sequence with embed_sequence and refits the RankSVM."""
     grid, w, h = cfg.grid, cfg.image_w, cfg.image_h
     agg = rf.AggregationConfig(cfg.train.subseq_len, cfg.agg.num_subsequences, cfg.agg.seed)
     frames = {
@@ -418,6 +453,16 @@ def _per_level_noise_sweep(dataset, cfg, ex):
         for cam, fr in ((0, p.frames_a), (1, p.frames_b))
     }
     feats = {k: rf.sequence_features(v, grid, w, h) for k, v in frames.items()}
+
+    def embed(model, level_feats, ids, cam):
+        return [
+            rf.embed_sequence(
+                model, level_feats[(pid, cam)],
+                replace(agg, seed=_derive_seed(agg.seed, pid, cam)), pid, cam,
+            )
+            for pid in ids
+        ]
+
     curves = {level: [] for level in ex.noise_levels}
     for trial, split in enumerate(make_splits(dataset.ids(), ex.trials, ex.master_seed)):
         train_ids = list(split.train_ids)
@@ -436,9 +481,14 @@ def _per_level_noise_sweep(dataset, cfg, ex):
                         _derive_seed(ex.master_seed, trial, li, pid, cam),
                     )
                     level_feats[(pid, cam)] = rf.sequence_features(noisy, grid, w, h)
-            scorer = _make_scorer(cfg, model, feats, train_ids, agg)
-            probes, gallery = _embed_test_set(model, level_feats, list(split.test_ids), agg)
-            curves[level].append(rf.compute_cmc(probes, gallery, scorer).rates)
+            svm = rf.train_ranksvm(embed(model, feats, train_ids, 0),
+                                   embed(model, feats, train_ids, 1),
+                                   C=cfg.ranksvm_C, iters=cfg.ranksvm_iters)
+            probes = embed(model, level_feats, split.test_ids, 0)
+            gallery = embed(model, level_feats, split.test_ids, 1)
+            curves[level].append(
+                rf.compute_cmc(probes, gallery, rf.RankSvmScorer(svm)).rates
+            )
     return curves
 
 
@@ -466,18 +516,25 @@ def test_noise_sweep_fits_ranksvm_once_per_trial(tiny_dataset, monkeypatch):
 def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
     cfg = _tiny_config()
     ex = rf.ExperimentSpec(kind="noise", trials=1, master_seed=9, noise_levels=(0.0, 0.3, 1.0))
-    seen = []
+    projected, seen = [], []
 
-    def recording_embed(model, feats, test_ids, *rest):
-        seen.append((feats, list(test_ids)))
-        return _embed_test_set(model, feats, test_ids, *rest)
+    def recording_project(model, xs):
+        projected.append(xs)
+        return rf.project(model, xs)
 
-    monkeypatch.setattr(evaluation, "_embed_test_set", recording_embed)
+    def recording_embed(model, ax, rows, ids, *rest):
+        seen.append((rows, list(ids)))
+        return _embed_split(model, ax, rows, ids, *rest)
+
+    monkeypatch.setattr(evaluation, "project", recording_project)
+    monkeypatch.setattr(evaluation, "_embed_split", recording_embed)
     report = rf.run_experiment(tiny_dataset, cfg, ex)
+    assert len(projected) == ex.trials  # one projection of every row per model
     assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set
+    descriptors = projected[0]
     frames = {(p.person_id, 0): p.frames_a for p in tiny_dataset.persons}
     frames.update({(p.person_id, 1): p.frames_b for p in tiny_dataset.persons})
-    for li, (level, (feats, test_ids)) in enumerate(zip(ex.noise_levels, seen)):
+    for li, (level, (rows, test_ids)) in enumerate(zip(ex.noise_levels, seen)):
         for pid in test_ids:
             for cam in (0, 1):
                 noisy = rf.inject_noise(
@@ -485,7 +542,7 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
                     _derive_seed(ex.master_seed, 0, li, pid, cam),
                 )
                 want = rf.sequence_features(noisy, cfg.grid, cfg.image_w, cfg.image_h)
-                assert feats[(pid, cam)].tobytes() == want.tobytes()
+                assert descriptors[rows[(pid, cam)]].tobytes() == want.tobytes()
 
     again = rf.run_experiment(tiny_dataset, cfg, ex)
     assert report_csv_rows(again) == report_csv_rows(report)

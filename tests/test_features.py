@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rfanet as rf
+import rfanet.features as features
 from rfanet.errors import ConfigurationError, DataError, FormatError
 from rfanet.features import CHANNELS_PER_PATCH, LBP_BINS, encode_ppm, lbp_codes
 
@@ -287,3 +288,66 @@ def test_descriptor_matches_reference_on_ties(rng):
 def test_descriptor_matches_reference_constant_frame():
     frame = rf.to_frame_tensor(rf.RawImage(64, 128, np.full((128, 64, 3), 77, np.uint8)))
     _assert_matches_reference(frame, rf.PatchGridSpec())
+
+
+# ---------------------------------------------------------------------------
+# frame stacks against the per-frame path
+# ---------------------------------------------------------------------------
+
+def _assert_rows_match_per_frame(images, feats, grid, width, height):
+    """Row t equals frame t described alone, exactly, and its blocks equal the
+    per-patch reference loop (histograms exactly, color means within 1e-12)."""
+    assert feats.shape == (len(images), grid.feature_dim(height, width))
+    for img, row in zip(images, feats):
+        frame = rf.to_frame_tensor(rf.resize_bilinear(img, width, height))
+        assert row.tobytes() == rf.extract_frame_feature(frame, grid).tobytes()
+        got = row.reshape(-1, CHANNELS_PER_PATCH)
+        want = feature_reference.extract_frame_feature(frame, grid).reshape(got.shape)
+        assert np.array_equal(got[:, :LBP_BINS], want[:, :LBP_BINS])
+        assert np.max(np.abs(got[:, LBP_BINS:] - want[:, LBP_BINS:])) <= 1e-12
+
+
+@pytest.mark.parametrize("height, width, grid", [
+    (32, 16, rf.PatchGridSpec(8, 4, 4, 2)),     # desk geometry
+    (128, 64, rf.PatchGridSpec()),              # full geometry
+], ids=["desk", "full"])
+def test_stacked_sequence_matches_per_frame_reference(rng, height, width, grid):
+    # inputs of another size, so that the stacked resize does real work
+    images = [random_image(rng, width + 5, height - 7) for _ in range(6)]
+    feats = rf.sequence_features(images, grid, width, height)
+    _assert_rows_match_per_frame(images, feats, grid, width, height)
+
+
+def test_mixed_size_sequence_keeps_frame_order(rng, monkeypatch):
+    # three input sizes interleaved, and a stack cap of three 32x16 frames
+    # that splits the seven frames of the largest group into 3, 3 and 1
+    monkeypatch.setattr(features, "_STACK_PIXELS", 3 * 32 * 16)
+    sizes = [(16, 32), (20, 40), (16, 32), (9, 14), (20, 40), (16, 32), (16, 32),
+             (9, 14), (16, 32), (20, 40), (16, 32), (16, 32)]
+    images = [random_image(rng, w, h) for w, h in sizes]
+    grid = rf.PatchGridSpec(8, 4, 4, 2)
+    feats = rf.sequence_features(images, grid, 16, 32)
+    _assert_rows_match_per_frame(images, feats, grid, 16, 32)
+    # the same frames in another order give the same rows, permuted
+    order = rng.permutation(len(images))
+    again = rf.sequence_features([images[k] for k in order], grid, 16, 32)
+    assert again.tobytes() == feats[order].tobytes()
+
+
+def test_stack_stages_match_single_frames(rng):
+    images = [random_image(rng, 11, 17) for _ in range(4)]
+    pixels = np.stack([img.pixels for img in images])
+    resized = rf.resize_bilinear(pixels, 16, 32)
+    planes = rf.to_frame_tensor(resized).planes
+    assert planes.shape == (4, 7, 32, 16)
+    codes = lbp_codes(planes[:, 0])
+    for t, img in enumerate(images):
+        one = rf.resize_bilinear(img, 16, 32)
+        assert np.array_equal(resized[t], one.pixels)
+        assert planes[t].tobytes() == rf.to_frame_tensor(one).planes.tobytes()
+        assert np.array_equal(codes[t], lbp_codes(planes[t, 0]))
+
+
+def test_empty_sequence_has_no_rows():
+    grid = rf.PatchGridSpec(8, 4, 4, 2)
+    assert rf.sequence_features([], grid, 16, 32).shape == (0, grid.feature_dim(32, 16))

@@ -5,7 +5,7 @@ import pytest
 
 import rfanet as rf
 from rfanet.errors import ConfigurationError, DataError
-from rfanet.rnn import PARAM_ORDER, Params
+from rfanet.rnn import PARAM_ORDER, Params, _sigmoid
 
 
 def zero_model(D=3, H=2, N=2, peephole="full"):
@@ -466,3 +466,19 @@ def test_model_write_failing_midway_keeps_earlier_file(tmp_path, disk_full):
         rf.save_model(path, rf.init_model(4, 3, 2, seed=6))
     assert path.read_bytes() == b"earlier model"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask formulation that the branch-free one replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bytes_match_masked_formulation(rng):
+    special = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, 1e-300, -1e-300])
+    for z in (5.0 * rng.standard_normal((200, 16)), 5.0 * rng.standard_normal(1001), special):
+        assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
