@@ -6,6 +6,8 @@ identities, embeds the held-out half, and reports the CMC curve. Takes
 a few seconds.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 import rfanet as rf
@@ -13,13 +15,7 @@ import rfanet as rf
 cfg = rf.desk_scale()
 s = cfg.synthetic
 
-dataset = rf.generate_synthetic(
-    s.num_persons, s.frames_per_camera,
-    width=cfg.image_w, height=cfg.image_h,
-    appearance_seed=s.appearance_seed,
-    camera_gain=s.camera_gain, camera_offset=s.camera_offset,
-    jitter=s.jitter, noise_pool_size=s.noise_pool_size,
-)
+dataset = rf.generate_synthetic(**asdict(s), width=cfg.image_w, height=cfg.image_h)
 print(f"{len(dataset.persons)} identities, {s.frames_per_camera} frames per camera, "
       f"descriptor dim {cfg.feature_dim}, embedding dim {cfg.embedding_dim}")
 

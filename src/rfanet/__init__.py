@@ -9,7 +9,6 @@ linear RankSVM, and evaluated with CMC curves.
 from .aggregate import (
     AggregationConfig,
     SequenceEmbedding,
-    embed_at_depth,
     embed_projected,
     embed_sequence,
     embed_subsequence,
@@ -55,7 +54,6 @@ from .features import (
     RawImage,
     decode_image,
     extract_frame_feature,
-    image_to_feature,
     lbp_codes,
     read_image,
     resize_bilinear,

@@ -8,9 +8,10 @@ node's output for the fusion-depth analysis.
 ``embed_projected`` embeds many sequences from input pre-activations that
 were projected beforehand (one ``project`` GEMM per model over every frame
 of a dataset): the K seeded windows of every sequence run through the LSTM
-recurrence as one batch, so each step is one GEMM over all windows.
-``embed_sequence`` and ``embed_at_depth`` are its one-sequence case: they
-project the frames that the sequence's windows use, then call it.
+recurrence as one batch, so each step is one GEMM over all windows. Every
+command embeds through it, in the one dataset pass of ``evaluation``;
+``embed_sequence`` is the only one-sequence wrapper: it projects a
+sequence's frames and calls it.
 """
 
 from __future__ import annotations
@@ -130,31 +131,12 @@ def embed_projected(model, ax, rows, cfgs, depth=None):
     return out
 
 
-def _project_used(model, frames, cfg):
-    """Pre-activations of the frames that cfg's windows use, each projected
-    once, and the row of each frame among them; a frame no window uses maps
-    to row 0 and is never read."""
-    cfg.validate()
-    frames = np.asarray(frames, dtype=np.float64)
-    used = np.unique(_windows(len(frames), cfg))
-    rows = np.zeros(len(frames), dtype=np.intp)
-    rows[used] = np.arange(used.size)
-    return project(model, frames[used]), rows
-
-
 def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
     """Mean of K seeded-window subsequence embeddings; no post-normalization."""
-    ax, rows = _project_used(model, frames, cfg)
-    return SequenceEmbedding(embed_projected(model, ax, [rows], [cfg])[0], source_id, camera)
-
-
-def embed_at_depth(model, frames, depth, cfg):
-    """Mean of h_depth over the same K sampled windows; depth in 1..L."""
-    cfg.validate()
-    if not 1 <= depth <= cfg.subseq_len:
-        raise DataError(f"depth {depth} out of range 1..{cfg.subseq_len}")
-    ax, rows = _project_used(model, frames, cfg)
-    return embed_projected(model, ax, [rows], [cfg], depth)[0]
+    ax = project(model, frames)
+    return SequenceEmbedding(
+        embed_projected(model, ax, [np.arange(len(ax))], [cfg])[0], source_id, camera
+    )
 
 
 # ---------------------------------------------------------------------------

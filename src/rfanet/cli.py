@@ -3,7 +3,8 @@
 Subcommands: synth, train, embed, eval, gradcheck. Exit codes: 0 success,
 1 validation error, 2 runtime error. Every command validates its full
 configuration before touching the filesystem, and all randomness flows from
-config-declared seeds.
+config-declared seeds. train, embed and eval describe and embed through
+the one batched dataset pass of ``evaluation``.
 
 The BLAS worker count is fixed when numpy is first imported, which happens
 as soon as the package loads; set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS,
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 EXIT_OK = 0
@@ -78,21 +80,14 @@ def cmd_synth(args):
     out = Path(args.out)
     if (out / "manifest.json").exists() and not args.force:
         raise ConfigurationError(f"{out / 'manifest.json'} exists; pass --force to overwrite")
-    s = cfg.synthetic
-    dataset = generate_synthetic(
-        s.num_persons, s.frames_per_camera,
-        width=cfg.image_w, height=cfg.image_h,
-        appearance_seed=s.appearance_seed,
-        camera_gain=s.camera_gain, camera_offset=s.camera_offset,
-        jitter=s.jitter, noise_pool_size=s.noise_pool_size,
-    )
+    dataset = generate_synthetic(**asdict(cfg.synthetic), width=cfg.image_w, height=cfg.image_h)
     try:
         manifest = save_dataset(dataset, out)
     except OSError as exc:
         raise RuntimeError(f"cannot write dataset under {out}: {exc}") from exc
     print(
         f"wrote {len(dataset.persons)} persons x 2 cameras "
-        f"({2 * len(dataset.persons)} sequences, {s.frames_per_camera} frames each) "
+        f"({2 * len(dataset.persons)} sequences, {cfg.synthetic.frames_per_camera} frames each) "
         f"and {len(dataset.noise_pool)} noise frames to {manifest}"
     )
     return EXIT_OK
@@ -100,10 +95,9 @@ def cmd_synth(args):
 
 def cmd_train(args):
     from .errors import ConfigurationError
-    from .evaluation import load_dataset
-    from .features import sequence_features
+    from .evaluation import describe_dataset, load_dataset, training_set
     from .fileio import atomic_write
-    from .rnn import LabeledSequence, save_model, train
+    from .rnn import save_model, train
 
     cfg = _load_config(args.config)
     manifest = _require_manifest(cfg)
@@ -111,12 +105,8 @@ def cmd_train(args):
     if model_path.exists() and not args.force:
         raise ConfigurationError(f"{model_path} exists; pass --force to overwrite")
     dataset = load_dataset(manifest)
-    ids = sorted(dataset.ids())
-    seqs = []
-    for idx, person in enumerate(sorted(dataset.persons, key=lambda p: p.person_id)):
-        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
-            feats = sequence_features(frames, cfg.grid, cfg.image_w, cfg.image_h)
-            seqs.append(LabeledSequence(idx, feats, f"p{person.person_id}/cam{cam}"))
+    _, _, feats = describe_dataset(dataset, cfg)
+    seqs = training_set(feats, dataset.ids())
     model, history = train(seqs, cfg.train)
     save_model(model_path, model)
     loss_path = model_path.with_suffix(".loss.csv")
@@ -127,29 +117,28 @@ def cmd_train(args):
         writer.writerow((epoch, f"{loss:.12f}"))
     with atomic_write(loss_path) as fh:
         fh.write(buf.getvalue().encode())
-    print(f"trained on {len(seqs)} sequences ({len(ids)} identities); "
+    print(f"trained on {len(seqs)} sequences ({len(dataset.persons)} identities); "
           f"model -> {model_path}, loss history -> {loss_path}")
     return EXIT_OK
 
 
 def cmd_embed(args):
-    from dataclasses import replace
-
-    from .aggregate import embed_sequence, write_embeddings
-    from .evaluation import _derive_seed, load_dataset
-    from .features import sequence_features
-    from .rnn import load_model
+    from .aggregate import write_embeddings
+    from .errors import DataError
+    from .evaluation import describe_dataset, embed_split, load_dataset
+    from .rnn import load_model, project
 
     cfg = _load_config(args.config)
     manifest = _require_manifest(cfg)
-    dataset = load_dataset(manifest)
     model = load_model(args.model)
-    embeddings = []
-    for person in sorted(dataset.persons, key=lambda p: p.person_id):
-        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
-            feats = sequence_features(frames, cfg.grid, cfg.image_w, cfg.image_h)
-            acfg = replace(cfg.agg, seed=_derive_seed(cfg.agg.seed, person.person_id, cam))
-            embeddings.append(embed_sequence(model, feats, acfg, person.person_id, cam))
+    if model.input_dim != cfg.feature_dim:
+        raise DataError(f"model {args.model} takes descriptors of dimension "
+                        f"{model.input_dim}; the config's frames give {cfg.feature_dim}")
+    dataset = load_dataset(manifest)
+    descriptors, rows, _ = describe_dataset(dataset, cfg)
+    probes, gallery = embed_split(model, project(model, descriptors), rows,
+                                  sorted(dataset.ids()), cfg.agg)
+    embeddings = [e for pair in zip(probes, gallery) for e in pair]
     write_embeddings(args.out, embeddings)
     print(f"wrote {len(embeddings)} embeddings of dimension "
           f"{embeddings[0].values.size} to {args.out}")

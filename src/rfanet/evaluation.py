@@ -4,13 +4,14 @@ dataset generator for desk-scale verification.
 
 Camera a is the probe view, camera b the gallery view, throughout.
 
-``run_experiment`` describes every frame once, into one (N, D) descriptor
-matrix whose row ranges are the sequences (and, for the noise sweep, the
-noise pool after them). Each trained model maps the whole matrix to gate
-pre-activations with one ``project`` call; each split is then embedded by
-one batched ``embed_projected`` call. A noisy test sequence is a list of row
-indices, the pool rows spliced in where ``inject_noise`` puts them, so no
-descriptor is copied or described again.
+``run_experiment`` and the train and embed commands run one dataset pass:
+``describe_dataset`` describes every frame once, into one (N, D) descriptor
+matrix whose row ranges are the sequences (and the noise pool after them).
+Each trained model maps the whole matrix to gate pre-activations with one
+``project`` call; ``embed_split`` then embeds a split by one batched
+``embed_projected`` call. A noisy test sequence is a list of row indices,
+the pool rows spliced in where ``inject_noise`` puts them, so no descriptor
+is copied or described again.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import AggregationConfig, SequenceEmbedding, embed_projected
-from .errors import ConfigurationError, DataError
+from .aggregate import SequenceEmbedding, embed_projected
+from .errors import ConfigurationError, DataError, FormatError
 from .features import RawImage, encode_ppm, read_image, sequence_features
 from .fileio import atomic_write
 from .matching import CosineScorer, RankSvmScorer, train_ranksvm
@@ -124,11 +125,21 @@ def load_dataset(manifest_path):
             paths = _string_list(entry.get(f"camera_{cam}", []), f"person {pid} camera_{cam}")
             if not paths:
                 raise DataError(f"person {pid} has no camera_{cam} frames")
-            frames[cam] = [read_image(root / rel) for rel in paths]
+            frames[cam] = [_read_frame(root / rel, f"person {pid} camera_{cam}")
+                           for rel in paths]
         persons.append(PersonSequences(pid, frames["a"], frames["b"]))
     pool_paths = _string_list(manifest.get("noise_pool", []), "noise_pool")
-    pool = [read_image(root / rel) for rel in pool_paths]
+    pool = [_read_frame(root / rel, "noise_pool") for rel in pool_paths]
     return Dataset(persons, pool)
+
+
+def _read_frame(path, owner):
+    try:
+        return read_image(path)
+    except OSError as exc:
+        raise DataError(f"{owner}: cannot read frame {path}: {exc.strerror or exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{owner}: frame {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +211,8 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     match is the count of higher scores plus the count of equal scores at a
     lower gallery index: its place in a stable sort by descending score.
     """
+    if len(probe_embeddings) == 0:
+        raise DataError("no probes")
     if len(gallery_embeddings) == 0:
         raise DataError("empty gallery")
     column = {}
@@ -240,13 +253,16 @@ def mean_cmc(curves):
 
 def inject_noise(frames, fraction, pool, seed):
     """Replace ceil(fraction * T) frames (distinct seeded positions, chosen
-    without replacement) by uniformly drawn pool frames; order preserved."""
+    without replacement) by uniformly drawn pool frames; order preserved. A
+    product within rounding of an integer is that integer: 0.07 * 100 is
+    7.000000000000001, and replaces 7 frames."""
     if not 0.0 <= fraction <= 1.0:
         raise DataError("noise fraction must be in [0, 1]")
     if not pool:
         raise DataError("noise pool is empty")
     out = list(frames)
-    n = math.ceil(fraction * len(out))
+    product = fraction * len(out)
+    n = round(product) if math.isclose(product, round(product)) else math.ceil(product)
     if n == 0:
         return out
     rng = np.random.default_rng(seed)
@@ -352,10 +368,44 @@ def _derive_seed(*parts):
     return int(np.random.SeedSequence([int(p) & (2**31 - 1) for p in parts]).generate_state(1)[0])
 
 
-def _embed_split(model, ax, rows, ids, agg_cfg, depth=None):
+def describe_dataset(dataset, run_config, with_pool=False):
+    """(descriptors, rows, feats): every frame described once into one (N, D)
+    matrix. Sequence (pid, cam), cam 0 for camera a, has the row indices
+    ``rows[(pid, cam)]`` and the row view ``feats[(pid, cam)]``; with
+    ``with_pool`` the noise pool's rows come last, under the key "pool"."""
+    rc = run_config
+    sequences = {
+        (person.person_id, cam): frames
+        for person in dataset.persons
+        for cam, frames in ((0, person.frames_a), (1, person.frames_b))
+    }
+    if with_pool:
+        sequences["pool"] = dataset.noise_pool
+    descriptors = np.empty((sum(map(len, sequences.values())), rc.feature_dim))
+    feats, rows, start = {}, {}, 0
+    for key, frames in sequences.items():
+        stop = start + len(frames)
+        feats[key], rows[key] = descriptors[start:stop], np.arange(start, stop)
+        feats[key][...] = sequence_features(frames, rc.grid, rc.image_w, rc.image_h)
+        start = stop
+    return descriptors, rows, feats
+
+
+def training_set(feats, ids, prefix=""):
+    """Training sequences of both cameras of the persons ``ids``, labelled by
+    position in the sorted ids, on the row views ``feats``."""
+    return [
+        LabeledSequence(idx, feats[(pid, cam)], f"{prefix}p{pid}/cam{cam}")
+        for idx, pid in enumerate(sorted(ids))
+        for cam in (0, 1)
+    ]
+
+
+def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
     """Probe (camera 0) and gallery (camera 1) embeddings of the persons
     ``ids``, from the pre-activations ``ax`` of every descriptor row, by one
-    batched call; ``rows[(pid, cam)]`` are a sequence's rows of ``ax``."""
+    batched call; ``rows[(pid, cam)]`` are a sequence's rows of ``ax``, and
+    its windows are drawn from a seed derived from ``agg_cfg.seed``."""
     keys = [(pid, cam) for pid in ids for cam in (0, 1)]
     cfgs = [replace(agg_cfg, seed=_derive_seed(agg_cfg.seed, pid, cam)) for pid, cam in keys]
     values = embed_projected(model, ax, [rows[key] for key in keys], cfgs, depth)
@@ -366,7 +416,7 @@ def _embed_split(model, ax, rows, ids, agg_cfg, depth=None):
 def _make_scorer(run_config, model, ax, rows, train_ids, agg_cfg, depth=None):
     if run_config.scorer == "cosine":
         return CosineScorer()
-    probes, gallery = _embed_split(model, ax, rows, train_ids, agg_cfg, depth)
+    probes, gallery = embed_split(model, ax, rows, train_ids, agg_cfg, depth)
     svm = train_ranksvm(probes, gallery, C=run_config.ranksvm_C, iters=run_config.ranksvm_iters)
     return RankSvmScorer(svm)
 
@@ -389,10 +439,9 @@ def run_experiment(dataset, run_config, experiment=None):
     rc = run_config
     ex = experiment if experiment is not None else rc.experiment
     rc.validate()
-    grid = rc.grid
     L = rc.train.subseq_len
     ex.validate(L)
-    agg_base = AggregationConfig(L, rc.agg.num_subsequences, rc.agg.seed)
+    agg_base = rc.agg
 
     for person in dataset.persons:
         for cam, frames in (("a", person.frames_a), ("b", person.frames_b)):
@@ -414,22 +463,7 @@ def run_experiment(dataset, run_config, experiment=None):
         levels = list(ex.subseq_counts)
 
     t0 = time.perf_counter()
-    sequences = {
-        (person.person_id, cam): frames
-        for person in dataset.persons
-        for cam, frames in ((0, person.frames_a), (1, person.frames_b))
-    }
-    if ex.kind == "noise":
-        sequences["pool"] = dataset.noise_pool
-    descriptors = np.empty(
-        (sum(map(len, sequences.values())), grid.feature_dim(rc.image_h, rc.image_w))
-    )
-    feats, rows, start = {}, {}, 0  # row views and row indices per sequence
-    for key, frames in sequences.items():
-        stop = start + len(frames)
-        feats[key], rows[key] = descriptors[start:stop], np.arange(start, stop)
-        feats[key][...] = sequence_features(frames, grid, rc.image_w, rc.image_h)
-        start = stop
+    descriptors, rows, feats = describe_dataset(dataset, rc, with_pool=ex.kind == "noise")
     pool_rows = rows.pop("pool", None)
     timings = {"feature_extraction": time.perf_counter() - t0}
 
@@ -439,14 +473,9 @@ def run_experiment(dataset, run_config, experiment=None):
     for trial, split in enumerate(splits):
         train_ids = list(split.train_ids)
         test_ids = list(split.test_ids)
-        seqs = [
-            LabeledSequence(idx, feats[(pid, cam)], f"trial{trial}/p{pid}/cam{cam}")
-            for idx, pid in enumerate(train_ids)
-            for cam in (0, 1)
-        ]
         t1 = time.perf_counter()
         tcfg = replace(rc.train, seed=_derive_seed(rc.train.seed, trial))
-        model, _ = train(seqs, tcfg)
+        model, _ = train(training_set(feats, train_ids, f"trial{trial}/"), tcfg)
         t_train += time.perf_counter() - t1
 
         t1 = time.perf_counter()
@@ -473,7 +502,7 @@ def run_experiment(dataset, run_config, experiment=None):
 
             if ex.kind in ("depth", "subseq"):
                 scorer = _make_scorer(rc, model, ax, rows, train_ids, agg_cfg, depth)
-            probes, gallery = _embed_split(model, ax, level_rows, test_ids, agg_cfg, depth)
+            probes, gallery = embed_split(model, ax, level_rows, test_ids, agg_cfg, depth)
             curves[level].append(compute_cmc(probes, gallery, scorer))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train

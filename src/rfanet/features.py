@@ -363,11 +363,6 @@ def extract_frame_feature(frame, grid):
     return out.reshape(frame.planes.shape[:-3] + (-1,))
 
 
-def image_to_feature(img, grid, frame_w=64, frame_h=128):
-    """Full frame pipeline: resize -> seven planes -> patch-grid descriptor."""
-    return sequence_features([img], grid, frame_w, frame_h)[0]
-
-
 # output pixels per stack, at least one frame: 8,192 pixels are about 459 KB
 # as seven float64 planes, one full-scale 128x64 frame or sixteen 32x16 ones.
 # Larger stacks push the color conversion's temporaries out of the L2 cache:

@@ -79,12 +79,17 @@ def test_mean_over_sampled_windows(model, rng):
     assert emb.source_id == 6 and emb.camera == 1
 
 
+def _embed_at_depth(model, xs, depth, cfg):
+    """One sequence's mean h_depth, through the batched embedding."""
+    return embed_projected(model, rf.project(model, xs), [np.arange(len(xs))], [cfg], depth)[0]
+
+
 def test_depth_slices_full_embedding(model, rng):
     xs = rng.standard_normal((9, 4))
     cfg = rf.AggregationConfig(4, 5, seed=3)
     full = rf.embed_sequence(model, xs, cfg).values.reshape(4, 3)
     for depth in range(1, 5):
-        assert rf.embed_at_depth(model, xs, depth, cfg) == pytest.approx(
+        assert _embed_at_depth(model, xs, depth, cfg) == pytest.approx(
             full[depth - 1], abs=1e-12
         )
 
@@ -94,7 +99,7 @@ def test_depth_out_of_range(model, rng):
     cfg = rf.AggregationConfig(4, 2, seed=0)
     for bad in (0, 5):
         with pytest.raises(DataError, match="depth"):
-            rf.embed_at_depth(model, xs, bad, cfg)
+            _embed_at_depth(model, xs, bad, cfg)
 
 
 @pytest.mark.parametrize("block", [aggregate._WINDOW_BLOCK, 1], ids=["one-batch", "per-sequence"])
@@ -117,7 +122,7 @@ def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
     for depth in range(1, 5):
         at_depth = embed_projected(model, ax, rows, cfgs, depth)
         for xs, cfg, got in zip(seqs, cfgs, at_depth):
-            assert got.tobytes() == rf.embed_at_depth(model, xs, depth, cfg).tobytes()
+            assert got.tobytes() == _embed_at_depth(model, xs, depth, cfg).tobytes()
 
     # rows may be any rows of ax, in any order: a reversed sequence
     back = embed_projected(model, ax, [rows[0][::-1]], cfgs[:1])[0]

@@ -199,6 +199,38 @@ def test_cli_embed_rejects_malformed_model(pipeline, tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_cli_embed_missing_frame_exit_code(pipeline, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    manifest = rf.save_dataset(rf.generate_synthetic(6, 10, width=16, height=32), data_dir)
+    frame = data_dir / "p0002/cam_a/frame_0003.ppm"
+    frame.unlink()
+    cfg_path = write_config(tmp_path, tiny_config_dict(manifest=str(manifest)))
+    out = tmp_path / "embs.rfaemb"
+    code = main(["embed", "--config", cfg_path, "--model", str(pipeline["model"]),
+                 "--out", str(out)])
+    assert code == 1
+    assert f"person 2 camera_a: cannot read frame {frame}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_embed_checks_model_dimension_before_reading_frames(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    def forbidden(path):
+        raise AssertionError(f"frame {path} read before the model was checked")
+
+    monkeypatch.setattr(rf.evaluation, "read_image", forbidden)
+    other_grid = tmp_path / "other.rfanet"
+    rf.save_model(other_grid, rf.init_model(262, 8, 6, seed=0))
+    out = tmp_path / "embs.rfaemb"
+    code = main(["embed", "--config", pipeline["cfg_path"], "--model", str(other_grid),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "262" in err and "12838" in err
+    assert not out.exists()
+
+
 def test_cli_train_loss_history_write_failing_keeps_earlier_file(
     pipeline, tmp_path, monkeypatch, capsys
 ):

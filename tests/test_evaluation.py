@@ -8,7 +8,7 @@ import rfanet.evaluation as evaluation
 from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
     _derive_seed,
-    _embed_split,
+    embed_split,
     make_splits,
     mean_cmc,
     report_csv_rows,
@@ -81,6 +81,11 @@ def test_cmc_constant_scorer_staircase():
     probes = [_emb([1.0], i, 0) for i in range(4)]
     curve = rf.compute_cmc(probes, gallery, Constant())
     assert curve.rates == pytest.approx([0.25, 0.5, 0.75, 1.0])
+
+
+def test_cmc_no_probes():
+    with pytest.raises(DataError, match="no probes"):
+        rf.compute_cmc([], [_emb([1.0, 0.0], 0), _emb([0.0, 1.0], 1)], "cosine")
 
 
 def test_cmc_two_probe_example():
@@ -180,6 +185,15 @@ def test_inject_noise_rounds_up(frame_list, pool):
     out = rf.inject_noise(frame_list, 0.01, pool, seed=3)
     replaced = sum(1 for a, b in zip(out, frame_list) if a is not b)
     assert replaced == 1
+
+
+@pytest.mark.parametrize("fraction,T,count", [
+    (0.07, 100, 7), (0.14, 50, 7), (0.28, 25, 7),  # products just above an integer
+    (0.1, 10, 1), (0.3, 10, 3), (0.5, 10, 5), (0.3, 7, 3),
+])
+def test_inject_noise_count_is_exact(fraction, T, count):
+    out = rf.inject_noise(list(range(T)), fraction, [-1], seed=4)
+    assert out.count(-1) == count
 
 
 def test_inject_noise_seed_controls_positions(frame_list, pool):
@@ -290,6 +304,29 @@ def test_interrupted_resave_leaves_no_manifest(tmp_path, monkeypatch, frames_wri
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         rf.load_dataset(tmp_path / "nope" / "manifest.json")
+
+
+@pytest.mark.parametrize("frame,owner", [
+    ("p0001/cam_b/frame_0000.ppm", "person 1 camera_b"),
+    ("noise/frame_0001.ppm", "noise_pool"),
+])
+def test_load_dataset_names_unreadable_frame(tmp_path, frame, owner):
+    ds = rf.generate_synthetic(2, 2, width=8, height=12, noise_pool_size=2)
+    manifest = rf.save_dataset(ds, tmp_path / "data")
+    (manifest.parent / frame).unlink()
+    with pytest.raises(DataError, match=f"{owner}: cannot read frame .*{frame}"):
+        rf.load_dataset(manifest)
+
+
+def test_load_dataset_names_truncated_frame(tmp_path):
+    ds = rf.generate_synthetic(2, 2, width=8, height=12)
+    manifest = rf.save_dataset(ds, tmp_path / "data")
+    frame = manifest.parent / "p0000/cam_a/frame_0001.ppm"
+    frame.write_bytes(frame.read_bytes()[:30])
+    with pytest.raises(rf.FormatError) as exc:
+        rf.load_dataset(manifest)
+    assert str(frame) in str(exc.value) and "truncated pixel payload" in str(exc.value)
+    assert "person 0 camera_a" in str(exc.value)
 
 
 def test_load_dataset_duplicate_ids(tmp_path):
@@ -524,10 +561,10 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
 
     def recording_embed(model, ax, rows, ids, *rest):
         seen.append((rows, list(ids)))
-        return _embed_split(model, ax, rows, ids, *rest)
+        return embed_split(model, ax, rows, ids, *rest)
 
     monkeypatch.setattr(evaluation, "project", recording_project)
-    monkeypatch.setattr(evaluation, "_embed_split", recording_embed)
+    monkeypatch.setattr(evaluation, "embed_split", recording_embed)
     report = rf.run_experiment(tiny_dataset, cfg, ex)
     assert len(projected) == ex.trials  # one projection of every row per model
     assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set

@@ -128,8 +128,10 @@ def test_embeddings_match_per_window_mean():
     np.testing.assert_allclose(rf.embed_sequence(model, frames, cfg).values,
                                windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
     for depth in range(1, L + 1):
-        np.testing.assert_allclose(rf.embed_at_depth(model, frames, depth, cfg),
-                                   windows[:, depth - 1].mean(axis=0), rtol=RTOL, atol=0)
+        at_depth = rf.embed_projected(model, rf.project(model, frames), [np.arange(11)],
+                                      [cfg], depth)[0]
+        np.testing.assert_allclose(at_depth, windows[:, depth - 1].mean(axis=0),
+                                   rtol=RTOL, atol=0)
 
 
 # ---------------------------------------------------------------------------
