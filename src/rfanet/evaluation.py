@@ -202,6 +202,26 @@ def _stack_values(embeddings, role):
     return X
 
 
+def _first_twins(G):
+    """Each row's first bit-identical row, or None when every row is unique.
+
+    The wrapping uint64 sum of a row's bits is an exact, order-free
+    fingerprint: rows with distinct fingerprints differ, so whole rows are
+    compared only within a fingerprint group, and only with its first rows.
+    """
+    bits = G.view(np.uint64)
+    _, group, counts = np.unique(bits.sum(axis=1), return_inverse=True, return_counts=True)
+    if counts.max() == 1:
+        return None
+    first = np.arange(len(G))
+    for k in np.flatnonzero(counts[group] > 1):
+        for j in np.flatnonzero(group[:k] == group[k]):
+            if first[j] == j and np.array_equal(bits[j], bits[k]):
+                first[k] = j
+                break
+    return first
+
+
 def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     """rates[k-1] = fraction of probes whose true match ranks within top k.
 
@@ -210,6 +230,10 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     stacked once and the probes are scored in blocks. The rank of the true
     match is the count of higher scores plus the count of equal scores at a
     lower gallery index: its place in a stable sort by descending score.
+    With ``"cosine"`` or a ``RankSvmScorer``, whose scores are functions of
+    the rows, bit-identical gallery rows tie exactly: each is ranked on the
+    score of the first of them, since BLAS may round their scores apart.
+    Any other scorer's matrix is ranked as it is.
     """
     if len(probe_embeddings) == 0:
         raise DataError("no probes")
@@ -228,6 +252,7 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     if scorer == "cosine":
         scorer = CosineScorer()
     G = _stack_values(gallery_embeddings, "gallery")
+    twins = _first_twins(G) if isinstance(scorer, (CosineScorer, RankSvmScorer)) else None
     n = len(gallery_embeddings)
     position = np.arange(n)
     counts = np.zeros(n)
@@ -237,6 +262,8 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
         S = scorer.scores(P, G)
         if not np.isfinite(S).all():
             raise DataError("scorer returned non-finite scores")
+        if twins is not None:
+            S = S[:, twins]
         s_own = S[np.arange(len(P)), own][:, None]
         rank = (S > s_own).sum(axis=1) + ((S == s_own) & (position < own[:, None])).sum(axis=1)
         counts += np.bincount(rank, minlength=n)

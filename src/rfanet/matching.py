@@ -3,7 +3,10 @@ element-wise absolute-difference pair features.
 
 Both scorers return HIGHER values for more similar pairs, as a whole
 (n_probes, n_gallery) matrix from ``scores(P, G)``; ranking sorts by
-descending score with ties broken by ascending gallery index.
+descending score with ties broken by ascending gallery index. BLAS sums
+some rows of a product in another order than the rest, so two bit-identical
+gallery rows can score a last bit apart; ``compute_cmc`` ranks such twins
+on the score of the first of them, as the exact tie they are.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ class CosineScorer:
         return (P @ G.T) / np.outer(p_norm, g_norm)
 
 
-# gallery rows per |G_blk - p| block: 16 x 5,120 float64 is 640 kB, which
-# stays in L2 while every probe of a call is scored against it
+# gallery rows per max(G_blk, p) block: 16 x 5,120 float64 is 640 kB, which
+# stays in L2 while every probe of a call is scored against it. The last
+# block's gemv, and G @ w, may sum their edge rows in another order, so
+# bit-identical gallery rows need not score bit-identically (see compute_cmc).
 _GALLERY_BLOCK = 16
 
 
@@ -55,17 +60,26 @@ class RankSvmScorer:
         self.model = model
 
     def scores(self, P, G):
-        """(n_p, n_g) RankSVM scores of every probe row with every gallery row."""
+        """(n_p, n_g) RankSVM scores of every probe row with every gallery row.
+
+        w . |p - g| = 2 w . max(p, g) - w . p - w . g, since |a - b| =
+        2 max(a, b) - a - b exactly. ``np.maximum`` rounds nothing, so each
+        (probe, gallery block) pair costs one elementwise pass and a gemv,
+        and the error is that of the dot products: a few eps * sum_k |w_k|
+        (|p_k| + |g_k|).
+        """
         w = self.model.w
         P, G = _score_inputs(P, G, w.size)
         out = np.empty((len(P), len(G)))
         buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
         for g0 in range(0, len(G), _GALLERY_BLOCK):
             block = G[g0:g0 + _GALLERY_BLOCK]
-            absdiff = buf[:len(block)]
+            larger = buf[:len(block)]
             for i, p in enumerate(P):
-                np.abs(np.subtract(block, p, out=absdiff), out=absdiff)
-                out[i, g0:g0 + len(block)] = absdiff @ w
+                out[i, g0:g0 + len(block)] = np.maximum(block, p, out=larger) @ w
+        out *= 2.0
+        out -= (P @ w)[:, None]
+        out -= G @ w
         return out
 
 
@@ -81,6 +95,23 @@ class RankSvmModel:
         return self.objective_history[-1] if self.objective_history else None
 
 
+def _aligned_pairs(probe_embeddings, gallery_embeddings):
+    """(n, dim) probe and gallery rows of n >= 2 aligned persons, or DataError
+    naming the first probe or gallery index with a non-finite value."""
+    n = len(probe_embeddings)
+    if n != len(gallery_embeddings):
+        raise DataError("probe/gallery lists must be aligned per person")
+    if n < 2:
+        raise DataError("RankSVM needs at least 2 persons")
+    probes = np.stack([_vec(e) for e in probe_embeddings])
+    gallery = np.stack([_vec(e) for e in gallery_embeddings])
+    for role, X in (("probe", probes), ("gallery", gallery)):
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{role} embedding {int(np.argmin(finite))} has a non-finite value")
+    return probes, gallery
+
+
 def pair_difference_features(probe_embeddings, gallery_embeddings):
     """Margin rows s+_i - s-_ij for every i and j != i, in that order.
 
@@ -88,13 +119,8 @@ def pair_difference_features(probe_embeddings, gallery_embeddings):
     solver wants w . (s+_i - s-_ij) >= 1. The n(n-1) x dim matrix is filled
     in place, one block of n-1 rows per probe.
     """
-    n = len(probe_embeddings)
-    if n != len(gallery_embeddings):
-        raise DataError("probe/gallery lists must be aligned per person")
-    if n < 2:
-        raise DataError("RankSVM training needs at least 2 persons")
-    probes = np.stack([_vec(e) for e in probe_embeddings])
-    gallery = np.stack([_vec(e) for e in gallery_embeddings])
+    probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
+    n = len(probes)
     diffs = np.empty((n * (n - 1), probes.shape[1]))
     for i in range(n):
         block = diffs[i * (n - 1):(i + 1) * (n - 1)]
@@ -175,6 +201,13 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
 
 
 def ranking_accuracy(model, probe_embeddings, gallery_embeddings):
-    """Fraction of (i, j != i) pairs with F(s+_i) > F(s-_ij)."""
-    diffs = pair_difference_features(probe_embeddings, gallery_embeddings)
-    return float(np.mean(diffs @ model.w > 0.0))
+    """Fraction of (i, j != i) pairs with F(s+_i) > F(s-_ij).
+
+    F(s+_i) - F(s-_ij) = w . (|p_i - g_i| - |p_i - g_j|) = S[i, i] - S[i, j]
+    for the score matrix S, so no pair matrix is built.
+    """
+    P, G = _aligned_pairs(probe_embeddings, gallery_embeddings)
+    S = RankSvmScorer(model).scores(P, G)
+    n = len(S)
+    # the diagonal never beats itself, so the count is over j != i only
+    return float((np.diag(S)[:, None] > S).sum() / (n * (n - 1)))

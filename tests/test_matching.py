@@ -189,6 +189,47 @@ def test_ranksvm_score_direction(rng):
                 assert scores[i, i] > scores[i, j]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side,index", [("probe", 3), ("gallery", 1)])
+def test_ranksvm_rejects_non_finite_embedding(rng, bad, side, index):
+    probes, gallery = _separable_instance(rng)
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=50)
+    (probes if side == "probe" else gallery)[index][1] = bad
+    with pytest.raises(DataError, match=f"{side} embedding {index} has a non-finite"):
+        rf.train_ranksvm(probes, gallery, C=5.0, iters=50)
+    with pytest.raises(DataError, match=f"{side} embedding {index} has a non-finite"):
+        rf.ranking_accuracy(model, probes, gallery)
+
+
+def test_ranking_accuracy_checks_inputs(rng):
+    probes, gallery = _separable_instance(rng)
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=50)
+    with pytest.raises(DataError, match="aligned"):
+        rf.ranking_accuracy(model, probes, gallery[:-1])
+    with pytest.raises(DataError, match="at least 2"):
+        rf.ranking_accuracy(model, probes[:1], gallery[:1])
+
+
+def test_ranking_accuracy_builds_no_pair_matrix():
+    import tracemalloc
+
+    data = np.random.default_rng(60)
+    n, dim = 60, 5120
+    probes = list(data.standard_normal((n, dim)))
+    gallery = [p + 0.1 * data.standard_normal(dim) for p in probes]
+    model = rf.RankSvmModel(-np.ones(dim), 1.0, 1)
+    tracemalloc.start()
+    try:
+        accuracy = rf.ranking_accuracy(model, probes, gallery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert accuracy == 1.0
+    # the stacked embeddings are 2.5 MB each; the n(n-1) x dim pair matrix
+    # would be 145 MB
+    assert peak < 16 * 2**20, peak
+
+
 def test_ranksvm_invalid_arguments(rng):
     probes, gallery = _separable_instance(rng)
     with pytest.raises(DataError):

@@ -5,6 +5,8 @@ GEMMs against per-pair dot products), so the solver agrees to a tolerance;
 the CMC inputs are integer-valued, so every score is exact and ties are
 compared exactly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,54 @@ def test_score_matrices_match_per_pair_scores(rng):
         for j in range(37):
             assert cos[i, j] == pytest.approx(ref.cosine_score(P[i], G[j]), rel=1e-12)
             assert svm[i, j] == pytest.approx(ref.ranksvm_score(w, P[i], G[j]), rel=1e-12)
+
+
+# 291 = 36 * 8 + 3 = 18 * 16 + 3: the last rows are edge rows of the cosine
+# GEMM and of the RankSVM's last gallery block, where BLAS sums in another order
+@pytest.mark.parametrize("dim", [7, 130, 5120])
+def test_cmc_ranks_bit_identical_gallery_rows_as_ties(dim):
+    rng = np.random.default_rng(dim)
+    n = 291
+    G = rng.standard_normal((n, dim))
+    P = G + 0.5 * rng.standard_normal((n, dim))
+    G[n - 3:] = G[:3]          # twins of rows 0-2 in the last rows
+    G[10] = G[3, ::-1]         # same bit-sum fingerprint as row 3, not a twin
+    probes = [rf.SequenceEmbedding(P[k], k, 0) for k in range(n)]
+    gallery = [rf.SequenceEmbedding(G[k], k, 1) for k in range(n)]
+    w = -rng.uniform(0.5, 1.5, dim)
+    svm = rf.RankSvmModel(w, 1.0, 1)
+    for scorer, score in (
+        ("cosine", ref.cosine_score),
+        (rf.RankSvmScorer(svm), lambda a, b: ref.ranksvm_score(w, a, b)),
+    ):
+        expected = ref.compute_cmc(probes, gallery, score)
+        assert np.array_equal(rf.compute_cmc(probes, gallery, scorer).rates, expected)
+
+
+# |S - exact| <= SCORE_ROUNDING * eps * sum_k |w_k| (|p_k| + |g_k|): the
+# kernel's dot products and the fsum reference's rounded terms |p - g| * w
+SCORE_ROUNDING = 8
+
+
+@pytest.mark.parametrize("kind", ["normal", "offset", "equal"])
+@pytest.mark.parametrize("dim", [7, 5120])
+def test_ranksvm_scores_within_rounding_bound(kind, dim):
+    rng = np.random.default_rng(dim)
+    w = rng.standard_normal(dim)
+    w[rng.random(dim) < 0.25] = 0.0
+    w[0] = 0.0
+    P, G = rng.standard_normal((20, dim)), rng.standard_normal((37, dim))
+    if kind == "offset":       # a common offset 100x the spread
+        P += 100.0
+        G += 100.0
+    if kind == "equal":        # p = g exactly: every diagonal score is 0
+        G[:20] = P
+    S = rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)).scores(P, G)
+    for i in range(len(P)):
+        for j in range(len(G)):
+            exact = math.fsum(w * np.abs(P[i] - G[j]))
+            bound = np.abs(w) @ (np.abs(P[i]) + np.abs(G[j]))
+            assert abs(S[i, j] - exact) <= SCORE_ROUNDING * np.finfo(float).eps * bound
 
 
 def test_ranksvm_scores_reject_model_dimension():
