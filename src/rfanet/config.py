@@ -8,6 +8,7 @@ CLI flags. The effective configuration is echoed into every report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -72,8 +73,10 @@ class RunConfig:
             )
         if self.scorer not in ("cosine", "ranksvm"):
             raise ConfigurationError(f"unknown scorer {self.scorer!r}")
-        if self.ranksvm_C <= 0 or self.ranksvm_iters < 1:
-            raise ConfigurationError("ranksvm_C must be > 0 and ranksvm_iters >= 1")
+        if not (math.isfinite(self.ranksvm_C) and self.ranksvm_C > 0):
+            raise ConfigurationError(f"ranksvm_C must be finite and > 0, got {self.ranksvm_C}")
+        if self.ranksvm_iters < 1:
+            raise ConfigurationError("ranksvm_iters must be >= 1")
         self.experiment.validate(self.train.subseq_len)
         if self.synthetic.num_persons < 2:
             raise ConfigurationError("synthetic dataset needs at least 2 persons")

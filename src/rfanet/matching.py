@@ -11,6 +11,7 @@ on the score of the first of them, as the exact tie they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,8 +158,8 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     The averaged iterate's margins follow the same recurrence as w_avg, so
     its objective needs no pass over the pair matrix.
     """
-    if C <= 0:
-        raise DataError("C must be > 0")
+    if not (math.isfinite(C) and C > 0):
+        raise DataError(f"C must be finite and > 0, got {C}")
     if iters < 1:
         raise DataError("iters must be >= 1")
     diffs = pair_difference_features(probe_embeddings, gallery_embeddings)

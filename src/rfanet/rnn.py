@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -663,29 +664,31 @@ def save_model(path, model):
 
 
 def load_model(path):
+    """Read an RFANET01 file; each tensor is read straight into the model's
+    own buffer, so the peak memory is the model plus one header."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != MODEL_MAGIC:
-        raise FormatError("bad model magic", 0)
-    if len(data) < 21:
-        raise FormatError("truncated model header", len(data))
-    D, H, N, mode = struct.unpack_from("<IIIB", data, 8)
-    for name, value, offset in (("D", D, 8), ("H", H, 12), ("N", N, 16)):
-        if value == 0:
-            raise FormatError(f"model dimension {name} is 0", offset)
-    if mode not in (0, 1):
-        raise FormatError(f"unknown peephole mode byte {mode}", 20)
-    model = RfaModel(D, H, N, "full" if mode == 0 else "diagonal")
-    shapes = model.param_shapes()
-    pos = 21
-    for name in PARAM_ORDER:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        need = count * 8
-        if len(data) - pos < need:
-            raise FormatError(f"truncated tensor {name}", len(data))
-        model.params[name] = np.frombuffer(data, "<f8", count, pos).reshape(shape)
-        pos += need
-    if len(data) > pos:
-        raise FormatError(f"{len(data) - pos} trailing bytes after the model tensors", pos)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(21)
+        if header[:8] != MODEL_MAGIC:
+            raise FormatError("bad model magic", 0)
+        if len(header) < 21:
+            raise FormatError("truncated model header", len(header))
+        D, H, N, mode = struct.unpack_from("<IIIB", header, 8)
+        for name, value, offset in (("D", D, 8), ("H", H, 12), ("N", N, 16)):
+            if value == 0:
+                raise FormatError(f"model dimension {name} is 0", offset)
+        if mode not in (0, 1):
+            raise FormatError(f"unknown peephole mode byte {mode}", 20)
+        model = RfaModel(D, H, N, "full" if mode == 0 else "diagonal")
+        pos = 21
+        for name in PARAM_ORDER:
+            tensor = model.params[name]  # contiguous: a row block or its own array
+            got = fh.readinto(memoryview(tensor).cast("B"))
+            if got < tensor.nbytes:
+                raise FormatError(f"truncated tensor {name}", pos + got)
+            if sys.byteorder == "big":
+                tensor.byteswap(inplace=True)  # the file is little-endian
+            pos += got
+    if size > pos:
+        raise FormatError(f"{size - pos} trailing bytes after the model tensors", pos)
     return model

@@ -85,6 +85,17 @@ def test_config_bad_scorer():
         rf.config_from_dict(data)
 
 
+@pytest.mark.parametrize("C", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_ranksvm_C(C):
+    with pytest.raises(ConfigurationError, match="ranksvm_C must be finite"):
+        rf.desk_scale(ranksvm_C=C).validate()
+    data = tiny_config_dict()
+    data["matching"]["ranksvm_C"] = C
+    with pytest.raises(ConfigurationError, match="ranksvm_C must be finite"):
+        rf.config_from_dict(data)
+
+
 def test_config_not_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -274,6 +285,18 @@ def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatc
     assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_cli_eval_rejects_nan_ranksvm_C(pipeline, tmp_path, capsys):
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                           out_dir=str(tmp_path / "out"))
+    cfg["matching"] = {"scorer": "ranksvm", "ranksvm_C": float("nan")}
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in open(path).read()
+    assert main(["eval", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "ranksvm_C must be finite" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.txt").exists()
 
 

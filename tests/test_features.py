@@ -1,4 +1,5 @@
 import colorsys
+import hashlib
 
 import numpy as np
 import pytest
@@ -139,6 +140,64 @@ def test_planes_in_unit_interval(rng):
     img = random_image(rng, 9, 7)
     planes = rf.to_frame_tensor(img).planes
     assert planes.min() >= 0.0 and planes.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# resize and color conversion against the frozen whole-pixel reference
+# ---------------------------------------------------------------------------
+
+def _color_cube():
+    """Every colour of 64 levels per channel, the sRGB knee (10, 11) and both
+    ends (0, 254, 255) among them: (64**3, 3) uint8."""
+    levels = np.union1d(np.linspace(0, 255, 61).astype(np.uint8), [10, 11, 254])
+    assert levels.size == 64
+    return np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1).reshape(-1, 3)
+
+
+def _tied_maxima():
+    """Every tied maximum (a, a, c), (c, a, a), (a, c, a) and every gray
+    (a, a, a), for 0 <= c <= a <= 255: (4 * 32,896, 3) uint8."""
+    a, c = np.nonzero(np.tri(256, dtype=bool))
+    patterns = [(a, a, c), (c, a, a), (a, c, a), (a, a, a)]
+    return np.concatenate([np.stack(p, -1) for p in patterns]).astype(np.uint8)
+
+
+def _assert_tensor_matches_reference(pixels):
+    got = rf.to_frame_tensor(pixels).planes
+    assert got.tobytes() == feature_reference.to_frame_tensor(pixels).tobytes()
+
+
+@pytest.mark.parametrize("T", [1, 16])
+def test_color_cube_matches_reference(T):
+    _assert_tensor_matches_reference(_color_cube().reshape(T, -1, 64, 3))
+
+
+def test_all_grays_match_reference():
+    grays = np.repeat(np.arange(256, dtype=np.uint8), 3).reshape(16, 16, 3)
+    _assert_tensor_matches_reference(grays)
+    _assert_tensor_matches_reference(rf.RawImage(16, 16, grays).pixels[None])
+
+
+@pytest.mark.parametrize("T", [1, 16])
+def test_tied_maxima_match_reference(T):
+    _assert_tensor_matches_reference(_tied_maxima().reshape(T, -1, 8, 3))
+
+
+@pytest.mark.parametrize("T", [None, 1, 16])
+def test_resize_matches_reference(rng, T):
+    shape = (32, 16, 3) if T is None else (T, 32, 16, 3)
+    pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    img = rf.RawImage(16, 32, pixels) if T is None else pixels
+    same = rf.resize_bilinear(img, 16, 32)
+    assert same is img  # documented: a same-size resize returns its input
+    same = same.pixels if T is None else same
+    assert same.tobytes() == feature_reference.resize_bilinear(pixels, 16, 32).tobytes()
+    assert same.tobytes() == pixels.tobytes()
+    for out_w, out_h in ((21, 25), (11, 39)):  # +5/-7 pixels, and the other way
+        real = rf.resize_bilinear(img, out_w, out_h)
+        real = real.pixels if T is None else real
+        want = feature_reference.resize_bilinear(pixels, out_w, out_h)
+        assert real.shape == want.shape and real.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +410,48 @@ def test_stack_stages_match_single_frames(rng):
 def test_empty_sequence_has_no_rows():
     grid = rf.PatchGridSpec(8, 4, 4, 2)
     assert rf.sequence_features([], grid, 16, 32).shape == (0, grid.feature_dim(32, 16))
+
+
+# ---------------------------------------------------------------------------
+# golden descriptor digests
+# ---------------------------------------------------------------------------
+
+def _golden_frames(case):
+    """Seeded frames for one golden case: uniform noise plus smooth synthetic
+    persons, at the target size and, in "mixed", interleaved with frames of
+    another size that the pipeline resizes."""
+    rng = np.random.default_rng(5150)
+    if case == "full":
+        people = rf.generate_synthetic(1, 2, width=64, height=128, appearance_seed=21)
+        return [random_image(rng, 64, 128) for _ in range(2)] + people.persons[0].frames_a
+    people = rf.generate_synthetic(2, 3, width=16, height=32, appearance_seed=20)
+    smooth = [img for p in people.persons for img in p.frames_a + p.frames_b]
+    noise = [random_image(rng, 16, 32) for _ in range(6)]
+    if case == "desk":
+        return noise + smooth
+    other = [random_image(rng, 21, 25) for _ in range(4)]
+    resized = rf.generate_synthetic(1, 3, width=21, height=25, appearance_seed=22)
+    other += resized.persons[0].frames_a
+    mixed = []
+    for k in range(len(other)):
+        mixed += [other[k], noise[k % len(noise)], smooth[k]]
+    return mixed
+
+
+_GOLDEN = {
+    "desk": (32, 16, (8, 4, 4, 2),
+        "157c08aedfb7e775aa4e88847a5e5a2756afd3563a6eec9d203ce3580474364b"),
+    "mixed": (32, 16, (8, 4, 4, 2),
+        "9760212da904dc3d24b758b7594f61709427d660601f5f70f42624a5a16f4dd4"),
+    "full": (128, 64, (16, 8, 8, 4),
+        "04ce0c8ff1a0345f8ad5efe78af66e21557caf5d8090174ef252ecb98fbd8196"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN))
+def test_sequence_features_golden_digest(case):
+    # sha256 of the descriptor bytes: any change that moves one bit of any
+    # descriptor of these seeded frames fails here
+    height, width, grid, digest = _GOLDEN[case]
+    feats = rf.sequence_features(_golden_frames(case), rf.PatchGridSpec(*grid), width, height)
+    assert hashlib.sha256(feats.tobytes()).hexdigest() == digest

@@ -237,3 +237,11 @@ def test_ranksvm_invalid_arguments(rng):
     with pytest.raises(DataError):
         rf.train_ranksvm(probes, gallery, iters=0)
 
+
+@pytest.mark.parametrize("C", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_ranksvm_rejects_non_finite_C(rng, C):
+    probes, gallery = _separable_instance(rng)
+    with pytest.raises(DataError, match="C must be finite"):
+        rf.train_ranksvm(probes, gallery, C=C)
+

@@ -1,10 +1,12 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rfanet as rf
-from rfanet.errors import ConfigurationError, DataError
+from rfanet.errors import ConfigurationError, DataError, FormatError
 from rfanet.rnn import PARAM_ORDER, Params, _sigmoid
 
 
@@ -440,6 +442,55 @@ def test_model_roundtrip(tmp_path, peephole):
     assert back.peephole == peephole
     for name in model.params:
         assert np.array_equal(back.params[name], model.params[name])
+
+
+def _model_header(D, H, N, mode=0):
+    return b"RFANET01" + struct.pack("<IIIB", D, H, N, mode)
+
+
+@pytest.mark.parametrize("edit, message, offset", [
+    (lambda data: b"RFANET02" + data[8:], "bad model magic", 0),
+    (lambda data: b"RFA", "bad model magic", 0),
+    (lambda data: data[:12], "truncated model header", 12),
+    (lambda data: _model_header(0, 4, 3) + data[21:], "model dimension D is 0", 8),
+    (lambda data: _model_header(5, 0, 3) + data[21:], "model dimension H is 0", 12),
+    (lambda data: _model_header(5, 4, 0) + data[21:], "model dimension N is 0", 16),
+    (lambda data: _model_header(5, 4, 3, 2) + data[21:], "unknown peephole mode byte 2", 20),
+    (lambda data: data[:21], "truncated tensor W_i", 21),
+    (lambda data: data[:21 + 8 * 20 + 5], "truncated tensor U_i", 21 + 8 * 20 + 5),
+    (lambda data: data[:-1], "truncated tensor b_y", "size-1"),
+    (lambda data: data + bytes(3), "3 trailing bytes after the model tensors", "size"),
+], ids=["magic", "short-magic", "short-header", "zero-D", "zero-H", "zero-N", "mode",
+        "no-tensor", "mid-tensor", "last-byte", "trailing"])
+def test_load_model_format_errors(tmp_path, edit, message, offset):
+    path = tmp_path / "model.rfanet"
+    rf.save_model(path, rf.init_model(5, 4, 3, seed=8))
+    size = path.stat().st_size
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match=message) as exc:
+        rf.load_model(path)
+    assert exc.value.offset == {"size": size, "size-1": size - 1}.get(offset, offset)
+
+
+def test_load_model_reads_into_the_model(tmp_path):
+    # about 40 MB of tensors: W alone is 4 * 256 * 4800 doubles
+    path = tmp_path / "model.rfanet"
+    model = rf.RfaModel(4800, 256, 4, "diagonal")
+    model.params.W[:] = np.arange(model.params.W.size).reshape(model.params.W.shape)
+    model.params["b_y"] = [1.0, -2.0, 0.5, 3.0]
+    rf.save_model(path, model)
+    size = path.stat().st_size
+    del model
+    tracemalloc.start()
+    try:
+        back = rf.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 40e6
+    assert peak <= 1.25 * size
+    assert back.params.W[-1, -1] == back.params.W.size - 1
+    assert back.params["b_y"].tolist() == [1.0, -2.0, 0.5, 3.0]
 
 
 def test_model_save_is_bit_stable(tmp_path):
