@@ -20,6 +20,22 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .aggregate import write_embeddings
+from .config import load_config
+from .errors import ConfigurationError, DataError, FormatError, RfaError
+from .evaluation import (
+    describe_dataset,
+    embed_split,
+    generate_synthetic,
+    load_dataset,
+    run_experiment,
+    save_dataset,
+    training_set,
+    write_report,
+)
+from .fileio import atomic_write
+from .rnn import grad_check, load_model, project, save_model, train
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
@@ -58,25 +74,14 @@ def _build_parser():
     return parser
 
 
-def _load_config(path):
-    from .config import load_config
-
-    return load_config(path)
-
-
 def _require_manifest(cfg):
-    from .errors import ConfigurationError
-
     if not cfg.paths.manifest:
         raise ConfigurationError("config paths.manifest is required for this command")
     return Path(cfg.paths.manifest)
 
 
 def cmd_synth(args):
-    from .errors import ConfigurationError
-    from .evaluation import generate_synthetic, save_dataset
-
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     out = Path(args.out)
     if (out / "manifest.json").exists() and not args.force:
         raise ConfigurationError(f"{out / 'manifest.json'} exists; pass --force to overwrite")
@@ -94,12 +99,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    from .errors import ConfigurationError
-    from .evaluation import describe_dataset, load_dataset, training_set
-    from .fileio import atomic_write
-    from .rnn import save_model, train
-
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     manifest = _require_manifest(cfg)
     model_path = Path(cfg.paths.model or "model.rfanet")
     if model_path.exists() and not args.force:
@@ -123,12 +123,7 @@ def cmd_train(args):
 
 
 def cmd_embed(args):
-    from .aggregate import write_embeddings
-    from .errors import DataError
-    from .evaluation import describe_dataset, embed_split, load_dataset
-    from .rnn import load_model, project
-
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     manifest = _require_manifest(cfg)
     model = load_model(args.model)
     if model.input_dim != cfg.feature_dim:
@@ -146,10 +141,7 @@ def cmd_embed(args):
 
 
 def cmd_eval(args):
-    from .errors import ConfigurationError
-    from .evaluation import load_dataset, run_experiment, write_report
-
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     manifest = _require_manifest(cfg)
     if not cfg.paths.out_dir:
         raise ConfigurationError("config paths.out_dir is required for eval")
@@ -163,9 +155,6 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    from .errors import ConfigurationError
-    from .rnn import grad_check
-
     dims = (args.d, args.h, args.n, args.l)
     if min(dims) < 1:
         raise ConfigurationError("all dimensions must be >= 1")
@@ -184,8 +173,6 @@ def cmd_gradcheck(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    from .errors import ConfigurationError, DataError, FormatError, RfaError
-
     handlers = {
         "synth": cmd_synth,
         "train": cmd_train,
@@ -198,10 +185,7 @@ def main(argv=None):
     except (ConfigurationError, DataError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RfaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, RuntimeError) as exc:
+    except (RfaError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -13,16 +13,16 @@ The gates are stored stacked in the order i, f, c, o: ``W`` (4H, D), ``U``
 ``U_f``, ``b_o``, ...) are row-block views into them, so the ``RFANET01``
 file still holds one tensor per name in PARAM_ORDER, unchanged.
 
-Every pass is batched over B subsequences of L steps. ``project`` maps all
-B*L input rows to gate pre-activations with one GEMM; ``lstm_step`` advances
-the (B, H) state by one timestep; ``backward`` forms dW = dA^T X and
-dU = dA^T H_prev as single GEMMs over the batch, where dA (B, L, 4H) holds
-the gate deltas. Training and embedding share this kernel. A single (L, D)
-subsequence is a batch of one whose trace and loss drop the batch axis.
+Every pass is batched over B subsequences of L steps; one subsequence is
+a batch of one. ``project`` maps all B*L input rows to gate pre-activations
+with one GEMM; ``lstm_step`` advances the (B, H) state by one timestep;
+``backward`` forms dU = dA^T H_prev as one GEMM over the batch, where
+dA (B, L, 4H) holds the gate deltas. Training and embedding share this
+kernel.
 
-Training never forms the (4H, D) input-weight gradient: ``backward`` can
-return it as its factors dA and X, and ``sgd_update`` applies dA^T X to W
-one cache-sized tile at a time.
+The (4H, D) input-weight gradient dA^T X is never formed: ``backward``
+returns it as its factors dA and X, and ``sgd_update`` applies it to W one
+cache-sized tile at a time.
 
 Training minimizes the cross entropy of the softmax over identities, by
 default averaged over every timestep of the subsequence. Gradients are exact
@@ -32,12 +32,13 @@ central finite-difference checker is provided as an independent oracle.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,9 +57,6 @@ PARAM_ORDER = (
 GATES = "ifco"  # stacking order of the row blocks of W, U and b
 
 MODEL_MAGIC = b"RFANET01"
-
-# elements per block of the SGD update's scratch buffer
-_SGD_BLOCK = 1 << 16
 
 # (rows, columns) of the W tiles that a factored SGD step forms one at a time
 _STEP_TILE = (64, 4096)
@@ -95,27 +93,24 @@ class Params(dict):
     ``W`` (4H, D), ``U`` (4H, H) and ``b`` (4H,) hold the gates in GATES
     order, and ``W_i``, ``U_i``, ``b_i``, ... are views of their row blocks.
     Assigning to a name copies into the existing tensor, so the views and the
-    stacked arrays never come apart.
+    stacked arrays never come apart. Only the names in ``shapes`` are made.
 
-    A gradient set made with ``dense_W=False`` has no ``W`` and no ``W_*``
-    names; ``W_factors`` then holds (dA, X), whose product dA^T X is the
-    W gradient.
+    A gradient set from ``backward`` has no ``W`` and no ``W_*`` names;
+    its ``W_factors`` hold (dA, X), whose product dA^T X is the W gradient.
     """
 
     W_factors = None
 
-    def __init__(self, shapes, dense_W=True):
+    def __init__(self, shapes):
         super().__init__()
-        H, D = shapes["W_i"]
-        self.W = np.zeros((4 * H, D)) if dense_W else None
+        H = shapes["U_i"][0]
+        self.W = np.zeros((4 * H, shapes["W_i"][1])) if "W_i" in shapes else None
         self.U = np.zeros((4 * H, H))
         self.b = np.zeros(4 * H)
         stacked = {"W": self.W, "U": self.U, "b": self.b}
-        for name in PARAM_ORDER:
+        for name in filter(shapes.__contains__, PARAM_ORDER):
             kind, gate = name.split("_")
             if kind in stacked and gate in GATES:
-                if stacked[kind] is None:
-                    continue
                 k = GATES.index(gate)
                 tensor = stacked[kind][k * H : (k + 1) * H]
             else:
@@ -124,6 +119,21 @@ class Params(dict):
 
     def __setitem__(self, name, value):
         self[name][...] = value
+
+
+def _param_shapes(D, H, N, peephole):
+    """Tensor shapes by name, in PARAM_ORDER."""
+    vshape = (H, H) if peephole == "full" else (H,)
+    shapes = {}
+    for g in GATES:
+        shapes[f"W_{g}"] = (H, D)
+        shapes[f"U_{g}"] = (H, H)
+        if g != "c":
+            shapes[f"V_{g}"] = vshape
+        shapes[f"b_{g}"] = (H,)
+    shapes["W_y"] = (N, H)
+    shapes["b_y"] = (N,)
+    return shapes
 
 
 @dataclass
@@ -138,18 +148,7 @@ class RfaModel:
         self.params = Params(self.param_shapes())  # zeros until init or load fills them
 
     def param_shapes(self):
-        D, H, N = self.input_dim, self.hidden_dim, self.num_classes
-        vshape = (H, H) if self.peephole == "full" else (H,)
-        shapes = {}
-        for g in "ifco":
-            shapes[f"W_{g}"] = (H, D)
-            shapes[f"U_{g}"] = (H, H)
-            if g != "c":
-                shapes[f"V_{g}"] = vshape
-            shapes[f"b_{g}"] = (H,)
-        shapes["W_y"] = (N, H)
-        shapes["b_y"] = (N,)
-        return shapes
+        return _param_shapes(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
 
     def copy(self):
         out = RfaModel(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
@@ -250,8 +249,6 @@ def softmax_predict(model, h):
 
 @dataclass
 class ForwardTrace:
-    """Shapes are given for a batch; a single subsequence drops the B axis."""
-
     x: np.ndarray       # (B, L, D)
     i: np.ndarray       # (B, L, H)
     f: np.ndarray
@@ -263,18 +260,14 @@ class ForwardTrace:
     hd: np.ndarray      # h after inverted-dropout scaling
     y: np.ndarray       # (B, L, N)
     losses: np.ndarray  # (B, L) per-timestep -log y[label]
-    label: object       # (B,) labels, or an int
+    labels: np.ndarray  # (B,)
     dropout_rate: float
     loss_mode: str
 
 
-_TRACE_ARRAYS = ("x", "i", "f", "g", "o", "c", "h", "mask", "hd", "y", "losses")
-
-
-def forward(model, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
-    """Run a subsequence (L, D) with its label, or a batch (B, L, D) with B
-    labels, through the network; returns (trace, loss), the loss per
-    subsequence.
+def forward(model, xs, labels, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
+    """Run a batch (B, L, D) of subsequences with their B labels through the
+    network; returns (trace, loss), the loss (B,) per subsequence.
 
     Inverted dropout is applied to h_t before the softmax: kept units are
     divided by (1 - rate), so inference needs no rescaling. The keep masks
@@ -282,18 +275,14 @@ def forward(model, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timeste
     and step by step. With rate 0 the mask is all ones and the pass is
     deterministic.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    single = xs.ndim == 2
-    X = xs[None] if single else xs
-    labels = np.atleast_1d(np.asarray(label))
+    X = np.asarray(xs, dtype=np.float64)
+    labels = np.asarray(labels)
     if X.ndim != 3 or X.shape[2] != model.input_dim:
-        raise DataError(
-            f"subsequence has shape {xs.shape}, expected ([B,] L, {model.input_dim})"
-        )
+        raise DataError(f"batch has shape {X.shape}, expected (B, L, {model.input_dim})")
     if labels.shape != X.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
-        raise DataError(f"expected {X.shape[0]} integer labels, got {label!r}")
+        raise DataError(f"expected {X.shape[0]} integer labels, got {labels!r}")
     if np.any((labels < 0) | (labels >= model.num_classes)):
-        raise DataError(f"label {label} out of range for {model.num_classes} classes")
+        raise DataError(f"labels {labels} out of range for {model.num_classes} classes")
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigurationError("dropout rate must be in [0, 1)")
     if dropout_rate > 0.0 and rng is None:
@@ -317,16 +306,8 @@ def forward(model, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timeste
     y = softmax_predict(model, hd)
     losses = -np.log(np.take_along_axis(y, labels[:, None, None], axis=2)[..., 0])
     loss = losses.mean(axis=1) if loss_mode == "per_timestep" else losses[:, -1]
-    trace = ForwardTrace(
-        X, rec["i"], rec["f"], rec["g"], rec["o"], rec["c"], rec["h"],
-        mask, hd, y, losses, labels, dropout_rate, loss_mode,
-    )
-    if single:
-        trace = replace(
-            trace, label=int(labels[0]), **{k: getattr(trace, k)[0] for k in _TRACE_ARRAYS}
-        )
-        return trace, loss[0]
-    return trace, loss
+    return ForwardTrace(X, **rec, mask=mask, hd=hd, y=y, losses=losses, labels=labels,
+                        dropout_rate=dropout_rate, loss_mode=loss_mode), loss
 
 
 def _shifted(a):
@@ -336,33 +317,25 @@ def _shifted(a):
     return out
 
 
-def backward(model, trace, label, factored=False):
+def backward(model, trace):
     """Exact gradients of the forward loss w.r.t. every parameter (BPTT),
     summed over the batch.
 
-    With ``factored`` the (4H, D) W gradient dA^T X is not formed: the
-    result has no W tensors, and its ``W_factors`` hold the (B*L, 4H) gate
-    deltas dA and the (B*L, D) inputs X, for ``sgd_update`` to apply.
+    The (4H, D) W gradient dA^T X is not formed: the result has no W
+    tensors, and its ``W_factors`` hold the (B*L, 4H) gate deltas dA and
+    the (B*L, D) inputs X, for ``sgd_update`` to apply.
     """
-    if trace.h.ndim == 2:
-        trace = replace(
-            trace, label=np.atleast_1d(trace.label),
-            **{k: getattr(trace, k)[None] for k in _TRACE_ARRAYS},
-        )
-    labels = np.atleast_1d(np.asarray(label))
     if trace.h.shape[2] != model.hidden_dim or trace.x.shape[2] != model.input_dim:
         raise DataError("trace dimensions do not match the model")
-    if not np.array_equal(labels, trace.label):
-        raise DataError("label does not match the traced forward pass")
     p = model.params
     B, L, H = trace.h.shape
     N = model.num_classes
-    grads = Params(model.param_shapes(), dense_W=not factored)
+    grads = Params({n: s for n, s in model.param_shapes().items() if n[:2] != "W_" or n == "W_y"})
 
     # softmax head, every timestep at once
     weight = np.full(L, 1.0 / L) if trace.loss_mode == "per_timestep" else np.eye(L)[-1]
     onehot = np.zeros((B, 1, N))
-    onehot[np.arange(B), 0, labels] = 1.0
+    onehot[np.arange(B), 0, trace.labels] = 1.0
     dz = (trace.y - onehot) * weight[:, None]
     np.matmul(dz.reshape(B * L, N).T, trace.hd.reshape(B * L, H), out=grads["W_y"])
     grads["b_y"] = dz.sum(axis=(0, 1))
@@ -386,11 +359,7 @@ def backward(model, trace, label, factored=False):
         dc_next = dc * f + _peep_t(p["V_i"], da[:, :H]) + _peep_t(p["V_f"], da[:, H : 2 * H])
 
     rows = dA.reshape(B * L, 4 * H)
-    X = trace.x.reshape(B * L, -1)
-    if factored:
-        grads.W_factors = (rows, X)
-    else:
-        np.matmul(rows.T, X, out=grads.W)
+    grads.W_factors = (rows, trace.x.reshape(B * L, -1))
     np.matmul(rows.T, h_prev.reshape(B * L, H), out=grads.U)
     grads.b[...] = rows.sum(axis=0)
     for name, k, cell in (("V_i", 0, c_prev), ("V_f", 1, c_prev), ("V_o", 3, trace.c)):
@@ -405,22 +374,14 @@ def backward(model, trace, label, factored=False):
 def sgd_update(model, grads, lr):
     """In-place theta <- theta - lr * grad for every parameter in ``grads``.
 
-    lr * grad is formed block by block in a small scratch buffer, so the
-    update makes no temporary of a parameter's size. A factored W gradient
-    (``grads.W_factors``, see ``backward``) is applied one _STEP_TILE tile
-    of W at a time: the tile's part of (-lr dA)^T X is one GEMM into a
-    cache-sized buffer, which is then added to W."""
-    scratch = np.empty(_SGD_BLOCK)
+    A factored W gradient (``grads.W_factors``, see ``backward``) is applied
+    one _STEP_TILE tile of W at a time: the tile's part of (-lr dA)^T X is
+    one GEMM into a cache-sized buffer, which is then added to W."""
     for name, g in grads.items():
-        theta = model.params[name].reshape(-1)
-        g = np.asarray(g).reshape(-1)
-        for k in range(0, theta.size, _SGD_BLOCK):
-            part = scratch[: min(_SGD_BLOCK, theta.size - k)]
-            np.multiply(g[k : k + _SGD_BLOCK], lr, out=part)
-            theta[k : k + _SGD_BLOCK] -= part
-    factors = getattr(grads, "W_factors", None)
-    if factors is not None:
-        dA, X = factors
+        theta = model.params[name]  # not params[name] -= ..., which copies back
+        theta -= g * lr
+    if getattr(grads, "W_factors", None) is not None:
+        dA, X = grads.W_factors
         step = dA * -lr
         W = model.params.W
         rows, cols = _STEP_TILE
@@ -467,6 +428,8 @@ class TrainConfig:
     def validate(self):
         if self.subseq_len < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("subseq_len/batch_size must be >= 1, epochs >= 0")
+        if not all(map(math.isfinite, (self.lr_initial, self.lr_after, self.init_bound))):
+            raise ConfigurationError("lr_initial, lr_after and init_bound must be finite")
         if self.lr_initial <= 0 or self.lr_after <= 0:
             raise ConfigurationError("learning rates must be > 0")
         if self.lr_switch_epoch > self.epochs:
@@ -556,7 +519,7 @@ def train(sequences, cfg):
                 model, xs, labels,
                 dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,
             )
-            grads = backward(model, trace, labels, factored=True)
+            grads = backward(model, trace)
             # b sums the gate deltas over the batch, so it is finite exactly
             # when they all are; checking it costs no pass over W
             for what, values in (("loss", losses), ("gate deltas", grads.b)):
@@ -608,11 +571,13 @@ def grad_check(
         input_dim, hidden_dim, num_classes, rng.integers(2**63),
         peephole=peephole, init_bound=0.3,
     )
-    xs = rng.standard_normal((subseq_len, input_dim)) * 0.8
-    label = int(rng.integers(num_classes))
+    xs = rng.standard_normal((1, subseq_len, input_dim)) * 0.8  # a batch of one
+    labels = np.array([rng.integers(num_classes)])
 
-    trace, _ = forward(model, xs, label, loss_mode=loss_mode)
-    analytic = backward(model, trace, label)
+    trace, _ = forward(model, xs, labels, loss_mode=loss_mode)
+    grads = backward(model, trace)
+    dA, X = grads.W_factors
+    analytic = {**grads, **dict(zip((f"W_{g}" for g in GATES), np.split(dA.T @ X, 4)))}
     if corrupt is not None:
         corrupt(analytic)
 
@@ -624,9 +589,9 @@ def grad_check(
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            _, lp = forward(model, xs, label, loss_mode=loss_mode)
+            lp = forward(model, xs, labels, loss_mode=loss_mode)[1][0]
             flat[k] = orig - eps
-            _, lm = forward(model, xs, label, loss_mode=loss_mode)
+            lm = forward(model, xs, labels, loss_mode=loss_mode)[1][0]
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * eps)
             rel = abs(aflat[k] - numeric) / max(abs(aflat[k]), abs(numeric), 1e-6)
@@ -665,7 +630,9 @@ def save_model(path, model):
 
 def load_model(path):
     """Read an RFANET01 file; each tensor is read straight into the model's
-    own buffer, so the peak memory is the model plus one header."""
+    own buffer, so the peak memory is the model plus one header. The tensor
+    sizes the header implies are checked against the file size first, so a
+    corrupt header allocates nothing."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(21)
@@ -679,16 +646,19 @@ def load_model(path):
                 raise FormatError(f"model dimension {name} is 0", offset)
         if mode not in (0, 1):
             raise FormatError(f"unknown peephole mode byte {mode}", 20)
-        model = RfaModel(D, H, N, "full" if mode == 0 else "diagonal")
+        peephole = "full" if mode == 0 else "diagonal"
         pos = 21
+        for name, shape in _param_shapes(D, H, N, peephole).items():
+            pos += 8 * math.prod(shape)
+            if pos > size:
+                raise FormatError(f"truncated tensor {name}", size)
+        if size > pos:
+            raise FormatError(f"{size - pos} trailing bytes after the model tensors", pos)
+        model = RfaModel(D, H, N, peephole)
         for name in PARAM_ORDER:
             tensor = model.params[name]  # contiguous: a row block or its own array
-            got = fh.readinto(memoryview(tensor).cast("B"))
-            if got < tensor.nbytes:
-                raise FormatError(f"truncated tensor {name}", pos + got)
+            if fh.readinto(memoryview(tensor).cast("B")) < tensor.nbytes:
+                raise FormatError(f"truncated tensor {name}", fh.tell())  # it shrank
             if sys.byteorder == "big":
                 tensor.byteswap(inplace=True)  # the file is little-endian
-            pos += got
-    if size > pos:
-        raise FormatError(f"{size - pos} trailing bytes after the model tensors", pos)
     return model

@@ -96,6 +96,24 @@ def test_config_rejects_non_finite_ranksvm_C(C):
         rf.config_from_dict(data)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lr_initial", float("nan")), ("lr_after", float("inf")), ("lr_initial", float("-inf")),
+    ("init_bound", float("nan")), ("init_bound", float("inf")),
+], ids=["lr_initial-nan", "lr_after-inf", "lr_initial--inf", "init_bound-nan", "init_bound-inf"])
+def test_config_rejects_non_finite_train_values(name, value):
+    message = "lr_initial, lr_after and init_bound must be finite"
+    with pytest.raises(ConfigurationError, match=message):
+        rf.TrainConfig(**{name: value}).validate()
+    cfg = rf.desk_scale()
+    setattr(cfg.train, name, value)
+    with pytest.raises(ConfigurationError, match=message):
+        cfg.validate()
+    data = tiny_config_dict()
+    data["train"][name] = value
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
+
+
 def test_config_not_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -298,6 +316,31 @@ def test_cli_eval_rejects_nan_ranksvm_C(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ranksvm_C must be finite" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_cli_train_rejects_nan_learning_rate(pipeline, tmp_path, capsys):
+    model_path = tmp_path / "model.rfanet"
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                           model=str(model_path))
+    cfg["train"]["lr_initial"] = float("nan")
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in open(path).read()
+    assert main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_embed_rejects_model_header_larger_than_file(tmp_path, capsys):
+    # a 21-byte file whose header claims W_i alone is 2^20 x 2^31 doubles
+    model_path = tmp_path / "huge.rfanet"
+    model_path.write_bytes(b"RFANET01" + struct.pack("<IIIB", 2**31, 2**20, 3, 0))
+    cfg = write_config(tmp_path, tiny_config_dict(manifest=str(tmp_path / "manifest.json")))
+    out = tmp_path / "embs.rfaemb"
+    assert main(["embed", "--config", cfg, "--model", str(model_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "truncated tensor W_i" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_eval_has_no_model_flag(pipeline, capsys):

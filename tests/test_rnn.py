@@ -105,8 +105,8 @@ def test_step_dimension_mismatch():
 
 def test_gate_activations_open_interval(rng):
     model = rf.init_model(4, 3, 2, seed=5, init_bound=0.5)
-    xs = rng.standard_normal((6, 4))
-    trace, _ = rf.forward(model, xs, 0)
+    xs = rng.standard_normal((1, 6, 4))
+    trace, _ = rf.forward(model, xs, np.array([0]))
     for arr in (trace.i, trace.f, trace.o):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
     assert np.all(np.abs(trace.h) < 1.0)
@@ -142,18 +142,18 @@ def test_softmax_no_overflow():
 
 def test_forward_zero_model_uniform_loss(rng):
     model = zero_model(D=3, H=2, N=4)
-    xs = rng.standard_normal((5, 3))
-    trace, loss = rf.forward(model, xs, 2)
-    assert loss == pytest.approx(math.log(4), abs=1e-12)
-    assert trace.losses == pytest.approx(np.full(5, math.log(4)), abs=1e-12)
+    xs = rng.standard_normal((1, 5, 3))
+    trace, loss = rf.forward(model, xs, np.array([2]))
+    assert loss[0] == pytest.approx(math.log(4), abs=1e-12)
+    assert trace.losses[0] == pytest.approx(np.full(5, math.log(4)), abs=1e-12)
 
 
 def test_forward_deterministic_without_dropout(rng):
     model = rf.init_model(3, 2, 2, seed=9, init_bound=0.2)
-    xs = rng.standard_normal((4, 3))
-    t1, l1 = rf.forward(model, xs, 1)
-    t2, l2 = rf.forward(model, xs, 1)
-    assert l1 == l2
+    xs = rng.standard_normal((1, 4, 3))
+    t1, l1 = rf.forward(model, xs, np.array([1]))
+    t2, l2 = rf.forward(model, xs, np.array([1]))
+    assert l1[0] == l2[0]
     assert np.array_equal(t1.h, t2.h) and np.array_equal(t1.y, t2.y)
 
 
@@ -203,27 +203,35 @@ def test_forward_scalar_pen_and_paper():
 
     xs = [0.9, -1.3]
     expected = _scalar_forward_oracle(scalars, xs, 1)
-    trace, loss = rf.forward(model, np.array(xs)[:, None], 1)
-    assert trace.losses == pytest.approx(expected, abs=1e-12)
-    assert loss == pytest.approx(sum(expected) / 2, abs=1e-12)
+    trace, loss = rf.forward(model, np.array(xs)[None, :, None], np.array([1]))
+    assert trace.losses[0] == pytest.approx(expected, abs=1e-12)
+    assert loss[0] == pytest.approx(sum(expected) / 2, abs=1e-12)
 
 
 def test_forward_label_out_of_range(rng):
     model = zero_model()
     with pytest.raises(DataError):
-        rf.forward(model, rng.standard_normal((3, 3)), 5)
+        rf.forward(model, rng.standard_normal((1, 3, 3)), np.array([5]))
 
 
 def test_forward_dropout_requires_rng(rng):
     model = zero_model()
     with pytest.raises(ConfigurationError):
-        rf.forward(model, rng.standard_normal((3, 3)), 0, dropout_rate=0.5)
+        rf.forward(model, rng.standard_normal((1, 3, 3)), np.array([0]), dropout_rate=0.5)
+
+
+def test_forward_takes_batches_only(rng):
+    model = zero_model()
+    with pytest.raises(DataError, match=r"expected \(B, L, 3\)"):
+        rf.forward(model, rng.standard_normal((3, 3)), np.array([0]))
+    with pytest.raises(DataError, match="expected 1 integer labels"):
+        rf.forward(model, rng.standard_normal((1, 3, 3)), 0)
 
 
 def test_forward_probabilities_sum_to_one(rng):
     model = rf.init_model(3, 4, 5, seed=11, init_bound=0.4)
-    trace, _ = rf.forward(model, rng.standard_normal((6, 3)), 3)
-    assert trace.y.sum(axis=1) == pytest.approx(np.ones(6), abs=1e-9)
+    trace, _ = rf.forward(model, rng.standard_normal((1, 6, 3)), np.array([3]))
+    assert trace.y[0].sum(axis=1) == pytest.approx(np.ones(6), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +250,16 @@ def test_backward_matches_finite_differences(peephole, loss_mode):
 def test_backward_with_dropout_matches_fd():
     # fixed mask: rerun forward with an identical generator state per probe
     model = rf.init_model(4, 3, 2, seed=3, init_bound=0.3)
-    xs = np.random.default_rng(5).standard_normal((4, 4))
-    label = 1
+    xs = np.random.default_rng(5).standard_normal((1, 4, 4))
+    labels = np.array([1])
 
     def run():
-        return rf.forward(model, xs, label, dropout_rate=0.5, rng=np.random.default_rng(99))
+        return rf.forward(model, xs, labels, dropout_rate=0.5, rng=np.random.default_rng(99))
 
     trace, _ = run()
-    grads = rf.backward(model, trace, label)
+    grads = rf.backward(model, trace)
+    dA, X = grads.W_factors
+    grads = {**grads, "W_c": dA[:, 6:9].T @ X}  # the c gate's rows of dA^T X, H = 3
     eps = 1e-6
     worst = 0.0
     for name in ("W_c", "V_o", "W_y", "b_f"):
@@ -258,9 +268,9 @@ def test_backward_with_dropout_matches_fd():
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            _, lp = run()
+            lp = run()[1][0]
             flat[k] = orig - eps
-            _, lm = run()
+            lm = run()[1][0]
             flat[k] = orig
             num = (lp - lm) / (2 * eps)
             worst = max(worst, abs(gflat[k] - num) / max(abs(gflat[k]), abs(num), 1e-8))
@@ -269,19 +279,21 @@ def test_backward_with_dropout_matches_fd():
 
 def test_backward_softmax_bias_rows_sum_zero(rng):
     model = zero_model(D=3, H=2, N=2)
-    trace, _ = rf.forward(model, rng.standard_normal((4, 3)), 0)
-    grads = rf.backward(model, trace, 0)
+    trace, _ = rf.forward(model, rng.standard_normal((1, 4, 3)), np.array([0]))
+    grads = rf.backward(model, trace)
     assert grads["b_y"].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_backward_deterministic(rng):
     model = rf.init_model(3, 2, 2, seed=21, init_bound=0.2)
-    xs = rng.standard_normal((4, 3))
-    trace, _ = rf.forward(model, xs, 1)
-    g1 = rf.backward(model, trace, 1)
-    g2 = rf.backward(model, trace, 1)
+    xs = rng.standard_normal((1, 4, 3))
+    trace, _ = rf.forward(model, xs, np.array([1]))
+    g1 = rf.backward(model, trace)
+    g2 = rf.backward(model, trace)
     for name in g1:
         assert np.array_equal(g1[name], g2[name])
+    for f1, f2 in zip(g1.W_factors, g2.W_factors):
+        assert np.array_equal(f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +482,16 @@ def test_load_model_format_errors(tmp_path, edit, message, offset):
     with pytest.raises(FormatError, match=message) as exc:
         rf.load_model(path)
     assert exc.value.offset == {"size": size, "size-1": size - 1}.get(offset, offset)
+
+
+def test_load_model_checks_header_before_allocating(tmp_path):
+    # the header claims W_i alone is 2^20 x 2^31 doubles (16 PiB), in a 21-byte
+    # file; the model is 64 PiB and must not be allocated
+    path = tmp_path / "huge.rfanet"
+    path.write_bytes(_model_header(2**31, 2**20, 3))
+    with pytest.raises(FormatError, match="truncated tensor W_i") as exc:
+        rf.load_model(path)
+    assert exc.value.offset == 21
 
 
 def test_load_model_reads_into_the_model(tmp_path):
