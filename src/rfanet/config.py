@@ -1,15 +1,19 @@
 """Run configuration: one JSON document drives every pipeline stage.
 
-The schema is exhaustive; unknown sections or keys are rejected so a typo
-cannot silently fall back to a default. Scalar fields may be overridden by
-CLI flags. The effective configuration is echoed into every report.
+``_LAYOUT`` declares the document once: each JSON section, the
+``RunConfig`` field that holds it and its JSON key -> field name pairs.
+``RunConfig.to_dict`` and ``config_from_dict`` both walk it, so every field
+is written to and read from exactly one section. The schema is exhaustive;
+unknown sections or keys, and values of the wrong JSON type, are rejected so
+a typo cannot silently fall back to a default. The effective configuration
+is echoed into every report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .aggregate import AggregationConfig
@@ -78,46 +82,34 @@ class RunConfig:
         if self.ranksvm_iters < 1:
             raise ConfigurationError("ranksvm_iters must be >= 1")
         self.experiment.validate(self.train.subseq_len)
-        if self.synthetic.num_persons < 2:
+        seeds = {"train.seed": self.train.seed, "aggregation.seed": self.agg.seed,
+                 "synthetic.appearance_seed": self.synthetic.appearance_seed}
+        for name, seed in seeds.items():
+            if seed < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+        syn = self.synthetic
+        if syn.num_persons < 2:
             raise ConfigurationError("synthetic dataset needs at least 2 persons")
-        if self.synthetic.frames_per_camera < self.train.subseq_len:
+        if syn.frames_per_camera < self.train.subseq_len:
             raise ConfigurationError("frames_per_camera must be >= subseq_len")
+        for name in ("camera_gain", "camera_offset"):
+            values = getattr(syn, name)
+            if len(values) != 3 or not all(map(math.isfinite, values)):
+                raise ConfigurationError(f"synthetic.{name} must be 3 finite values, got {values}")
+        if not (math.isfinite(syn.jitter) and syn.jitter >= 0):
+            raise ConfigurationError(f"synthetic.jitter must be finite and >= 0, got {syn.jitter}")
+        if syn.noise_pool_size < 0:
+            raise ConfigurationError("synthetic.noise_pool_size must be >= 0")
         return self
 
     def to_dict(self):
-        return {
-            "image": {"width": self.image_w, "height": self.image_h},
-            "grid": asdict(self.grid),
-            "model": {"hidden_dim": self.train.hidden_dim, "peephole": self.train.peephole},
-            "train": {
-                k: v
-                for k, v in asdict(self.train).items()
-                if k not in ("hidden_dim", "peephole")
-            },
-            "aggregation": {
-                "num_subsequences": self.agg.num_subsequences,
-                "seed": self.agg.seed,
-            },
-            "matching": {
-                "scorer": self.scorer,
-                "ranksvm_C": self.ranksvm_C,
-                "ranksvm_iters": self.ranksvm_iters,
-            },
-            "experiment": {
-                "kind": self.experiment.kind,
-                "trials": self.experiment.trials,
-                "master_seed": self.experiment.master_seed,
-                "noise_levels": list(self.experiment.noise_levels),
-                "depths": list(self.experiment.depths) if self.experiment.depths else None,
-                "subseq_counts": list(self.experiment.subseq_counts),
-            },
-            "synthetic": {
-                **asdict(self.synthetic),
-                "camera_gain": list(self.synthetic.camera_gain),
-                "camera_offset": list(self.synthetic.camera_offset),
-            },
-            "paths": asdict(self.paths),
-        }
+        """The JSON document, section by section as ``_LAYOUT`` lays it out."""
+        out = {}
+        for section, (owner, keys) in _LAYOUT.items():
+            holder = getattr(self, owner) if owner else self
+            out[section] = {key: getattr(holder, name) for key, name in keys.items()}
+        del out["aggregation"]["subseq_len"]  # read only: it defaults to train.subseq_len
+        return out
 
 
 def desk_scale(**overrides):
@@ -159,8 +151,31 @@ def _apply_overrides(cfg, overrides):
 
 
 # ---------------------------------------------------------------------------
-# JSON loading
+# JSON layout
 # ---------------------------------------------------------------------------
+
+def _same(*names):
+    return {name: name for name in names}
+
+
+def _all_fields(cls, *but):
+    return _same(*(f.name for f in fields(cls) if f.name not in but))
+
+
+# JSON section -> (the RunConfig field that holds it, "" for RunConfig itself,
+# {JSON key: field name}). The hidden size and peephole form of TrainConfig
+# are the [model] section; aggregation.subseq_len is read but never written
+_LAYOUT = {
+    "image": ("", {"width": "image_w", "height": "image_h"}),
+    "grid": ("grid", _all_fields(PatchGridSpec)),
+    "model": ("train", _same("hidden_dim", "peephole")),
+    "train": ("train", _all_fields(TrainConfig, "hidden_dim", "peephole")),
+    "aggregation": ("agg", _all_fields(AggregationConfig)),
+    "matching": ("", _same("scorer", "ranksvm_C", "ranksvm_iters")),
+    "experiment": ("experiment", _all_fields(ExperimentSpec)),
+    "synthetic": ("synthetic", _all_fields(SyntheticSpec)),
+    "paths": ("paths", _all_fields(PathsConfig)),
+}
 
 # the JSON values accepted for each field annotation
 _JSON_TYPES = {
@@ -175,66 +190,32 @@ _JSON_TYPES = {
 }
 
 
-def _field_types(cls, *names):
-    """Field name -> annotation, for the named fields of a dataclass (all by
-    default)."""
-    return {f.name: f.type for f in fields(cls) if not names or f.name in names}
-
-
-def _section(data, section, types):
-    """``data[section]`` (empty if absent), checked to be a JSON object whose
-    keys are in ``types`` (key -> annotation) and whose values have those
-    types."""
-    values = data.get(section, {})
-    if not isinstance(values, dict):
-        raise ConfigurationError(f"[{section}] must be a JSON object, not {values!r}")
-    unknown = set(values) - set(types)
-    if unknown:
-        raise ConfigurationError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    for key, value in values.items():
-        if not any(_JSON_TYPES[t.strip()](value) for t in types[key].split("|")):
-            raise ConfigurationError(f"[{section}] {key} must be {types[key]}, not {value!r}")
-    return values
-
-
-def _build_section(cls, data, section, **overrides):
-    values = {**_section(data, section, _field_types(cls)), **overrides}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
-
-
 def config_from_dict(data):
-    known = {
-        "image", "grid", "model", "train", "aggregation",
-        "matching", "experiment", "synthetic", "paths",
-    }
-    unknown = set(data) - known
+    """The validated RunConfig of a JSON document laid out as ``_LAYOUT``;
+    absent sections and keys keep their defaults."""
+    unknown = set(data) - set(_LAYOUT)
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-
-    image = _section(data, "image", {"width": "int", "height": "int"})
-    model = _section(data, "model", _field_types(TrainConfig, "hidden_dim", "peephole"))
-    matching = _section(
-        data, "matching", _field_types(RunConfig, "scorer", "ranksvm_C", "ranksvm_iters")
-    )
-    train = _build_section(TrainConfig, data, "train", **model)
-    aggregation = _section(data, "aggregation", _field_types(AggregationConfig))
-    agg = _build_section(
-        AggregationConfig, data, "aggregation",
-        subseq_len=aggregation.get("subseq_len", train.subseq_len),
-    )
-
-    cfg = RunConfig(
-        image_w=image.get("width", 64),
-        image_h=image.get("height", 128),
-        grid=_build_section(PatchGridSpec, data, "grid"),
-        train=train,
-        agg=agg,
-        experiment=_build_section(ExperimentSpec, data, "experiment"),
-        synthetic=_build_section(SyntheticSpec, data, "synthetic"),
-        paths=_build_section(PathsConfig, data, "paths"),
-        **matching,
-    )
-    return cfg.validate()
+    defaults = RunConfig()
+    top, parts = {}, {}  # RunConfig's own fields; each section object's fields
+    for section, (owner, keys) in _LAYOUT.items():
+        values = data.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigurationError(f"[{section}] must be a JSON object, not {values!r}")
+        unknown = set(values) - set(keys)
+        if unknown:
+            raise ConfigurationError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        types = {f.name: f.type for f in fields(getattr(defaults, owner) if owner else defaults)}
+        target = parts.setdefault(owner, {}) if owner else top
+        for key, value in values.items():
+            expected = types[keys[key]]
+            if not any(_JSON_TYPES[t.strip()](value) for t in expected.split("|")):
+                raise ConfigurationError(f"[{section}] {key} must be {expected}, not {value!r}")
+            target[keys[key]] = tuple(value) if isinstance(value, list) else value
+    train_L = parts["train"].get("subseq_len", defaults.train.subseq_len)
+    parts["agg"].setdefault("subseq_len", train_L)
+    sections = {owner: replace(getattr(defaults, owner), **kw) for owner, kw in parts.items()}
+    return replace(defaults, **top, **sections).validate()
 
 
 def load_config(path):

@@ -352,6 +352,10 @@ def generate_synthetic(
 # experiments
 # ---------------------------------------------------------------------------
 
+# the field holding each sweep kind's levels; "standard" has one level
+_SWEEPS = {"noise": "noise_levels", "depth": "depths", "subseq": "subseq_counts"}
+
+
 @dataclass
 class ExperimentSpec:
     kind: str = "standard"  # standard | noise | depth | subseq
@@ -364,10 +368,15 @@ class ExperimentSpec:
     def validate(self, L):
         """Check the kind, the trial count and every sweep level against the
         subsequence length L, before any frame is described."""
-        if self.kind not in ("standard", "noise", "depth", "subseq"):
+        if self.kind not in ("standard", *_SWEEPS):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not self.levels(L):
+            raise ConfigurationError(f"the {self.kind} sweep has no levels: "
+                                     f"{_SWEEPS[self.kind]} is empty")
         if not all(0.0 <= f <= 1.0 for f in self.noise_levels):
             raise ConfigurationError(f"noise levels must be in [0, 1], got {self.noise_levels}")
         if self.depths is not None and not all(1 <= d <= L for d in self.depths):
@@ -375,10 +384,18 @@ class ExperimentSpec:
         if not all(k >= 1 for k in self.subseq_counts):
             raise ConfigurationError(f"subsequence counts must be >= 1, got {self.subseq_counts}")
         # curves are keyed by level: a repeated level would merge two sweeps
-        for name in ("noise_levels", "depths", "subseq_counts"):
+        for name in _SWEEPS.values():
             levels = getattr(self, name) or ()
             if len(set(levels)) != len(levels):
                 raise ConfigurationError(f"{name} repeats a level: {tuple(levels)}")
+
+    def levels(self, L):
+        """The levels of the selected sweep, for subsequence length L."""
+        if self.kind == "standard":
+            return ["standard"]
+        if self.kind == "depth" and self.depths is None:
+            return sorted({1, L})
+        return list(getattr(self, _SWEEPS[self.kind]))
 
 
 @dataclass
@@ -440,25 +457,6 @@ def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
     return embeddings[0::2], embeddings[1::2]
 
 
-def _make_scorer(run_config, model, ax, rows, train_ids, agg_cfg, depth=None):
-    if run_config.scorer == "cosine":
-        return CosineScorer()
-    probes, gallery = embed_split(model, ax, rows, train_ids, agg_cfg, depth)
-    svm = train_ranksvm(probes, gallery, C=run_config.ranksvm_C, iters=run_config.ranksvm_iters)
-    return RankSvmScorer(svm)
-
-
-def _splice_noise(rows, pool_rows, fraction, seed):
-    """Descriptor rows of ``inject_noise(frames, fraction, pool, seed)``.
-
-    ``inject_noise`` runs on the row indices themselves, the sequence's clean
-    rows and the pool's rows, so it makes the same draws and picks the same
-    frames; the descriptor is per frame, so these rows hold the descriptors
-    of the re-described noisy frames.
-    """
-    return np.asarray(inject_noise(list(rows), fraction, list(pool_rows), seed))
-
-
 def run_experiment(dataset, run_config, experiment=None):
     """Train per trial on the train split and evaluate CMC on the test split,
     once per factor level of the selected sweep. Returns an ExperimentReport
@@ -468,7 +466,6 @@ def run_experiment(dataset, run_config, experiment=None):
     rc.validate()
     L = rc.train.subseq_len
     ex.validate(L)
-    agg_base = rc.agg
 
     for person in dataset.persons:
         for cam, frames in (("a", person.frames_a), ("b", person.frames_b)):
@@ -478,59 +475,47 @@ def run_experiment(dataset, run_config, experiment=None):
                     f"need at least {L}"
                 )
 
-    if ex.kind == "standard":
-        levels = ["standard"]
-    elif ex.kind == "noise":
-        levels = list(ex.noise_levels)
-        if not dataset.noise_pool:
-            raise DataError("noise sweep requires a dataset with a noise pool")
-    elif ex.kind == "depth":
-        levels = list(ex.depths) if ex.depths is not None else sorted({1, L})
-    else:
-        levels = list(ex.subseq_counts)
+    levels = ex.levels(L)
+    if ex.kind == "noise" and not dataset.noise_pool:
+        raise DataError("noise sweep requires a dataset with a noise pool")
 
     t0 = time.perf_counter()
     descriptors, rows, feats = describe_dataset(dataset, rc, with_pool=ex.kind == "noise")
-    pool_rows = rows.pop("pool", None)
+    pool_rows = list(rows.pop("pool", ()))
     timings = {"feature_extraction": time.perf_counter() - t0}
 
-    splits = make_splits(dataset.ids(), ex.trials, ex.master_seed)
     curves = {lv: [] for lv in levels}
     t_train = t_eval = 0.0
-    for trial, split in enumerate(splits):
-        train_ids = list(split.train_ids)
-        test_ids = list(split.test_ids)
+    for trial, split in enumerate(make_splits(dataset.ids(), ex.trials, ex.master_seed)):
         t1 = time.perf_counter()
         tcfg = replace(rc.train, seed=_derive_seed(rc.train.seed, trial))
-        model, _ = train(training_set(feats, train_ids, f"trial{trial}/"), tcfg)
+        model, _ = train(training_set(feats, split.train_ids, f"trial{trial}/"), tcfg)
         t_train += time.perf_counter() - t1
 
         t1 = time.perf_counter()
         ax = project(model, descriptors)
-        if ex.kind in ("standard", "noise"):
-            # the training embeddings do not depend on the level: fit once
-            scorer = _make_scorer(rc, model, ax, rows, train_ids, agg_base)
+        # a RankSVM fit depends on the window count and the depth only, so
+        # standard and noise sweeps fit once per trial, the others per level
+        scorers = {}
         for li, level in enumerate(levels):
-            agg_cfg = agg_base
-            depth = None
-            level_rows = rows
+            agg_cfg = replace(rc.agg, num_subsequences=level) if ex.kind == "subseq" else rc.agg
+            depth = level if ex.kind == "depth" else None
+            level_rows = dict(rows)
             if ex.kind == "noise":
-                level_rows = dict(rows)
-                for pid in test_ids:
+                # inject_noise on row indices draws as it does on frames, so
+                # these rows hold the descriptors of the noisy frames
+                for pid in split.test_ids:
                     for cam in (0, 1):
-                        level_rows[(pid, cam)] = _splice_noise(
-                            rows[(pid, cam)], pool_rows, level,
-                            _derive_seed(ex.master_seed, trial, li, pid, cam),
-                        )
-            elif ex.kind == "depth":
-                depth = level
-            elif ex.kind == "subseq":
-                agg_cfg = replace(agg_base, num_subsequences=level)
-
-            if ex.kind in ("depth", "subseq"):
-                scorer = _make_scorer(rc, model, ax, rows, train_ids, agg_cfg, depth)
-            probes, gallery = embed_split(model, ax, level_rows, test_ids, agg_cfg, depth)
-            curves[level].append(compute_cmc(probes, gallery, scorer))
+                        seed = _derive_seed(ex.master_seed, trial, li, pid, cam)
+                        level_rows[(pid, cam)] = np.asarray(
+                            inject_noise(list(rows[(pid, cam)]), level, pool_rows, seed))
+            key = (agg_cfg.num_subsequences, depth)
+            if rc.scorer == "ranksvm" and key not in scorers:
+                probes, gallery = embed_split(model, ax, rows, split.train_ids, agg_cfg, depth)
+                svm = train_ranksvm(probes, gallery, C=rc.ranksvm_C, iters=rc.ranksvm_iters)
+                scorers[key] = RankSvmScorer(svm)
+            probes, gallery = embed_split(model, ax, level_rows, split.test_ids, agg_cfg, depth)
+            curves[level].append(compute_cmc(probes, gallery, scorers.get(key, "cosine")))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train
     timings["evaluation"] = t_eval
@@ -569,7 +554,7 @@ def write_report_csv(path, report):
         fh.write(buf.getvalue().encode())
 
 
-def report_text(report, include_timings=True):
+def report_text(report):
     lines = [f"experiment: {report.experiment}", ""]
     for level in report.levels:
         lines.append(f"level: {level}")
@@ -584,11 +569,10 @@ def report_text(report, include_timings=True):
         lines.append("")
     lines.append("config:")
     lines.append(json.dumps(report.config, indent=2, sort_keys=True))
-    if include_timings:
-        lines.append("")
-        lines.append("timings (seconds):")
-        for name, value in report.timings.items():
-            lines.append(f"  {name}: {value:.3f}")
+    lines.append("")
+    lines.append("timings (seconds):")
+    for name, value in report.timings.items():
+        lines.append(f"  {name}: {value:.3f}")
     return "\n".join(lines) + "\n"
 
 

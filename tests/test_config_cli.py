@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -112,6 +113,95 @@ def test_config_rejects_non_finite_train_values(name, value):
     data["train"][name] = value
     with pytest.raises(ConfigurationError, match=message):
         rf.config_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"train": {"hidden_dim": 64}, "model": {"hidden_dim": 16}},
+    {"train": {"peephole": "diagonal"}},
+], ids=["hidden_dim", "peephole"])
+def test_config_rejects_model_keys_under_train(data):
+    # they belong to [model]: each field is read from one section only
+    with pytest.raises(ConfigurationError, match=r"unknown keys in \[train\]"):
+        rf.config_from_dict(data)
+
+
+def _leaf_fields(cfg):
+    """(holder name, field name) of every field of the RunConfig and of its
+    section dataclasses; "" names the RunConfig itself."""
+    leaves = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            leaves += [(f.name, g.name) for g in fields(value)]
+        else:
+            leaves.append(("", f.name))
+    return leaves
+
+
+def _holder(cfg, holder):
+    return getattr(cfg, holder) if holder else cfg
+
+
+def test_config_writes_every_field_in_one_section():
+    cfg = rf.desk_scale()
+    for holder, name in _leaf_fields(cfg):
+        setattr(_holder(cfg, holder), name, f"{holder}.{name}")
+    written = [value for section in cfg.to_dict().values() for value in section.values()]
+    expected = [f"{h}.{n}" for h, n in _leaf_fields(cfg) if (h, n) != ("agg", "subseq_len")]
+    assert sorted(written) == sorted(expected)
+
+
+def _off_default_config():
+    return rf.RunConfig(
+        image_w=16, image_h=32,
+        grid=rf.PatchGridSpec(patch_h=8, patch_w=4, stride_v=6, stride_h=3),
+        train=rf.TrainConfig(
+            subseq_len=4, epochs=7, lr_initial=0.02, lr_after=0.003, lr_switch_epoch=3,
+            dropout_rate=0.25, batch_size=5, seed=11, init_bound=0.05, hidden_dim=6,
+            peephole="diagonal", loss_mode="final", clip_norm=2.5,
+        ),
+        agg=rf.AggregationConfig(subseq_len=4, num_subsequences=7, seed=13),
+        scorer="ranksvm", ranksvm_C=0.5, ranksvm_iters=321,
+        experiment=rf.ExperimentSpec(kind="depth", trials=3, master_seed=17,
+                                     noise_levels=(0.2, 0.4), depths=(2, 4),
+                                     subseq_counts=(2, 3)),
+        synthetic=rf.SyntheticSpec(num_persons=5, frames_per_camera=8, appearance_seed=19,
+                                   jitter=0.1, camera_gain=(0.9, 1.1, 1.2),
+                                   camera_offset=(0.0, 0.1, 0.2), noise_pool_size=3),
+        paths=rf.PathsConfig(manifest="data/manifest.json", model="m.rfanet", out_dir="out"),
+    )
+
+
+def test_config_roundtrips_every_field_off_its_default(tmp_path):
+    cfg = _off_default_config().validate()
+    default = rf.RunConfig()
+    for holder, name in _leaf_fields(cfg):
+        value = getattr(_holder(cfg, holder), name)
+        assert value != getattr(_holder(default, holder), name), f"{holder}.{name} at default"
+    assert rf.config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    rf.save_config(tmp_path / "cfg.json", cfg)
+    assert rf.load_config(tmp_path / "cfg.json") == cfg
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("noise", "noise_levels"), ("depth", "depths"), ("subseq", "subseq_counts"),
+])
+def test_config_rejects_empty_sweep(tmp_path, kind, name):
+    message = f"the {kind} sweep has no levels: {name} is empty"
+    spec = rf.ExperimentSpec(kind=kind, trials=1, **{name: ()})
+    with pytest.raises(ConfigurationError, match=message):
+        spec.validate(5)
+    cfg = rf.desk_scale(experiment=spec)
+    # a saved empty sweep reloads as empty, not as the default levels
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(cfg.to_dict())
+    data = tiny_config_dict()
+    data["experiment"].update(kind=kind, **{name: []})
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
+    # an empty list of another kind is not in use, and is kept
+    data["experiment"]["kind"] = "standard"
+    assert getattr(rf.config_from_dict(data).experiment, name) == ()
 
 
 def test_config_not_json(tmp_path):
@@ -291,7 +381,8 @@ def test_cli_eval(pipeline, capsys):
     {"kind": "depth", "depths": [0]},
     {"kind": "subseq", "subseq_counts": [0]},
     {"kind": "noise", "noise_levels": [0.3, 0.3]},
-], ids=["noise", "depth", "subseq", "noise-repeated"])
+    {"kind": "noise", "noise_levels": []},
+], ids=["noise", "depth", "subseq", "noise-repeated", "noise-empty"])
 def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatch, level):
     def forbidden(*args, **kwargs):
         raise AssertionError("training started before the sweep levels were checked")
@@ -304,6 +395,39 @@ def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("command,section,key,value,message", [
+    ("synth", "synthetic", "camera_gain", [1.0, 1.0], "camera_gain must be 3 finite values"),
+    ("synth", "synthetic", "camera_offset", [0.1], "camera_offset must be 3 finite values"),
+    ("synth", "synthetic", "camera_gain", [1.0, float("nan"), 1.0],
+     "camera_gain must be 3 finite values"),
+    ("synth", "synthetic", "appearance_seed", -1, "synthetic.appearance_seed must be >= 0"),
+    ("synth", "synthetic", "jitter", -0.1, "jitter must be finite and >= 0"),
+    ("synth", "synthetic", "jitter", float("inf"), "jitter must be finite and >= 0"),
+    ("synth", "synthetic", "noise_pool_size", -2, "noise_pool_size must be >= 0"),
+    ("eval", "experiment", "master_seed", -1, "master_seed must be >= 0"),
+    ("train", "train", "seed", -3, "train.seed must be >= 0"),
+    ("train", "aggregation", "seed", -1, "aggregation.seed must be >= 0"),
+], ids=["gain-2", "offset-1", "gain-nan", "appearance-seed", "jitter-negative",
+        "jitter-inf", "pool-negative", "master-seed", "train-seed", "aggregation-seed"])
+def test_cli_rejects_bad_seed_or_synthetic_value(
+    pipeline, tmp_path, capsys, command, section, key, value, message
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    data = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                            model=str(run / "model.rfanet"), out_dir=str(run / "out"))
+    data[section][key] = value
+    argv = [command, "--config", write_config(tmp_path, data)]
+    if command == "synth":
+        argv += ["--out", str(run / "data")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert list(run.iterdir()) == []
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
 
 
 def test_cli_eval_rejects_nan_ranksvm_C(pipeline, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -416,8 +417,11 @@ def test_run_experiment_depth_default_at_l1_is_one_level(tiny_dataset):
     rf.ExperimentSpec(kind="noise", trials=1, noise_levels=(0.0, 0.0)),
     rf.ExperimentSpec(kind="depth", trials=1, depths=(1, 5, 1)),
     rf.ExperimentSpec(kind="subseq", trials=1, subseq_counts=(3, 3)),
+    rf.ExperimentSpec(kind="noise", trials=1, noise_levels=()),
+    rf.ExperimentSpec(kind="standard", trials=1, master_seed=-1),
 ], ids=["noise-above-1", "noise-negative", "depth-0", "depth-above-L", "subseq-0",
-        "noise-repeated", "depth-repeated", "subseq-repeated"])
+        "noise-repeated", "depth-repeated", "subseq-repeated", "noise-empty",
+        "master-seed-negative"])
 def test_run_experiment_checks_levels_before_any_work(tiny_dataset, monkeypatch, spec):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the sweep levels were checked")
@@ -583,3 +587,53 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
 
     again = rf.run_experiment(tiny_dataset, cfg, ex)
     assert report_csv_rows(again) == report_csv_rows(report)
+
+
+# ---------------------------------------------------------------------------
+# the sweep loop: golden reports and RankSVM fits per kind
+# ---------------------------------------------------------------------------
+
+# sha256 of report.csv for each scorer and sweep kind at the default levels,
+# 2 trials of _tiny_config() on a 12-identity dataset hard enough that the two
+# scorers rank apart. Like the training digests, the bits are those of the
+# BLAS build (recorded with OpenBLAS 0.3.31, x86-64)
+REPORT_DIGESTS = {
+    ("cosine", "standard"): "0d3172690e08f55e2504127b38acde2e3ced0053be4eb6d7c691a8bde863f1b9",
+    ("cosine", "noise"): "1b0641c28eb6079c626d28ac13d95f1cef67a4b1f465c10e0e2c93c9be236f7a",
+    ("cosine", "depth"): "37d783369ea4d8be3eacd6234349ef87bcf7d11e449f01b04cffda9ed12dd3e0",
+    ("cosine", "subseq"): "cee248b59b1acf7d38a58e24ee8a5b35c50ddf12a8eea5863ba3aa58c95a2587",
+    ("ranksvm", "standard"): "b0fef6f9f95287e57244627f89515b887aed977f48bc79654676ffa08dad3e97",
+    ("ranksvm", "noise"): "98a3c1ce84ffb2b33b9e042926508917f5e2bacbbecb472abfa6d2a775c40baa",
+    ("ranksvm", "depth"): "8133033599d9b63195f454d8469f22e399f2f9e417c516f82d569d8a8b7325db",
+    ("ranksvm", "subseq"): "21dab4a771d0bce0d715c9e63d81380228f3950999f817dbb26410baea4f2454",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_dataset():
+    return rf.generate_synthetic(
+        12, 10, width=16, height=32, appearance_seed=2, jitter=0.3, noise_pool_size=4,
+        camera_gain=(1.4, 0.7, 1.0), camera_offset=(0.1, -0.1, 0.05),
+    )
+
+
+@pytest.mark.parametrize("scorer,kind", list(REPORT_DIGESTS))
+def test_sweep_report_golden_digest(sweep_dataset, tmp_path, monkeypatch, scorer, kind):
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return rf.train_ranksvm(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_ranksvm", counting_fit)
+    cfg = _tiny_config()
+    cfg.scorer = scorer
+    cfg.ranksvm_iters = 200
+    ex = rf.ExperimentSpec(kind=kind, trials=2, master_seed=0)
+    report = rf.run_experiment(sweep_dataset, cfg, ex)
+    write_report_csv(tmp_path / "report.csv", report)
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[scorer, kind]
+    # a fit depends on the window count and the depth, not on the noise level
+    per_trial = len(report.levels) if kind in ("depth", "subseq") else 1
+    assert len(fits) == (ex.trials * per_trial if scorer == "ranksvm" else 0)
