@@ -49,10 +49,13 @@ from .evaluation import (
     write_report,
 )
 from .features import (
+    DescriptorRows,
+    DescriptorStore,
     FrameTensor,
     PatchGridSpec,
     RawImage,
     decode_image,
+    describe_frames,
     extract_frame_feature,
     lbp_codes,
     read_image,

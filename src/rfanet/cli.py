@@ -28,13 +28,14 @@ from .evaluation import (
     embed_split,
     generate_synthetic,
     load_dataset,
+    project_store,
     run_experiment,
     save_dataset,
     training_set,
     write_report,
 )
 from .fileio import atomic_write
-from .rnn import grad_check, load_model, project, save_model, train
+from .rnn import grad_check, load_model, save_model, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -105,8 +106,7 @@ def cmd_train(args):
     if model_path.exists() and not args.force:
         raise ConfigurationError(f"{model_path} exists; pass --force to overwrite")
     dataset = load_dataset(manifest)
-    _, _, feats = describe_dataset(dataset, cfg)
-    seqs = training_set(feats, dataset.ids())
+    seqs = training_set(describe_dataset(dataset, cfg), dataset.ids())
     model, history = train(seqs, cfg.train)
     save_model(model_path, model)
     loss_path = model_path.with_suffix(".loss.csv")
@@ -130,8 +130,8 @@ def cmd_embed(args):
         raise DataError(f"model {args.model} takes descriptors of dimension "
                         f"{model.input_dim}; the config's frames give {cfg.feature_dim}")
     dataset = load_dataset(manifest)
-    descriptors, rows, _ = describe_dataset(dataset, cfg)
-    probes, gallery = embed_split(model, project(model, descriptors), rows,
+    store = describe_dataset(dataset, cfg)
+    probes, gallery = embed_split(model, project_store(model, store), store.rows,
                                   sorted(dataset.ids()), cfg.agg)
     embeddings = [e for pair in zip(probes, gallery) for e in pair]
     write_embeddings(args.out, embeddings)

@@ -5,13 +5,14 @@ dataset generator for desk-scale verification.
 Camera a is the probe view, camera b the gallery view, throughout.
 
 ``run_experiment`` and the train and embed commands run one dataset pass:
-``describe_dataset`` describes every frame once, into one (N, D) descriptor
-matrix whose row ranges are the sequences (and the noise pool after them).
-Each trained model maps the whole matrix to gate pre-activations with one
-``project`` call; ``embed_split`` then embeds a split by one batched
-``embed_projected`` call. A noisy test sequence is a list of row indices,
-the pool rows spliced in where ``inject_noise`` puts them, so no descriptor
-is copied or described again.
+``describe_dataset`` describes every frame once, into one compact
+``DescriptorStore`` whose row ranges are the sequences (and the noise pool
+after them). Training expands only each batch's rows; each trained model
+maps the store to gate pre-activations in blocks of rows
+(``project_store``), and ``embed_split`` then embeds a split by one batched
+``embed_projected`` call. No float64 matrix of every frame is built. A noisy
+test sequence is a list of row indices, the pool rows spliced in where
+``inject_noise`` puts them, so no descriptor is copied or described again.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .aggregate import SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError, FormatError
-from .features import RawImage, encode_ppm, read_image, sequence_features
+from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write
 from .matching import CosineScorer, RankSvmScorer, train_ranksvm
 from .rnn import LabeledSequence, project, train
@@ -413,10 +414,12 @@ def _derive_seed(*parts):
 
 
 def describe_dataset(dataset, run_config, with_pool=False):
-    """(descriptors, rows, feats): every frame described once into one (N, D)
-    matrix. Sequence (pid, cam), cam 0 for camera a, has the row indices
-    ``rows[(pid, cam)]`` and the row view ``feats[(pid, cam)]``; with
-    ``with_pool`` the noise pool's rows come last, under the key "pool"."""
+    """The DescriptorStore of every frame of ``dataset``, each described once.
+
+    Sequence (pid, cam), cam 0 for camera a, has the row indices
+    ``store.rows[(pid, cam)]``; with ``with_pool`` the noise pool's rows come
+    last, under the key "pool". The store keeps LBP counts and color means,
+    not float64 rows, so it holds no (N, D) float64 matrix."""
     rc = run_config
     sequences = {
         (person.person_id, cam): frames
@@ -425,31 +428,51 @@ def describe_dataset(dataset, run_config, with_pool=False):
     }
     if with_pool:
         sequences["pool"] = dataset.noise_pool
-    descriptors = np.empty((sum(map(len, sequences.values())), rc.feature_dim))
-    feats, rows, start = {}, {}, 0
-    for key, frames in sequences.items():
-        stop = start + len(frames)
-        feats[key], rows[key] = descriptors[start:stop], np.arange(start, stop)
-        feats[key][...] = sequence_features(frames, rc.grid, rc.image_w, rc.image_h)
-        start = stop
-    return descriptors, rows, feats
+    frames = [frame for seq in sequences.values() for frame in seq]
+    store = describe_frames(frames, rc.grid, rc.image_w, rc.image_h)
+    start = 0
+    for key, seq in sequences.items():
+        store.rows[key] = np.arange(start, start + len(seq))
+        start += len(seq)
+    return store
 
 
-def training_set(feats, ids, prefix=""):
+def training_set(store, ids, prefix=""):
     """Training sequences of both cameras of the persons ``ids``, labelled by
-    position in the sorted ids, on the row views ``feats``."""
+    position in the sorted ids; each reads its rows of ``store`` through
+    ``DescriptorRows``, so ``train`` expands only a batch's rows."""
     return [
-        LabeledSequence(idx, feats[(pid, cam)], f"{prefix}p{pid}/cam{cam}")
+        LabeledSequence(idx, DescriptorRows(store, store.rows[(pid, cam)]),
+                        f"{prefix}p{pid}/cam{cam}")
         for idx, pid in enumerate(sorted(ids))
         for cam in (0, 1)
     ]
 
 
+# descriptor rows expanded per projection GEMM: 6.6 MB of float64 at the desk
+# geometry and 30 MB at the full one. A multiple of 8 rows keeps each row's
+# products those of one GEMM over all rows (blocks of 7 rows moved full-scale
+# products by 5.8e-15)
+_PROJECT_ROWS = 64
+
+
+def project_store(model, store):
+    """``project`` output (N, 4H) for every row of ``store``, expanded and
+    projected ``_PROJECT_ROWS`` rows at a time."""
+    ax = np.empty((len(store), 4 * model.hidden_dim))
+    for start in range(0, len(store), _PROJECT_ROWS):
+        rows = slice(start, start + _PROJECT_ROWS)
+        ax[rows] = project(model, store.expand(rows))
+    return ax
+
+
 def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
     """Probe (camera 0) and gallery (camera 1) embeddings of the persons
-    ``ids``, from the pre-activations ``ax`` of every descriptor row, by one
-    batched call; ``rows[(pid, cam)]`` are a sequence's rows of ``ax``, and
-    its windows are drawn from a seed derived from ``agg_cfg.seed``."""
+    ``ids``, from the pre-activations ``ax`` of every store row
+    (``project_store``), by one batched call. ``rows[(pid, cam)]`` are a
+    sequence's rows of ``ax``: the store's own, or noisy ones with pool rows
+    spliced in. Its windows are drawn from a seed derived from
+    ``agg_cfg.seed``."""
     keys = [(pid, cam) for pid in ids for cam in (0, 1)]
     cfgs = [replace(agg_cfg, seed=_derive_seed(agg_cfg.seed, pid, cam)) for pid, cam in keys]
     values = embed_projected(model, ax, [rows[key] for key in keys], cfgs, depth)
@@ -460,12 +483,14 @@ def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
 def run_experiment(dataset, run_config, experiment=None):
     """Train per trial on the train split and evaluate CMC on the test split,
     once per factor level of the selected sweep. Returns an ExperimentReport
-    whose mean curves are arithmetic means over trials."""
-    rc = run_config
-    ex = experiment if experiment is not None else rc.experiment
+    whose mean curves are arithmetic means over trials.
+
+    An explicit ``experiment`` takes the place of ``run_config.experiment``:
+    only it is validated, and the report's config records it."""
+    ex = experiment if experiment is not None else run_config.experiment
+    rc = replace(run_config, experiment=ex)  # the effective config, checked and reported
     rc.validate()
     L = rc.train.subseq_len
-    ex.validate(L)
 
     for person in dataset.persons:
         for cam, frames in (("a", person.frames_a), ("b", person.frames_b)):
@@ -480,7 +505,8 @@ def run_experiment(dataset, run_config, experiment=None):
         raise DataError("noise sweep requires a dataset with a noise pool")
 
     t0 = time.perf_counter()
-    descriptors, rows, feats = describe_dataset(dataset, rc, with_pool=ex.kind == "noise")
+    store = describe_dataset(dataset, rc, with_pool=ex.kind == "noise")
+    rows = store.rows
     pool_rows = list(rows.pop("pool", ()))
     timings = {"feature_extraction": time.perf_counter() - t0}
 
@@ -489,11 +515,11 @@ def run_experiment(dataset, run_config, experiment=None):
     for trial, split in enumerate(make_splits(dataset.ids(), ex.trials, ex.master_seed)):
         t1 = time.perf_counter()
         tcfg = replace(rc.train, seed=_derive_seed(rc.train.seed, trial))
-        model, _ = train(training_set(feats, split.train_ids, f"trial{trial}/"), tcfg)
+        model, _ = train(training_set(store, split.train_ids, f"trial{trial}/"), tcfg)
         t_train += time.perf_counter() - t1
 
         t1 = time.perf_counter()
-        ax = project(model, descriptors)
+        ax = project_store(model, store)
         # a RankSVM fit depends on the window count and the depth only, so
         # standard and noise sweeps fit once per trial, the others per level
         scorers = {}

@@ -7,11 +7,14 @@ gray plane plus the mean of the six color channels (H, S, V, L*, a*, b*).
 
 Every stage works on a stack of same-size frames: ``resize_bilinear`` takes a
 (T, h, w, 3) pixel stack, ``to_frame_tensor`` gives (T, 7, H, W) planes,
-``lbp_codes`` codes every plane and ``extract_frame_feature`` pools all T
-frames' patch histograms with one bincount. A single image or frame is the
-stack without its leading axis. ``sequence_features`` groups a sequence's
-frames by input size and describes each group in stacks of at most
-``_STACK_PIXELS`` output pixels.
+``lbp_codes`` codes every plane and ``_describe_stack`` pools all T frames'
+patch histograms with one bincount. A single image or frame is the stack
+without its leading axis. ``describe_frames`` groups frames by input size,
+describes each group in stacks of at most ``_STACK_PIXELS`` output pixels
+and keeps the result compact, in a ``DescriptorStore``: the LBP counts as
+small unsigned integers and the color means as float64, expanded to float64
+descriptor rows, bit for bit, only on request. ``sequence_features`` and
+``extract_frame_feature`` return such expansions.
 
 Frames already at the target size skip the resize. The color conversion
 works plane by plane and reads the sRGB curve from a 256-entry table, and
@@ -22,7 +25,7 @@ whole (..., 3) pixels and summing every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -335,13 +338,10 @@ def _patch_code_index(height, width, patch_h, patch_w, stride_v, stride_h):
     return gather, offsets
 
 
-def extract_frame_feature(frame, grid):
-    """Concatenated per-patch descriptors, patches enumerated row-major:
-    shape (D,) for one frame, (T, D) for a stack of T frames.
-
-    Each patch block is its normalized 256-bin LBP histogram (interior pixels
-    only) followed by the mean of the H, S, V, L*, a*, b* channels over all
-    patch pixels.
+def _describe_stack(frame, grid):
+    """Compact parts of the descriptors of a frame stack (T, 7, H, W): the
+    (T, P, 256) int64 LBP counts of every patch's interior pixels and the
+    (T, P, 6) float64 means of its H, S, V, L*, a*, b* pixels.
 
     The LBP codes are computed once for each whole gray plane: an interior
     pixel's code only reads pixels of its own patch, so the whole-plane codes
@@ -357,14 +357,11 @@ def extract_frame_feature(frame, grid):
     gather, offsets = _patch_code_index(height, width, ph, pw, grid.stride_v, grid.stride_h)
     stack = frame.planes.reshape(-1, 7, height, width)
     T, patches = len(stack), rows * cols
-    out = np.empty((T, patches, CHANNELS_PER_PATCH))
 
     codes = lbp_codes(stack[:, 0]).reshape(T, -1)
     index = codes[:, gather] + offsets
     index += np.arange(T)[:, None] * (patches * LBP_BINS)
     counts = np.bincount(index.ravel(), minlength=T * patches * LBP_BINS)
-    np.divide(counts.reshape(T, patches, LBP_BINS), (ph - 2) * (pw - 2),
-              out=out[:, :, :LBP_BINS])
 
     # summed-area table over the rows the grid reads: row k holds the sums
     # over the frame's first ys[k] rows (ys[0] = top[0] = 0), so the x cumsum
@@ -381,8 +378,79 @@ def extract_frame_feature(frame, grid):
         sat[:, :, y1, left + pw] - sat[:, :, y0, left + pw]
         - sat[:, :, y1, left] + sat[:, :, y0, left]
     )
-    out[:, :, LBP_BINS:] = sums.reshape(T, 6, patches).transpose(0, 2, 1) / (ph * pw)
-    return out.reshape(frame.planes.shape[:-3] + (-1,))
+    color = sums.reshape(T, 6, patches).transpose(0, 2, 1) / (ph * pw)
+    return counts.reshape(T, patches, LBP_BINS), color
+
+
+@dataclass
+class DescriptorStore:
+    """Exact compact descriptors of N frames.
+
+    ``counts`` (N, P, 256) holds each patch's LBP counts in the smallest
+    unsigned dtype that holds the ``interior`` pixel count (ph-2)(pw-2), so
+    no count wraps; ``color`` (N, P, 6) holds the float64 color means.
+    ``rows`` maps a sequence's key to its row indices, in time order.
+
+    ``expand`` rebuilds float64 descriptor rows with the division that
+    defines the histogram, so an expanded row has every bit of the row a
+    float64 (N, D) matrix would hold, at about a seventh of its bytes: 68.4
+    KB in place of 471.6 KB per full-scale frame.
+    """
+
+    counts: np.ndarray
+    color: np.ndarray
+    interior: int
+    rows: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        bad = ~np.isfinite(self.color).all(axis=(1, 2))
+        if bad.any():
+            raise DataError(f"frame {int(np.argmax(bad))} has a non-finite descriptor")
+
+    def __len__(self):
+        return len(self.counts)
+
+    @property
+    def dim(self):
+        return self.counts.shape[1] * CHANNELS_PER_PATCH
+
+    def expand(self, index=slice(None)):
+        """(n, D) float64 descriptor rows of the frames ``index`` selects."""
+        counts = self.counts[index]
+        out = np.empty(counts.shape[:-1] + (CHANNELS_PER_PATCH,))
+        np.divide(counts, self.interior, out=out[..., :LBP_BINS])
+        out[..., LBP_BINS:] = self.color[index]
+        return out.reshape(len(out), self.dim)
+
+
+class DescriptorRows:
+    """Rows of a DescriptorStore read as a (T, D) float64 matrix: indexing
+    expands only the rows it selects."""
+
+    ndim = 2
+
+    def __init__(self, store, rows):
+        self.store, self.rows = store, np.asarray(rows)
+
+    @property
+    def shape(self):
+        return (len(self.rows), self.store.dim)
+
+    def __getitem__(self, index):
+        return self.store.expand(self.rows[index])
+
+
+def extract_frame_feature(frame, grid):
+    """Concatenated per-patch descriptors, patches enumerated row-major:
+    shape (D,) for one frame, (T, D) for a stack of T frames.
+
+    Each patch block is its normalized 256-bin LBP histogram (interior pixels
+    only) followed by the mean of the H, S, V, L*, a*, b* channels over all
+    patch pixels.
+    """
+    counts, color = _describe_stack(frame, grid)
+    store = DescriptorStore(counts, color, (grid.patch_h - 2) * (grid.patch_w - 2))
+    return store.expand().reshape(frame.planes.shape[:-3] + (-1,))
 
 
 # output pixels per stack, at least one frame: 8,192 pixels are about 459 KB
@@ -394,14 +462,17 @@ def extract_frame_feature(frame, grid):
 _STACK_PIXELS = 1 << 13
 
 
-def sequence_features(images, grid, frame_w=64, frame_h=128):
-    """(T, D) descriptor matrix for an ordered list of images.
+def describe_frames(images, grid, frame_w=64, frame_h=128):
+    """The DescriptorStore of an ordered list of images, with no ``rows``.
 
     The frames are grouped by input size, and each group runs through the
     pipeline as stacks of at most ``_STACK_PIXELS`` output pixels; row t is
     frame t's descriptor whatever the grouping.
     """
-    out = np.empty((len(images), grid.feature_dim(frame_h, frame_w)))
+    patches = grid.num_patches(frame_h, frame_w)
+    interior = (grid.patch_h - 2) * (grid.patch_w - 2)
+    counts = np.empty((len(images), patches, LBP_BINS), np.min_scalar_type(interior))
+    color = np.empty((len(images), patches, 6))
     per_stack = max(1, _STACK_PIXELS // (frame_w * frame_h))
     groups = {}
     for t, img in enumerate(images):
@@ -411,5 +482,11 @@ def sequence_features(images, grid, frame_w=64, frame_h=128):
             block = rows[start : start + per_stack]
             pixels = np.stack([images[t].pixels for t in block])
             planes = to_frame_tensor(resize_bilinear(pixels, frame_w, frame_h))
-            out[block] = extract_frame_feature(planes, grid)
-    return out
+            counts[block], color[block] = _describe_stack(planes, grid)
+    return DescriptorStore(counts, color, interior)
+
+
+def sequence_features(images, grid, frame_w=64, frame_h=128):
+    """(T, D) float64 descriptor matrix for an ordered list of images: the
+    expanded ``describe_frames`` store."""
+    return describe_frames(images, grid, frame_w, frame_h).expand()

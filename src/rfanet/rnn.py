@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FormatError
+from .features import DescriptorRows
 from .fileio import atomic_write
 
 # serialization / init order is fixed for determinism
@@ -449,11 +450,16 @@ class TrainConfig:
 
 @dataclass
 class LabeledSequence:
+    """A training sequence: its (T, D) float64 descriptor rows, dense or as
+    ``DescriptorRows`` of a store, which ``train`` expands a batch at a time."""
+
     label: int
-    features: np.ndarray  # (T, D), float64
+    features: np.ndarray | DescriptorRows
     name: str = ""
 
     def __post_init__(self):
+        if isinstance(self.features, DescriptorRows):
+            return
         try:
             self.features = np.asarray(self.features, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -466,11 +472,14 @@ def train(sequences, cfg):
     sequence per epoch, shuffled and processed in mini-batches with averaged
     gradients, one forward/backward call per mini-batch. The W gradient of a
     batch stays factored (see ``backward``), so training holds no array of
-    W's size besides W itself. Fully deterministic given cfg.seed.
+    W's size besides W itself. A batch's (B, L, D) input is filled instance
+    by instance from slices of the sequences' features, so store-backed
+    sequences expand only the B*L rows of the batch. Fully deterministic
+    given cfg.seed.
 
-    Raises DataError for a sequence with non-finite features, and for a
-    batch whose loss or gate deltas are non-finite, before that batch
-    updates the model.
+    Raises DataError for a sequence with non-finite features (a store
+    checks its own rows when it is built), and for a batch whose loss or
+    gate deltas are non-finite, before that batch updates the model.
 
     Returns (model, per-epoch mean loss history).
     """
@@ -494,7 +503,7 @@ def train(sequences, cfg):
             raise DataError(
                 f"sequence {name!r} has {s.features.shape[0]} frames; need at least {L}"
             )
-        if not np.all(np.isfinite(s.features)):
+        if isinstance(s.features, np.ndarray) and not np.all(np.isfinite(s.features)):
             raise DataError(f"sequence {name!r} has non-finite features")
 
     rng = np.random.default_rng(cfg.seed)
@@ -504,17 +513,16 @@ def train(sequences, cfg):
     )
     history = []
     for epoch in range(cfg.epochs):
-        instances = []
-        for s in sequences:
-            start = int(rng.integers(0, s.features.shape[0] - L + 1))
-            instances.append((s.features[start : start + L], s.label))
-        order = rng.permutation(len(instances))
+        starts = [int(rng.integers(0, s.features.shape[0] - L + 1)) for s in sequences]
+        order = rng.permutation(len(sequences))
         lr = cfg.lr_initial if epoch < cfg.lr_switch_epoch else cfg.lr_after
         epoch_losses = []
         for b in range(0, len(order), cfg.batch_size):
             batch = order[b : b + cfg.batch_size]
-            xs = np.stack([instances[k][0] for k in batch])
-            labels = np.array([instances[k][1] for k in batch])
+            xs = np.empty((len(batch), L, input_dim))
+            for x, k in zip(xs, batch):
+                x[...] = sequences[k].features[starts[k] : starts[k] + L]
+            labels = np.array([sequences[k].label for k in batch])
             trace, losses = forward(
                 model, xs, labels,
                 dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +11,14 @@ import rfanet.evaluation as evaluation
 from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
     _derive_seed,
+    describe_dataset,
     embed_split,
     make_splits,
     mean_cmc,
+    project_store,
     report_csv_rows,
+    report_text,
+    training_set,
     write_report_csv,
 )
 
@@ -426,7 +432,7 @@ def test_run_experiment_checks_levels_before_any_work(tiny_dataset, monkeypatch,
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the sweep levels were checked")
 
-    monkeypatch.setattr(evaluation, "sequence_features", forbidden)
+    monkeypatch.setattr(evaluation, "describe_frames", forbidden)
     monkeypatch.setattr(evaluation, "train", forbidden)
     with pytest.raises(ConfigurationError):
         rf.run_experiment(tiny_dataset, _tiny_config(), spec)
@@ -440,6 +446,80 @@ def test_run_experiment_rejects_short_sequences():
     ds = rf.generate_synthetic(6, 3, width=16, height=32)
     with pytest.raises(DataError, match="need at least"):
         rf.run_experiment(ds, _tiny_config())
+
+
+def test_explicit_experiment_is_the_one_checked_and_reported(tiny_dataset):
+    cfg = _tiny_config()
+    cfg.experiment = rf.ExperimentSpec(kind="depth", trials=0)  # invalid, and not run
+    ex = rf.ExperimentSpec(kind="noise", trials=1, master_seed=3, noise_levels=(0.0, 0.5))
+    report = rf.run_experiment(tiny_dataset, cfg, ex)
+    assert report.config == replace(cfg, experiment=ex).to_dict()
+    assert report.config["experiment"]["kind"] == "noise"
+    assert json.dumps(report.config, indent=2, sort_keys=True) in report_text(report)
+    assert cfg.experiment.trials == 0  # the caller's config is left as it was
+
+
+# ---------------------------------------------------------------------------
+# the descriptor store in the dataset pass
+# ---------------------------------------------------------------------------
+
+def test_store_backed_training_matches_dense(tiny_dataset):
+    cfg = _tiny_config()
+    store = describe_dataset(tiny_dataset, cfg)
+    frames = {(p.person_id, 0): p.frames_a for p in tiny_dataset.persons}
+    frames.update({(p.person_id, 1): p.frames_b for p in tiny_dataset.persons})
+    assert set(store.rows) == set(frames)
+    ids = sorted(tiny_dataset.ids())
+    seqs = training_set(store, ids)
+    dense = [rf.LabeledSequence(s.label, s.features[:], s.name) for s in seqs]
+    for d, key in zip(dense, [(pid, cam) for pid in ids for cam in (0, 1)]):
+        want = rf.sequence_features(frames[key], cfg.grid, cfg.image_w, cfg.image_h)
+        assert d.features.tobytes() == want.tobytes()
+    # one training loop: batches gathered from the store or from dense rows
+    model, history = rf.train(seqs, cfg.train)
+    model_dense, history_dense = rf.train(dense, cfg.train)
+    assert history == history_dense
+    for name in rf.rnn.PARAM_ORDER:
+        assert model.params[name].tobytes() == model_dense.params[name].tobytes(), name
+
+
+def test_project_store_matches_one_projection(tiny_dataset):
+    cfg = _tiny_config()
+    store = describe_dataset(tiny_dataset, cfg, with_pool=True)
+    assert len(store) == 124 and list(store.rows["pool"]) == [120, 121, 122, 123]
+    model = rf.init_model(store.dim, 8, 3, seed=0, init_bound=0.3)
+    assert project_store(model, store).tobytes() == rf.project(model, store.expand()).tobytes()
+
+
+def test_run_experiment_holds_no_float64_matrix_of_every_frame():
+    # 420 frames at the desk geometry: their float64 (N, D) matrix alone is
+    # 43.1 MB. tracemalloc peaks measured on this noise sweep: 61.5 MB when
+    # every frame was held as such a matrix, 25.1 MB with the compact store
+    cfg = rf.desk_scale()
+    cfg.train = replace(cfg.train, epochs=2, lr_switch_epoch=1)
+    dataset = rf.generate_synthetic(20, 10, width=16, height=32, appearance_seed=1,
+                                    noise_pool_size=20)
+    ex = rf.ExperimentSpec(kind="noise", trials=1, master_seed=0, noise_levels=(0.0, 0.5))
+    tracemalloc.start()
+    try:
+        rf.run_experiment(dataset, cfg, ex)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+def test_non_finite_descriptor_ends_as_a_data_error(tiny_dataset, monkeypatch):
+    real = rf.features.to_frame_tensor
+
+    def poisoned(pixels):
+        planes = real(pixels).planes
+        planes[..., 1, 5, 5] = np.nan  # the hue plane of every frame
+        return rf.FrameTensor(planes)
+
+    monkeypatch.setattr(rf.features, "to_frame_tensor", poisoned)
+    with pytest.raises(DataError, match="non-finite descriptor"):
+        rf.run_experiment(tiny_dataset, _tiny_config())
 
 
 def test_report_csv_layout(tiny_dataset, tmp_path):
@@ -559,20 +639,20 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
     ex = rf.ExperimentSpec(kind="noise", trials=1, master_seed=9, noise_levels=(0.0, 0.3, 1.0))
     projected, seen = [], []
 
-    def recording_project(model, xs):
-        projected.append(xs)
-        return rf.project(model, xs)
+    def recording_project(model, store):
+        projected.append(store)
+        return project_store(model, store)
 
     def recording_embed(model, ax, rows, ids, *rest):
         seen.append((rows, list(ids)))
         return embed_split(model, ax, rows, ids, *rest)
 
-    monkeypatch.setattr(evaluation, "project", recording_project)
+    monkeypatch.setattr(evaluation, "project_store", recording_project)
     monkeypatch.setattr(evaluation, "embed_split", recording_embed)
     report = rf.run_experiment(tiny_dataset, cfg, ex)
     assert len(projected) == ex.trials  # one projection of every row per model
     assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set
-    descriptors = projected[0]
+    descriptors = projected[0].expand()
     frames = {(p.person_id, 0): p.frames_a for p in tiny_dataset.persons}
     frames.update({(p.person_id, 1): p.frames_b for p in tiny_dataset.persons})
     for li, (level, (rows, test_ids)) in enumerate(zip(ex.noise_levels, seen)):

@@ -349,6 +349,31 @@ def test_descriptor_matches_reference_constant_frame():
     _assert_matches_reference(frame, rf.PatchGridSpec())
 
 
+@pytest.mark.parametrize("size, dtype", [(17, np.uint8), (18, np.uint16)])
+def test_store_counts_hold_a_whole_patch_interior(size, dtype):
+    # a uniform frame codes every interior pixel 255, so one size x size patch
+    # puts (size - 2)^2 codes in one bin: 256 at size 18, which a uint8 count
+    # would wrap to 0
+    img = rf.RawImage(size, size, np.full((size, size, 3), 90, np.uint8))
+    grid = rf.PatchGridSpec(size, size, 1, 1)
+    store = rf.describe_frames([img], grid, size, size)
+    assert store.counts.dtype == dtype
+    assert store.counts[0, 0, 255] == (size - 2) ** 2
+    frame = rf.to_frame_tensor(img)
+    _assert_matches_reference(frame, grid)
+    assert store.expand().tobytes() == rf.extract_frame_feature(frame, grid)[None].tobytes()
+
+
+def test_store_is_under_a_sixth_of_the_float64_rows_at_full_geometry(rng):
+    images = [random_image(rng, 64, 128) for _ in range(3)]
+    store = rf.describe_frames(images, rf.PatchGridSpec(), 64, 128)
+    assert store.counts.dtype == np.uint8  # 84 interior pixels per 16x8 patch
+    dense = store.expand()
+    assert dense.shape == (3, 58950)
+    assert 6 * (store.counts.nbytes + store.color.nbytes) <= dense.nbytes
+    _assert_rows_match_per_frame(images, dense, rf.PatchGridSpec(), 64, 128)
+
+
 # ---------------------------------------------------------------------------
 # frame stacks against the per-frame path
 # ---------------------------------------------------------------------------
