@@ -13,16 +13,16 @@ import rfanet as rf
 rng = np.random.default_rng(0)
 
 img = rf.RawImage(16, 32, rng.integers(0, 256, size=(32, 16, 3), dtype=np.uint8))
-frame = rf.to_frame_tensor(img)
-print(f"image {img.width}x{img.height} -> {frame.planes.shape[0]} planes of "
-      f"{frame.planes.shape[1]}x{frame.planes.shape[2]}")
+planes = rf.to_frame_tensor(img)
+print(f"image {img.width}x{img.height} -> {planes.shape[0]} planes of "
+      f"{planes.shape[1]}x{planes.shape[2]}")
 
 grid = rf.PatchGridSpec(patch_h=8, patch_w=4, stride_v=4, stride_h=2)
 rows, cols = grid.grid_shape(32, 16)
 print(f"patch grid: {rows}x{cols} = {grid.num_patches(32, 16)} patches, "
       f"{grid.feature_dim(32, 16)} feature values")
 
-feat = rf.extract_frame_feature(frame, grid)
+feat = rf.sequence_features([img], grid, frame_w=16, frame_h=32)[0]
 blocks = feat.reshape(-1, 262)
 print(f"histogram mass per patch (should all be 1): "
       f"{blocks[:, :256].sum(axis=1).min():.6f} .. "

@@ -11,7 +11,6 @@ from .aggregate import (
     SequenceEmbedding,
     embed_projected,
     embed_sequence,
-    embed_subsequence,
     read_embeddings,
     write_embeddings,
 )
@@ -51,12 +50,10 @@ from .evaluation import (
 from .features import (
     DescriptorRows,
     DescriptorStore,
-    FrameTensor,
     PatchGridSpec,
     RawImage,
     decode_image,
     describe_frames,
-    extract_frame_feature,
     lbp_codes,
     read_image,
     resize_bilinear,
@@ -85,7 +82,6 @@ from .rnn import (
     project,
     save_model,
     sgd_update,
-    softmax_predict,
     train,
 )
 

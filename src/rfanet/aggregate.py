@@ -63,11 +63,6 @@ def _unroll(model, ax):
     return hs
 
 
-def embed_subsequence(model, xs):
-    """Concatenate h_1..h_L of one (L, D) subsequence in time order; dimension H*L."""
-    return _unroll(model, project(model, xs)).ravel()
-
-
 def sample_starts(num_frames, subseq_len, num_subsequences, seed):
     """K start indices drawn uniformly from [0, T-L] with replacement."""
     if num_frames < subseq_len:

@@ -66,8 +66,6 @@ class RunConfig:
 
     def validate(self):
         self.grid.validate_for(self.image_h, self.image_w)
-        if self.grid.patch_h < 3 or self.grid.patch_w < 3:
-            raise ConfigurationError("patches need at least one interior pixel (>= 3x3)")
         self.train.validate()
         self.agg.validate()
         if self.agg.subseq_len != self.train.subseq_len:
@@ -219,11 +217,11 @@ def config_from_dict(data):
 
 
 def load_config(path):
-    try:
-        data = json.loads(Path(path).read_text())
+    try:  # the decoder raises RecursionError on arrays or objects nested too deep
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")

@@ -101,9 +101,10 @@ def _string_list(value, what):
 
 def load_dataset(manifest_path):
     manifest_path = Path(manifest_path)
+    # ValueError: not UTF-8, not JSON or a NUL in the path; RecursionError: nested too deep
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict) or not manifest.get("persons"):
         raise DataError(f"manifest {manifest_path} lists no persons")
@@ -135,6 +136,8 @@ def load_dataset(manifest_path):
 
 
 def _read_frame(path, owner):
+    if "\0" in str(path):  # open() would raise ValueError
+        raise DataError(f"{owner}: cannot read frame {str(path)!r}: the path has a NUL byte")
     try:
         return read_image(path)
     except OSError as exc:

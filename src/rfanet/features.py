@@ -6,15 +6,15 @@ patches; each patch contributes a normalized 256-bin LBP histogram over the
 gray plane plus the mean of the six color channels (H, S, V, L*, a*, b*).
 
 Every stage works on a stack of same-size frames: ``resize_bilinear`` takes a
-(T, h, w, 3) pixel stack, ``to_frame_tensor`` gives (T, 7, H, W) planes,
-``lbp_codes`` codes every plane and ``_describe_stack`` pools all T frames'
-patch histograms with one bincount. A single image or frame is the stack
-without its leading axis. ``describe_frames`` groups frames by input size,
-describes each group in stacks of at most ``_STACK_PIXELS`` output pixels
-and keeps the result compact, in a ``DescriptorStore``: the LBP counts as
-small unsigned integers and the color means as float64, expanded to float64
-descriptor rows, bit for bit, only on request. ``sequence_features`` and
-``extract_frame_feature`` return such expansions.
+(T, h, w, 3) pixel stack, ``to_frame_tensor`` gives a (T, 7, H, W) float64
+planes array, ``lbp_codes`` codes every plane and ``_describe_stack`` pools
+all T frames' patch histograms with one bincount. A single image is the
+stack without its leading axis. ``describe_frames`` is the one description
+path: it groups frames by input size, describes each group in stacks of at
+most ``_STACK_PIXELS`` output pixels and keeps the result compact, in a
+``DescriptorStore``: the LBP counts as small unsigned integers and the color
+means as float64, expanded to float64 descriptor rows, bit for bit, only on
+request. ``sequence_features`` returns the whole expansion.
 
 Frames already at the target size skip the resize. The color conversion
 works plane by plane and reads the sRGB curve from a 256-entry table, and
@@ -66,32 +66,9 @@ class RawImage:
 
 
 @dataclass
-class FrameTensor:
-    """Seven normalized scalar planes (gray, H, S, V, L*, a*, b*) in [0, 1].
-
-    planes has shape (7, height, width) for one frame, or (T, 7, height,
-    width) for a stack of T frames.
-    """
-
-    planes: np.ndarray
-
-    def __post_init__(self):
-        self.planes = np.asarray(self.planes, dtype=np.float64)
-        if self.planes.ndim not in (3, 4) or self.planes.shape[-3] != 7:
-            raise DataError("planes must have shape ([T,] 7, height, width)")
-
-    @property
-    def height(self):
-        return self.planes.shape[-2]
-
-    @property
-    def width(self):
-        return self.planes.shape[-1]
-
-
-@dataclass
 class PatchGridSpec:
-    """Overlapping patch grid; defaults follow the 128x64 frame layout."""
+    """Overlapping patch grid; defaults follow the 128x64 frame layout. A
+    patch is at least 3x3, so that it has an interior pixel."""
 
     patch_h: int = 16
     patch_w: int = 8
@@ -101,10 +78,13 @@ class PatchGridSpec:
     def __post_init__(self):
         if self.stride_v < 1 or self.stride_h < 1:
             raise ConfigurationError("strides must be >= 1")
-        if self.patch_h < 1 or self.patch_w < 1:
-            raise ConfigurationError("patch dims must be >= 1")
+        if self.patch_h < 3 or self.patch_w < 3:
+            raise ConfigurationError(
+                f"patch {self.patch_h}x{self.patch_w} has no interior pixel (needs >= 3x3)"
+            )
 
     def validate_for(self, height, width):
+        self.__post_init__()  # a field may have been assigned since construction
         if self.patch_h > height or self.patch_w > width:
             raise ConfigurationError(
                 f"patch {self.patch_h}x{self.patch_w} exceeds frame {height}x{width}"
@@ -191,18 +171,14 @@ def decode_image(data, fmt):
     return RawImage(width, height, pixels)
 
 
-def sniff_image_format(data):
-    if data[:2] == b"P6":
-        return "PPM"
-    if data[:2] == b"P5":
-        return "PGM"
-    raise FormatError("unrecognized image magic", 0)
-
-
 def read_image(path):
+    """Decode a PPM (P6) or PGM (P5) file, by its magic."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return decode_image(data, sniff_image_format(data))
+    fmt = {b"P6": "PPM", b"P5": "PGM"}.get(data[:2])
+    if fmt is None:
+        raise FormatError("unrecognized image magic", 0)
+    return decode_image(data, fmt)
 
 
 def encode_ppm(img):
@@ -254,8 +230,9 @@ _SRGB_LINEAR.setflags(write=False)
 
 
 def to_frame_tensor(img):
-    """Convert an RGB image, or a uint8 stack (T, H, W, 3), to the seven
-    normalized planes, (7, H, W) or (T, 7, H, W).
+    """Convert an RGB image, or a uint8 stack (T, H, W, 3), to a float64
+    array of the seven normalized planes (gray, H, S, V, L*, a*, b*) in
+    [0, 1], shape (7, H, W) or (T, 7, H, W).
 
     gray is the Rec.601 luma; H, S, V follow the hexcone model with H scaled
     to [0, 1]; L*, a*, b* come from sRGB -> linear -> XYZ (D65) -> CIELAB and
@@ -292,7 +269,7 @@ def to_frame_tensor(img):
     lstar[...] = (116.0 * fy - 16.0) / 100.0
     astar[...] = (500.0 * (fx - fy) + 128.0) / 255.0
     bstar[...] = (200.0 * (fy - fz) + 128.0) / 255.0
-    return FrameTensor(np.clip(out, 0.0, 1.0, out=out))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +315,8 @@ def _patch_code_index(height, width, patch_h, patch_w, stride_v, stride_h):
     return gather, offsets
 
 
-def _describe_stack(frame, grid):
-    """Compact parts of the descriptors of a frame stack (T, 7, H, W): the
+def _describe_stack(planes, grid):
+    """Compact parts of the descriptors of a planes stack (T, 7, H, W): the
     (T, P, 256) int64 LBP counts of every patch's interior pixels and the
     (T, P, 6) float64 means of its H, S, V, L*, a*, b* pixels.
 
@@ -349,13 +326,11 @@ def _describe_stack(frame, grid):
     every patch of every frame come from one bincount and all color means
     from one summed-area table per plane.
     """
-    height, width = frame.height, frame.width
+    height, width = planes.shape[-2:]
     rows, cols = grid.grid_shape(height, width)
     ph, pw = grid.patch_h, grid.patch_w
-    if ph < 3 or pw < 3:
-        raise ConfigurationError(f"patch {ph}x{pw} has no interior pixel (needs >= 3x3)")
     gather, offsets = _patch_code_index(height, width, ph, pw, grid.stride_v, grid.stride_h)
-    stack = frame.planes.reshape(-1, 7, height, width)
+    stack = planes.reshape(-1, 7, height, width)
     T, patches = len(stack), rows * cols
 
     codes = lbp_codes(stack[:, 0]).reshape(T, -1)
@@ -440,19 +415,6 @@ class DescriptorRows:
         return self.store.expand(self.rows[index])
 
 
-def extract_frame_feature(frame, grid):
-    """Concatenated per-patch descriptors, patches enumerated row-major:
-    shape (D,) for one frame, (T, D) for a stack of T frames.
-
-    Each patch block is its normalized 256-bin LBP histogram (interior pixels
-    only) followed by the mean of the H, S, V, L*, a*, b* channels over all
-    patch pixels.
-    """
-    counts, color = _describe_stack(frame, grid)
-    store = DescriptorStore(counts, color, (grid.patch_h - 2) * (grid.patch_w - 2))
-    return store.expand().reshape(frame.planes.shape[:-3] + (-1,))
-
-
 # output pixels per stack, at least one frame: 8,192 pixels are about 459 KB
 # as seven float64 planes, one full-scale 128x64 frame or sixteen 32x16 ones.
 # Larger stacks push the color conversion's temporaries out of the L2 cache:
@@ -488,5 +450,7 @@ def describe_frames(images, grid, frame_w=64, frame_h=128):
 
 def sequence_features(images, grid, frame_w=64, frame_h=128):
     """(T, D) float64 descriptor matrix for an ordered list of images: the
-    expanded ``describe_frames`` store."""
+    expanded ``describe_frames`` store. Row t holds frame t's patch blocks,
+    row-major, each the patch's normalized 256-bin LBP histogram (interior
+    pixels only) and its H, S, V, L*, a*, b* means."""
     return describe_frames(images, grid, frame_w, frame_h).expand()

@@ -24,8 +24,8 @@ The (4H, D) input-weight gradient dA^T X is never formed: ``backward``
 returns it as its factors dA and X, and ``sgd_update`` applies it to W one
 cache-sized tile at a time.
 
-Training minimizes the cross entropy of the softmax over identities, by
-default averaged over every timestep of the subsequence. Gradients are exact
+Training minimizes the cross entropy of the softmax over identities,
+averaged over every timestep of the subsequence. Gradients are exact
 analytic backpropagation through time, including every peephole path; a
 central finite-difference checker is provided as an independent oracle.
 """
@@ -240,14 +240,6 @@ def lstm_step(model, ax, prev):
     return LstmState(h, c), {"i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
 
 
-def softmax_predict(model, h):
-    """Class probabilities (..., N) from hidden vectors (..., H)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim < 1 or h.shape[-1] != model.hidden_dim:
-        raise DataError(f"hidden vector has shape {h.shape}, expected (..., {model.hidden_dim})")
-    return _softmax(h @ model.params["W_y"].T + model.params["b_y"])
-
-
 @dataclass
 class ForwardTrace:
     x: np.ndarray       # (B, L, D)
@@ -263,10 +255,9 @@ class ForwardTrace:
     losses: np.ndarray  # (B, L) per-timestep -log y[label]
     labels: np.ndarray  # (B,)
     dropout_rate: float
-    loss_mode: str
 
 
-def forward(model, xs, labels, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
+def forward(model, xs, labels, dropout_rate=0.0, rng=None):
     """Run a batch (B, L, D) of subsequences with their B labels through the
     network; returns (trace, loss), the loss (B,) per subsequence.
 
@@ -288,8 +279,6 @@ def forward(model, xs, labels, dropout_rate=0.0, rng=None, loss_mode="per_timest
         raise ConfigurationError("dropout rate must be in [0, 1)")
     if dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("dropout requires a random generator")
-    if loss_mode not in ("per_timestep", "final"):
-        raise ConfigurationError(f"unknown loss mode {loss_mode!r}")
 
     B, L, H = X.shape[0], X.shape[1], model.hidden_dim
     ax = project(model, X)
@@ -304,11 +293,10 @@ def forward(model, xs, labels, dropout_rate=0.0, rng=None, loss_mode="per_timest
     else:
         mask = np.ones((B, L, H))
     hd = rec["h"] * mask / (1.0 - dropout_rate)
-    y = softmax_predict(model, hd)
+    y = _softmax(hd @ model.params["W_y"].T + model.params["b_y"])
     losses = -np.log(np.take_along_axis(y, labels[:, None, None], axis=2)[..., 0])
-    loss = losses.mean(axis=1) if loss_mode == "per_timestep" else losses[:, -1]
     return ForwardTrace(X, **rec, mask=mask, hd=hd, y=y, losses=losses, labels=labels,
-                        dropout_rate=dropout_rate, loss_mode=loss_mode), loss
+                        dropout_rate=dropout_rate), losses.mean(axis=1)
 
 
 def _shifted(a):
@@ -333,11 +321,10 @@ def backward(model, trace):
     N = model.num_classes
     grads = Params({n: s for n, s in model.param_shapes().items() if n[:2] != "W_" or n == "W_y"})
 
-    # softmax head, every timestep at once
-    weight = np.full(L, 1.0 / L) if trace.loss_mode == "per_timestep" else np.eye(L)[-1]
+    # softmax head, every timestep at once, each weighted 1/L by the mean loss
     onehot = np.zeros((B, 1, N))
     onehot[np.arange(B), 0, trace.labels] = 1.0
-    dz = (trace.y - onehot) * weight[:, None]
+    dz = (trace.y - onehot) * (1.0 / L)
     np.matmul(dz.reshape(B * L, N).T, trace.hd.reshape(B * L, H), out=grads["W_y"])
     grads["b_y"] = dz.sum(axis=(0, 1))
     dh_head = dz @ p["W_y"] * trace.mask / (1.0 - trace.dropout_rate)
@@ -423,7 +410,6 @@ class TrainConfig:
     init_bound: float = 0.01
     hidden_dim: int = 512
     peephole: str = "full"
-    loss_mode: str = "per_timestep"
     clip_norm: float | None = None
 
     def validate(self):
@@ -441,8 +427,6 @@ class TrainConfig:
             raise ConfigurationError("hidden_dim must be >= 1")
         if self.peephole not in ("full", "diagonal"):
             raise ConfigurationError(f"unknown peephole mode {self.peephole!r}")
-        if self.loss_mode not in ("per_timestep", "final"):
-            raise ConfigurationError(f"unknown loss mode {self.loss_mode!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             # a clip norm <= 0 would scale every step by 0 or flip its sign
             raise ConfigurationError("clip_norm must be > 0, or None for no clipping")
@@ -523,10 +507,7 @@ def train(sequences, cfg):
             for x, k in zip(xs, batch):
                 x[...] = sequences[k].features[starts[k] : starts[k] + L]
             labels = np.array([sequences[k].label for k in batch])
-            trace, losses = forward(
-                model, xs, labels,
-                dropout_rate=cfg.dropout_rate, rng=rng, loss_mode=cfg.loss_mode,
-            )
+            trace, losses = forward(model, xs, labels, dropout_rate=cfg.dropout_rate, rng=rng)
             grads = backward(model, trace)
             # b sums the gate deltas over the batch, so it is finite exactly
             # when they all are; checking it costs no pass over W
@@ -564,7 +545,7 @@ class GradCheckReport:
 
 def grad_check(
     input_dim=6, hidden_dim=4, num_classes=3, subseq_len=5, seed=0,
-    eps=1e-5, peephole="full", loss_mode="per_timestep", corrupt=None,
+    eps=1e-5, peephole="full", corrupt=None,
 ):
     """Compare analytic BPTT gradients against central finite differences.
 
@@ -582,7 +563,7 @@ def grad_check(
     xs = rng.standard_normal((1, subseq_len, input_dim)) * 0.8  # a batch of one
     labels = np.array([rng.integers(num_classes)])
 
-    trace, _ = forward(model, xs, labels, loss_mode=loss_mode)
+    trace, _ = forward(model, xs, labels)
     grads = backward(model, trace)
     dA, X = grads.W_factors
     analytic = {**grads, **dict(zip((f"W_{g}" for g in GATES), np.split(dA.T @ X, 4)))}
@@ -597,9 +578,9 @@ def grad_check(
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            lp = forward(model, xs, labels, loss_mode=loss_mode)[1][0]
+            lp = forward(model, xs, labels)[1][0]
             flat[k] = orig - eps
-            lm = forward(model, xs, labels, loss_mode=loss_mode)[1][0]
+            lm = forward(model, xs, labels)[1][0]
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * eps)
             rel = abs(aflat[k] - numeric) / max(abs(aflat[k]), abs(numeric), 1e-6)
@@ -640,7 +621,8 @@ def load_model(path):
     """Read an RFANET01 file; each tensor is read straight into the model's
     own buffer, so the peak memory is the model plus one header. The tensor
     sizes the header implies are checked against the file size first, so a
-    corrupt header allocates nothing."""
+    corrupt header allocates nothing. A tensor with a non-finite entry is a
+    FormatError, as ``save_model`` never writes one."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(21)
@@ -669,4 +651,6 @@ def load_model(path):
                 raise FormatError(f"truncated tensor {name}", fh.tell())  # it shrank
             if sys.byteorder == "big":
                 tensor.byteswap(inplace=True)  # the file is little-endian
+            if not np.isfinite(tensor).all():
+                raise FormatError(f"tensor {name} has non-finite entries", fh.tell() - tensor.nbytes)
     return model

@@ -1,7 +1,8 @@
 """References for ``rfanet.features``.
 
-``extract_frame_feature`` is the per-patch descriptor loop: the LBP codes are
-recomputed inside every patch and the color means are taken patch by patch.
+``extract_frame_feature`` is the per-patch descriptor loop over one frame's
+(7, H, W) planes: the LBP codes are recomputed inside every patch and the
+color means are taken patch by patch.
 ``resize_bilinear`` and ``to_frame_tensor`` are the whole-pixel forms of the
 resize and the color conversion, frozen: they resize even at the target size,
 take H, S, V from (..., 3) pixel arrays and apply the sRGB curve to every
@@ -14,10 +15,10 @@ import numpy as np
 from rfanet.features import CHANNELS_PER_PATCH, LBP_BINS, lbp_codes
 
 
-def extract_frame_feature(frame, grid):
-    rows, cols = grid.grid_shape(frame.height, frame.width)
-    gray = frame.planes[0]
-    color = frame.planes[1:]
+def extract_frame_feature(planes, grid):
+    rows, cols = grid.grid_shape(*planes.shape[-2:])
+    gray = planes[0]
+    color = planes[1:]
     out = np.empty(rows * cols * CHANNELS_PER_PATCH)
     pos = 0
     for r in range(rows):

@@ -52,7 +52,7 @@ def hidden_states(p, xs):
     return hs
 
 
-def forward(p, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
+def forward(p, xs, label, dropout_rate=0.0, rng=None):
     """Returns (record of (L, .) arrays, loss)."""
     L, H, N = xs.shape[0], p["b_i"].size, p["b_y"].size
     rec = {k: np.empty((L, H)) for k in ("i", "f", "g", "o", "c", "h", "mask", "hd")}
@@ -71,11 +71,10 @@ def forward(p, xs, label, dropout_rate=0.0, rng=None, loss_mode="per_timestep"):
         rec["hd"][t] = hd
         rec["y"][t] = y
         rec["losses"][t] = -np.log(y[label])
-    loss = rec["losses"].mean() if loss_mode == "per_timestep" else rec["losses"][-1]
-    return rec, loss
+    return rec, rec["losses"].mean()
 
 
-def backward(p, xs, rec, label, dropout_rate, loss_mode, peephole):
+def backward(p, xs, rec, label, dropout_rate, peephole):
     L, H = rec["h"].shape
     keep = 1.0 - dropout_rate
     grads = {k: np.zeros_like(v) for k, v in p.items()}
@@ -84,7 +83,7 @@ def backward(p, xs, rec, label, dropout_rate, loss_mode, peephole):
     dh_next = np.zeros(H)
     dc_next = np.zeros(H)
     for t in range(L - 1, -1, -1):
-        wt = 1.0 / L if loss_mode == "per_timestep" else float(t == L - 1)
+        wt = 1.0 / L
         c_prev = rec["c"][t - 1] if t > 0 else np.zeros(H)
         h_prev = rec["h"][t - 1] if t > 0 else np.zeros(H)
         i, f, g, o, c = (rec[k][t] for k in ("i", "f", "g", "o", "c"))
@@ -142,8 +141,8 @@ def train(sequences, cfg, shapes):
             acc = {k: np.zeros_like(v) for k, v in p.items()}
             for idx in batch:
                 xs, label = instances[idx]
-                rec, loss = forward(p, xs, label, cfg.dropout_rate, rng, cfg.loss_mode)
-                g = backward(p, xs, rec, label, cfg.dropout_rate, cfg.loss_mode, cfg.peephole)
+                rec, loss = forward(p, xs, label, cfg.dropout_rate, rng)
+                g = backward(p, xs, rec, label, cfg.dropout_rate, cfg.peephole)
                 for name in acc:
                     acc[name] += g[name]
                 epoch_losses.append(loss)

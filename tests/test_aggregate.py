@@ -14,10 +14,15 @@ def model():
     return rf.init_model(4, 3, 2, seed=7, init_bound=0.4)
 
 
+def _embed_window(model, xs):
+    """The embedding of the one window of xs: K=1 windows of length T."""
+    return rf.embed_sequence(model, xs, rf.AggregationConfig(len(xs), 1, seed=0)).values
+
+
 def test_subsequence_layout_is_time_major(model, rng):
     xs = rng.standard_normal((5, 4))
     hs = _unroll(model, rf.project(model, xs))
-    emb = rf.embed_subsequence(model, xs)
+    emb = _embed_window(model, xs)
     assert emb.shape == (15,)
     for t in range(5):
         assert np.array_equal(emb[t * 3 : (t + 1) * 3], hs[t])
@@ -54,7 +59,7 @@ def test_degenerate_t_equals_l(model, rng):
     # only one possible window, so K draws all coincide with it
     xs = rng.standard_normal((3, 4))
     emb = rf.embed_sequence(model, xs, rf.AggregationConfig(3, 7, seed=2))
-    assert emb.values == pytest.approx(rf.embed_subsequence(model, xs), abs=1e-15)
+    assert emb.values == pytest.approx(_embed_window(model, xs), abs=1e-15)
 
 
 def test_k_equals_one_single_window(model, rng):
@@ -63,7 +68,7 @@ def test_k_equals_one_single_window(model, rng):
     start = sample_starts(10, 4, 1, seed=5)[0]
     emb = rf.embed_sequence(model, xs, cfg)
     assert emb.values == pytest.approx(
-        rf.embed_subsequence(model, xs[start : start + 4]), abs=1e-15
+        _embed_window(model, xs[start : start + 4]), abs=1e-15
     )
 
 
@@ -72,7 +77,7 @@ def test_mean_over_sampled_windows(model, rng):
     cfg = rf.AggregationConfig(4, 3, seed=11)
     starts = sample_starts(12, 4, 3, seed=11)
     expected = np.mean(
-        [rf.embed_subsequence(model, xs[s : s + 4]) for s in starts], axis=0
+        [_embed_window(model, xs[s : s + 4]) for s in starts], axis=0
     )
     emb = rf.embed_sequence(model, xs, cfg, source_id=6, camera=1)
     assert emb.values == pytest.approx(expected, abs=1e-12)

@@ -8,6 +8,7 @@ import pytest
 import rfanet as rf
 from rfanet.cli import main
 from rfanet.errors import ConfigurationError
+from rfanet.rnn import PARAM_ORDER
 
 from conftest import _fail_writes_after
 
@@ -158,7 +159,7 @@ def _off_default_config():
         train=rf.TrainConfig(
             subseq_len=4, epochs=7, lr_initial=0.02, lr_after=0.003, lr_switch_epoch=3,
             dropout_rate=0.25, batch_size=5, seed=11, init_bound=0.05, hidden_dim=6,
-            peephole="diagonal", loss_mode="final", clip_norm=2.5,
+            peephole="diagonal", clip_norm=2.5,
         ),
         agg=rf.AggregationConfig(subseq_len=4, num_subsequences=7, seed=13),
         scorer="ranksvm", ranksvm_C=0.5, ranksvm_iters=321,
@@ -315,6 +316,23 @@ def test_cli_embed_rejects_malformed_model(pipeline, tmp_path, capsys, case):
     ])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_embed_rejects_non_finite_model(pipeline, tmp_path, capsys):
+    model = rf.load_model(pipeline["model"])
+    shapes = model.param_shapes()
+    offset = 21 + 8 * sum(np.prod(shapes[n]) for n in PARAM_ORDER[: PARAM_ORDER.index("W_y")])
+    data = bytearray(pipeline["model"].read_bytes())
+    data[offset : offset + 8] = struct.pack("<d", np.nan)
+    bad = tmp_path / "nan.rfanet"
+    bad.write_bytes(data)
+    out = tmp_path / "embs.rfaemb"
+    code = main([
+        "embed", "--config", pipeline["cfg_path"], "--model", str(bad), "--out", str(out),
+    ])
+    assert code == 1
+    assert f"tensor W_y has non-finite entries (byte offset {offset})" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -499,9 +517,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("train", {"clip_norm": 0}, r"clip_norm must be > 0"),
     ("grid", {"lbp_bins": 256}, r"unknown keys in \[grid\]"),
     ("matching", {"ranksvm_seed": 0}, r"unknown keys in \[matching\]"),
+    ("train", {"loss_mode": "per_timestep"}, r"unknown keys in \[train\]"),
 ], ids=["image-int", "train-list", "grid-null", "width-str", "epochs-str", "clip-bool",
         "peephole-int", "C-str", "noise-level-str", "depth-float", "unknown-matching-key",
-        "clip-negative", "clip-zero", "lbp-bins-key", "ranksvm-seed-key"])
+        "clip-negative", "clip-zero", "lbp-bins-key", "ranksvm-seed-key", "loss-mode-key"])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, section, value, message):
     data = tiny_config_dict()
     data[section] = value if not isinstance(value, dict) else {**data[section], **value}
@@ -511,6 +530,48 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys, section, value, message)
     assert "error:" in err and "Traceback" not in err
     with pytest.raises(ConfigurationError, match=message):
         rf.config_from_dict(data)
+
+
+# text that is not a JSON document: bytes that are not UTF-8, and arrays
+# nested deeper than the JSON decoder recurses
+BAD_TEXT = {
+    "not-utf8": b'{"persons": "\xff\xfe"}',
+    "nested": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TEXT))
+def test_cli_config_not_json_text_exit_code(tmp_path, capsys, case):
+    path = tmp_path / "config.json"
+    path.write_bytes(BAD_TEXT[case])
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON") and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("case", list(BAD_TEXT))
+def test_cli_manifest_not_json_text_exit_code(tmp_path, capsys, case):
+    manifest = rf.save_dataset(rf.generate_synthetic(2, 5, width=16, height=32), tmp_path / "d")
+    manifest.write_bytes(BAD_TEXT[case])
+    cfg = tiny_config_dict(manifest=str(manifest), model=str(tmp_path / "model.rfanet"))
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read manifest {manifest}") and "Traceback" not in err
+    assert not (tmp_path / "model.rfanet").exists()
+
+
+def test_cli_manifest_frame_path_with_nul_exit_code(tmp_path, capsys):
+    manifest = rf.save_dataset(rf.generate_synthetic(2, 5, width=16, height=32), tmp_path / "d")
+    content = json.loads(manifest.read_text())
+    content["persons"][1]["camera_b"][2] = "p0001/cam_b/frame\u0000.ppm"
+    manifest.write_text(json.dumps(content))
+    cfg = tiny_config_dict(manifest=str(manifest), model=str(tmp_path / "model.rfanet"))
+    assert main(["train", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: person 1 camera_b: cannot read frame") and "NUL" in err
+    assert "frame\\x00.ppm" in err and "Traceback" not in err
+    assert not (tmp_path / "model.rfanet").exists()
 
 
 def test_save_config_write_failing_keeps_earlier_file(tmp_path, monkeypatch):

@@ -313,6 +313,11 @@ def test_load_dataset_missing_manifest(tmp_path):
         rf.load_dataset(tmp_path / "nope" / "manifest.json")
 
 
+def test_load_dataset_manifest_path_with_nul(tmp_path):
+    with pytest.raises(DataError, match="cannot read manifest"):
+        rf.load_dataset(tmp_path / "mani\0fest.json")
+
+
 @pytest.mark.parametrize("frame,owner", [
     ("p0001/cam_b/frame_0000.ppm", "person 1 camera_b"),
     ("noise/frame_0001.ppm", "noise_pool"),
@@ -513,9 +518,9 @@ def test_non_finite_descriptor_ends_as_a_data_error(tiny_dataset, monkeypatch):
     real = rf.features.to_frame_tensor
 
     def poisoned(pixels):
-        planes = real(pixels).planes
+        planes = real(pixels)
         planes[..., 1, 5, 5] = np.nan  # the hue plane of every frame
-        return rf.FrameTensor(planes)
+        return planes
 
     monkeypatch.setattr(rf.features, "to_frame_tensor", poisoned)
     with pytest.raises(DataError, match="non-finite descriptor"):

@@ -90,7 +90,7 @@ def test_resize_rejects_empty_target():
 
 def _single_color_planes(r, g, b):
     img = rf.RawImage(1, 1, np.array([[[r, g, b]]], np.uint8))
-    return rf.to_frame_tensor(img).planes[:, 0, 0]
+    return rf.to_frame_tensor(img)[:, 0, 0]
 
 
 def test_tensor_black():
@@ -130,7 +130,7 @@ def test_lab_matches_skimage(rng):
     skimage_color = pytest.importorskip("skimage.color")
     rgb = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
     lab = skimage_color.rgb2lab(rgb / 255.0)
-    planes = rf.to_frame_tensor(rf.RawImage(5, 4, rgb)).planes
+    planes = rf.to_frame_tensor(rf.RawImage(5, 4, rgb))
     assert planes[4] == pytest.approx(np.clip(lab[..., 0] / 100, 0, 1), abs=2e-4)
     assert planes[5] == pytest.approx(np.clip((lab[..., 1] + 128) / 255, 0, 1), abs=2e-4)
     assert planes[6] == pytest.approx(np.clip((lab[..., 2] + 128) / 255, 0, 1), abs=2e-4)
@@ -138,7 +138,7 @@ def test_lab_matches_skimage(rng):
 
 def test_planes_in_unit_interval(rng):
     img = random_image(rng, 9, 7)
-    planes = rf.to_frame_tensor(img).planes
+    planes = rf.to_frame_tensor(img)
     assert planes.min() >= 0.0 and planes.max() <= 1.0
 
 
@@ -163,7 +163,7 @@ def _tied_maxima():
 
 
 def _assert_tensor_matches_reference(pixels):
-    got = rf.to_frame_tensor(pixels).planes
+    got = rf.to_frame_tensor(pixels)
     assert got.tobytes() == feature_reference.to_frame_tensor(pixels).tobytes()
 
 
@@ -273,10 +273,10 @@ def test_grid_must_cover_exactly():
 
 def test_constant_frame_feature():
     img = rf.RawImage(16, 32, np.full((32, 16, 3), 200, np.uint8))
-    frame = rf.to_frame_tensor(img)
+    planes = rf.to_frame_tensor(img)
     grid = rf.PatchGridSpec(8, 4, 4, 2)
-    feat = rf.extract_frame_feature(frame, grid)
-    expected_means = frame.planes[1:, 0, 0]
+    feat = rf.sequence_features([img], grid, 16, 32)[0]
+    expected_means = planes[1:, 0, 0]
     for block in feat.reshape(-1, CHANNELS_PER_PATCH):
         assert block[255] == 1.0 and block[:255].sum() == 0.0
         assert block[256:] == pytest.approx(expected_means, abs=1e-12)
@@ -284,9 +284,8 @@ def test_constant_frame_feature():
 
 def test_feature_invariants(rng):
     img = random_image(rng, 16, 32)
-    frame = rf.to_frame_tensor(img)
     grid = rf.PatchGridSpec(8, 4, 4, 2)
-    feat = rf.extract_frame_feature(frame, grid)
+    feat = rf.sequence_features([img], grid, 16, 32)[0]
     assert feat.shape == (grid.feature_dim(32, 16),)
     assert feat.min() >= 0.0 and feat.max() <= 1.0
     blocks = feat.reshape(-1, CHANNELS_PER_PATCH)
@@ -295,27 +294,35 @@ def test_feature_invariants(rng):
 
 def test_feature_is_pure(rng):
     img = random_image(rng, 16, 32)
-    frame = rf.to_frame_tensor(img)
     grid = rf.PatchGridSpec(8, 4, 4, 2)
-    a = rf.extract_frame_feature(frame, grid)
-    b = rf.extract_frame_feature(frame, grid)
+    a = rf.sequence_features([img], grid, 16, 32)[0]
+    b = rf.sequence_features([img], grid, 16, 32)[0]
     assert np.array_equal(a, b)
 
 
 def test_patch_without_interior_rejected():
-    img = rf.RawImage(16, 32, np.zeros((32, 16, 3), np.uint8))
-    frame = rf.to_frame_tensor(img)
     with pytest.raises(ConfigurationError, match="interior"):
-        rf.extract_frame_feature(frame, rf.PatchGridSpec(2, 4, 2, 2))
+        rf.PatchGridSpec(2, 4, 2, 2)
+
+
+def test_patch_assigned_without_interior_rejected_before_describing():
+    grid = rf.PatchGridSpec(8, 4, 4, 2)
+    grid.patch_w = 2
+    img = rf.RawImage(16, 32, np.zeros((32, 16, 3), np.uint8))
+    with pytest.raises(ConfigurationError, match="interior"):
+        rf.describe_frames([img], grid, 16, 32)
 
 
 # ---------------------------------------------------------------------------
 # whole-plane descriptor against the per-patch reference loop
 # ---------------------------------------------------------------------------
 
-def _assert_matches_reference(frame, grid):
-    got = rf.extract_frame_feature(frame, grid).reshape(-1, CHANNELS_PER_PATCH)
-    want = feature_reference.extract_frame_feature(frame, grid).reshape(-1, CHANNELS_PER_PATCH)
+def _assert_matches_reference(img, grid):
+    """The descriptor of ``img``, at its own size, against the reference loop."""
+    got = rf.sequence_features([img], grid, img.width, img.height)
+    got = got.reshape(-1, CHANNELS_PER_PATCH)
+    want = feature_reference.extract_frame_feature(rf.to_frame_tensor(img), grid)
+    want = want.reshape(-1, CHANNELS_PER_PATCH)
     assert got.shape == want.shape
     assert np.array_equal(got[:, :LBP_BINS], want[:, :LBP_BINS])
     assert np.max(np.abs(got[:, LBP_BINS:] - want[:, LBP_BINS:])) <= 1e-12
@@ -333,20 +340,18 @@ def _assert_matches_reference(frame, grid):
 )
 def test_descriptor_matches_reference_loop(rng, height, width, grid):
     for _ in range(3):
-        frame = rf.to_frame_tensor(random_image(rng, width, height))
-        _assert_matches_reference(frame, grid)
+        _assert_matches_reference(random_image(rng, width, height), grid)
 
 
 def test_descriptor_matches_reference_on_ties(rng):
     # few gray levels give many equal neighbors, where ">=" decides the bits
     pixels = (rng.integers(0, 3, size=(32, 16, 3)) * 100).astype(np.uint8)
-    _assert_matches_reference(rf.to_frame_tensor(rf.RawImage(16, 32, pixels)),
-                              rf.PatchGridSpec(8, 4, 4, 2))
+    _assert_matches_reference(rf.RawImage(16, 32, pixels), rf.PatchGridSpec(8, 4, 4, 2))
 
 
 def test_descriptor_matches_reference_constant_frame():
-    frame = rf.to_frame_tensor(rf.RawImage(64, 128, np.full((128, 64, 3), 77, np.uint8)))
-    _assert_matches_reference(frame, rf.PatchGridSpec())
+    img = rf.RawImage(64, 128, np.full((128, 64, 3), 77, np.uint8))
+    _assert_matches_reference(img, rf.PatchGridSpec())
 
 
 @pytest.mark.parametrize("size, dtype", [(17, np.uint8), (18, np.uint16)])
@@ -359,9 +364,7 @@ def test_store_counts_hold_a_whole_patch_interior(size, dtype):
     store = rf.describe_frames([img], grid, size, size)
     assert store.counts.dtype == dtype
     assert store.counts[0, 0, 255] == (size - 2) ** 2
-    frame = rf.to_frame_tensor(img)
-    _assert_matches_reference(frame, grid)
-    assert store.expand().tobytes() == rf.extract_frame_feature(frame, grid)[None].tobytes()
+    _assert_matches_reference(img, grid)
 
 
 def test_store_is_under_a_sixth_of_the_float64_rows_at_full_geometry(rng):
@@ -383,10 +386,10 @@ def _assert_rows_match_per_frame(images, feats, grid, width, height):
     per-patch reference loop (histograms exactly, color means within 1e-12)."""
     assert feats.shape == (len(images), grid.feature_dim(height, width))
     for img, row in zip(images, feats):
-        frame = rf.to_frame_tensor(rf.resize_bilinear(img, width, height))
-        assert row.tobytes() == rf.extract_frame_feature(frame, grid).tobytes()
+        assert row.tobytes() == rf.sequence_features([img], grid, width, height)[0].tobytes()
+        planes = rf.to_frame_tensor(rf.resize_bilinear(img, width, height))
         got = row.reshape(-1, CHANNELS_PER_PATCH)
-        want = feature_reference.extract_frame_feature(frame, grid).reshape(got.shape)
+        want = feature_reference.extract_frame_feature(planes, grid).reshape(got.shape)
         assert np.array_equal(got[:, :LBP_BINS], want[:, :LBP_BINS])
         assert np.max(np.abs(got[:, LBP_BINS:] - want[:, LBP_BINS:])) <= 1e-12
 
@@ -422,13 +425,13 @@ def test_stack_stages_match_single_frames(rng):
     images = [random_image(rng, 11, 17) for _ in range(4)]
     pixels = np.stack([img.pixels for img in images])
     resized = rf.resize_bilinear(pixels, 16, 32)
-    planes = rf.to_frame_tensor(resized).planes
+    planes = rf.to_frame_tensor(resized)
     assert planes.shape == (4, 7, 32, 16)
     codes = lbp_codes(planes[:, 0])
     for t, img in enumerate(images):
         one = rf.resize_bilinear(img, 16, 32)
         assert np.array_equal(resized[t], one.pixels)
-        assert planes[t].tobytes() == rf.to_frame_tensor(one).planes.tobytes()
+        assert planes[t].tobytes() == rf.to_frame_tensor(one).tobytes()
         assert np.array_equal(codes[t], lbp_codes(planes[t, 0]))
 
 

@@ -31,6 +31,11 @@ def _plain(model):
 NO_W_GATES = [n for n in PARAM_ORDER if n[:2] != "W_" or n == "W_y"]
 
 
+def _loss_ids(cases):
+    """Test ids that name the loss, the mean over timesteps, next to each case."""
+    return [f"{peephole}-per_timestep-{rest}" for peephole, rest in cases]
+
+
 def _with_dense_w(grads):
     """The gradient set with each gate's W gradient formed from its rows of dA^T X."""
     dA, X = grads.W_factors
@@ -64,17 +69,16 @@ def test_params_are_views_of_stacked_storage():
     assert np.all(copy.params.W[3 * H :] == 0.0) and not np.all(p.W[3 * H :] == 0.0)
 
 
-@pytest.mark.parametrize("peephole", ["full", "diagonal"])
-@pytest.mark.parametrize("loss_mode", ["per_timestep", "final"])
+@pytest.mark.parametrize("peephole", ["full", "diagonal"], ids=lambda p: f"per_timestep-{p}")
 @pytest.mark.parametrize("B", [1, 3])
-def test_forward_backward_match_loop(peephole, loss_mode, B):
+def test_forward_backward_match_loop(peephole, B):
     model = _model(peephole)
     data = np.random.default_rng(8)
     xs = data.standard_normal((B, L, D))
     labels = data.integers(0, N, size=B)
     rate = 0.4
 
-    batch_trace, loss = rf.forward(model, xs, labels, rate, np.random.default_rng(5), loss_mode)
+    batch_trace, loss = rf.forward(model, xs, labels, rate, np.random.default_rng(5))
     factored = rf.backward(model, batch_trace)
     trace = {k: getattr(batch_trace, k) for k in TRACE_KEYS}
 
@@ -82,14 +86,14 @@ def test_forward_backward_match_loop(peephole, loss_mode, B):
     draws = np.random.default_rng(5)  # one stream, instance by instance
     want_grads = {k: np.zeros_like(v) for k, v in p.items()}
     for b in range(len(labels)):
-        rec, want_loss = ref.forward(p, xs[b], labels[b], rate, draws, loss_mode)
+        rec, want_loss = ref.forward(p, xs[b], labels[b], rate, draws)
         assert loss[b] == pytest.approx(want_loss, rel=RTOL, abs=0)
         for k, v in trace.items():
             if k == "mask":
                 assert np.array_equal(v[b], rec[k])
             else:
                 np.testing.assert_allclose(v[b], rec[k], rtol=RTOL, atol=0, err_msg=k)
-        g = ref.backward(p, xs[b], rec, labels[b], rate, loss_mode, peephole)
+        g = ref.backward(p, xs[b], rec, labels[b], rate, peephole)
         for name in want_grads:
             want_grads[name] += g[name]
     assert list(factored) == NO_W_GATES
@@ -99,9 +103,11 @@ def test_forward_backward_match_loop(peephole, loss_mode, B):
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("peephole,loss_mode,clip_norm",
-                         [("full", "per_timestep", None), ("diagonal", "final", 0.5)])
-def test_train_matches_loop(peephole, loss_mode, clip_norm):
+TRAIN_LOOP_CASES = [("full", None), ("diagonal", 0.5)]
+
+
+@pytest.mark.parametrize("peephole,clip_norm", TRAIN_LOOP_CASES, ids=_loss_ids(TRAIN_LOOP_CASES))
+def test_train_matches_loop(peephole, clip_norm):
     data = np.random.default_rng(21)
     seqs = [
         rf.LabeledSequence(k % N, data.standard_normal((L + 3, D)) + k % N, f"s{k}")
@@ -111,7 +117,7 @@ def test_train_matches_loop(peephole, loss_mode, clip_norm):
     cfg = rf.TrainConfig(
         subseq_len=L, epochs=3, lr_initial=0.5, lr_after=0.1, lr_switch_epoch=2,
         dropout_rate=0.3, batch_size=3, seed=4, init_bound=0.3, hidden_dim=H,
-        peephole=peephole, loss_mode=loss_mode, clip_norm=clip_norm,
+        peephole=peephole, clip_norm=clip_norm,
     )
     model, history = rf.train(seqs, cfg)
     shapes = rf.RfaModel(D, H, N, peephole).param_shapes()
@@ -127,27 +133,15 @@ def test_train_matches_loop(peephole, loss_mode, clip_norm):
 # the bits those of the BLAS build (recorded with OpenBLAS 0.3.31, x86-64):
 # one that sums in another order gives other digests
 TRAIN_DIGESTS = {
-    ("full", "per_timestep", None):
-        "14bb4c83729bde6b1cc317b37b508b57952fb5198fce0b45671b37f390f5f941",
-    ("full", "per_timestep", 0.05):
-        "88acb73679841fc322e4efa9d5b8d6e571c0a95cad0cb4f56d9bd4180eff5c04",
-    ("full", "final", None):
-        "cba493ced6b426c81f1557196f9e852ac093ae7907af93c8d3963f96bf552b61",
-    ("full", "final", 0.05):
-        "742ea159e0ca62ba568b6b3957534a79ec7b732c5702d259bd976672b45e8e68",
-    ("diagonal", "per_timestep", None):
-        "0a5ef58500cd21c1f4d029d01ed2405e60d265faeb3caf0148f4bb074f7e07ed",
-    ("diagonal", "per_timestep", 0.05):
-        "b1835f18910da54a841f1fcbb3125c3695a6e800ab16911aff17e6a0e36d8808",
-    ("diagonal", "final", None):
-        "5dee93c69fe3f74677b84383403513600a1999701d48f0763cee6b2af793e0fa",
-    ("diagonal", "final", 0.05):
-        "123844f616e5eef4ab13b506d097b726c845a48d7b049844b68cf8f17ec525ab",
+    ("full", None): "14bb4c83729bde6b1cc317b37b508b57952fb5198fce0b45671b37f390f5f941",
+    ("full", 0.05): "88acb73679841fc322e4efa9d5b8d6e571c0a95cad0cb4f56d9bd4180eff5c04",
+    ("diagonal", None): "0a5ef58500cd21c1f4d029d01ed2405e60d265faeb3caf0148f4bb074f7e07ed",
+    ("diagonal", 0.05): "b1835f18910da54a841f1fcbb3125c3695a6e800ab16911aff17e6a0e36d8808",
 }
 
 
-@pytest.mark.parametrize("peephole,loss_mode,clip_norm", list(TRAIN_DIGESTS))
-def test_train_golden_digest(tmp_path, peephole, loss_mode, clip_norm):
+@pytest.mark.parametrize("peephole,clip_norm", list(TRAIN_DIGESTS), ids=_loss_ids(TRAIN_DIGESTS))
+def test_train_golden_digest(tmp_path, peephole, clip_norm):
     data = np.random.default_rng(31)
     seqs = [
         rf.LabeledSequence(k % N, data.standard_normal((L + 4, D)) + k % N, f"s{k}")
@@ -157,13 +151,13 @@ def test_train_golden_digest(tmp_path, peephole, loss_mode, clip_norm):
     cfg = rf.TrainConfig(
         subseq_len=L, epochs=4, lr_initial=0.5, lr_after=0.1, lr_switch_epoch=2,
         dropout_rate=0.3, batch_size=3, seed=5, init_bound=0.3, hidden_dim=H,
-        peephole=peephole, loss_mode=loss_mode, clip_norm=clip_norm,
+        peephole=peephole, clip_norm=clip_norm,
     )
     model, history = rf.train(seqs, cfg)
     path = tmp_path / "model.rfanet"
     rf.save_model(path, model)
     digest = hashlib.sha256(path.read_bytes() + np.array(history).tobytes()).hexdigest()
-    assert digest == TRAIN_DIGESTS[peephole, loss_mode, clip_norm]
+    assert digest == TRAIN_DIGESTS[peephole, clip_norm]
 
 
 def test_embeddings_match_per_window_mean():

@@ -7,7 +7,7 @@ import pytest
 
 import rfanet as rf
 from rfanet.errors import ConfigurationError, DataError, FormatError
-from rfanet.rnn import PARAM_ORDER, Params, _sigmoid
+from rfanet.rnn import PARAM_ORDER, Params, _sigmoid, _softmax
 
 
 def zero_model(D=3, H=2, N=2, peephole="full"):
@@ -117,21 +117,16 @@ def test_gate_activations_open_interval(rng):
 # ---------------------------------------------------------------------------
 
 def test_softmax_uniform():
-    model = zero_model(D=2, H=2, N=2)
-    assert rf.softmax_predict(model, np.zeros(2)) == pytest.approx([0.5, 0.5])
+    assert _softmax(np.zeros(2)) == pytest.approx([0.5, 0.5])
 
 
 def test_softmax_closed_form():
-    model = zero_model(D=2, H=1, N=2)
-    model.params["W_y"][0, 0] = math.log(2.0)
-    y = rf.softmax_predict(model, np.ones(1))
+    y = _softmax(np.array([math.log(2.0), 0.0]))
     assert y == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
 
 def test_softmax_no_overflow():
-    model = zero_model(D=2, H=1, N=2)
-    model.params["W_y"][0, 0] = 1000.0
-    y = rf.softmax_predict(model, np.ones(1))
+    y = _softmax(np.array([1000.0, 0.0]))
     assert np.all(np.isfinite(y))
     assert y[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -238,12 +233,9 @@ def test_forward_probabilities_sum_to_one(rng):
 # backward
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("peephole", ["full", "diagonal"])
-@pytest.mark.parametrize("loss_mode", ["per_timestep", "final"])
-def test_backward_matches_finite_differences(peephole, loss_mode):
-    report = rf.grad_check(
-        6, 4, 3, 5, seed=17, peephole=peephole, loss_mode=loss_mode
-    )
+@pytest.mark.parametrize("peephole", ["full", "diagonal"], ids=lambda p: f"per_timestep-{p}")
+def test_backward_matches_finite_differences(peephole):
+    report = rf.grad_check(6, 4, 3, 5, seed=17, peephole=peephole)
     assert report.passed, report.per_tensor
 
 
@@ -482,6 +474,20 @@ def test_load_model_format_errors(tmp_path, edit, message, offset):
     with pytest.raises(FormatError, match=message) as exc:
         rf.load_model(path)
     assert exc.value.offset == {"size": size, "size-1": size - 1}.get(offset, offset)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_model_rejects_non_finite_tensor(tmp_path, value):
+    # the file holds W_i (4 x 5) then U_i (4 x 4): entry 1 of U_i is the value
+    path = tmp_path / "model.rfanet"
+    rf.save_model(path, rf.init_model(5, 4, 3, seed=8))
+    data = bytearray(path.read_bytes())
+    offset = 21 + 8 * 20
+    data[offset + 8 : offset + 16] = struct.pack("<d", value)
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="tensor U_i has non-finite entries") as exc:
+        rf.load_model(path)
+    assert exc.value.offset == offset
 
 
 def test_load_model_checks_header_before_allocating(tmp_path):
