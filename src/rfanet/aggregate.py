@@ -71,25 +71,20 @@ def sample_starts(num_frames, subseq_len, num_subsequences, seed):
     return rng.integers(0, num_frames - subseq_len + 1, size=num_subsequences)
 
 
-def _windows(num_frames, cfg):
-    """Frame indices (K, L) of the K seeded windows of a sequence."""
-    starts = sample_starts(num_frames, cfg.subseq_len, cfg.num_subsequences, cfg.seed)
-    return starts[:, None] + np.arange(cfg.subseq_len)
-
-
 # pre-activation values gathered for one recurrence batch (32 MB of float64):
 # every window of a desk-scale split, about 200 windows at the full geometry
 _WINDOW_BLOCK = 1 << 22
 
 
-def embed_projected(model, ax, rows, cfgs, depth=None):
+def embed_projected(model, ax, rows, cfg, seeds, depth=None):
     """Embeddings of S sequences from pre-activations projected beforehand.
 
     ``ax`` (N, 4H) holds ``project`` output; ``rows[s]`` are the rows of ``ax``
-    that hold sequence s's frames, in time order, and ``cfgs[s]`` is its
-    AggregationConfig. All sequences share one subsequence length L. The K
-    seeded windows of every sequence run through the recurrence together, in
-    batches of whole sequences of at most ``_WINDOW_BLOCK`` gathered values.
+    that hold sequence s's frames, in time order, and ``seeds[s]`` draws its
+    ``cfg.num_subsequences`` windows of ``cfg.subseq_len`` frames (``cfg.seed``
+    is not read). The K seeded windows of every sequence run through the
+    recurrence together, in batches of whole sequences of at most
+    ``_WINDOW_BLOCK`` gathered values.
 
     Returns (S, H*L) means of the K window embeddings, or with ``depth`` in
     1..L the (S, H) means of h_depth over the same windows. They equal each
@@ -97,41 +92,30 @@ def embed_projected(model, ax, rows, cfgs, depth=None):
     window: numpy computes a one-row product as a matrix-vector product,
     whose sums can differ in the last bit.
     """
-    L = cfgs[0].subseq_len if cfgs else 1
-    for cfg in cfgs:
-        cfg.validate()
-        if cfg.subseq_len != L:
-            raise DataError(f"sequences embedded together have subsequence lengths "
-                            f"{L} and {cfg.subseq_len}")
+    cfg.validate()
+    L, K = cfg.subseq_len, cfg.num_subsequences
+    if len(seeds) != len(rows):
+        raise DataError(f"{len(rows)} sequences but {len(seeds)} seeds")
     if depth is not None and not 1 <= depth <= L:
         raise DataError(f"depth {depth} out of range 1..{L}")
     H = model.hidden_dim
-    windows = [np.asarray(r)[_windows(len(r), cfg)] for r, cfg in zip(rows, cfgs)]
-    out = np.empty((len(windows), H * L if depth is None else H))
-    per_window = L * 4 * H
-    start = 0
-    while start < len(windows):
-        stop, count = start + 1, len(windows[start])
-        while stop < len(windows) and (count + len(windows[stop])) * per_window <= _WINDOW_BLOCK:
-            count += len(windows[stop])
-            stop += 1
-        hs = _unroll(model, ax[np.concatenate(windows[start:stop])])
-        first = 0
-        for s in range(start, stop):
-            own = hs[first : first + len(windows[s])]
-            first += len(own)
-            picked = own.reshape(len(own), -1) if depth is None else own[:, depth - 1]
-            out[s] = picked.mean(axis=0)
-        start = stop
+    windows = [np.asarray(r)[sample_starts(len(r), L, K, seed)[:, None] + np.arange(L)]
+               for r, seed in zip(rows, seeds)]
+    out = np.empty((len(rows), H * L if depth is None else H))
+    batch = max(1, _WINDOW_BLOCK // (K * L * 4 * H))  # whole sequences per recurrence
+    for start in range(0, len(rows), batch):
+        hs = _unroll(model, ax[np.concatenate(windows[start : start + batch])])
+        hs = hs.reshape(-1, K, L, H)
+        picked = hs.reshape(len(hs), K, L * H) if depth is None else hs[:, :, depth - 1]
+        out[start : start + len(hs)] = picked.mean(axis=1)
     return out
 
 
 def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
     """Mean of K seeded-window subsequence embeddings; no post-normalization."""
     ax = project(model, frames)
-    return SequenceEmbedding(
-        embed_projected(model, ax, [np.arange(len(ax))], [cfg])[0], source_id, camera
-    )
+    values = embed_projected(model, ax, [np.arange(len(ax))], cfg, [cfg.seed])[0]
+    return SequenceEmbedding(values, source_id, camera)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def main(argv=None):
     except (ConfigurationError, DataError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (RfaError, OSError, RuntimeError) as exc:
+    except (RfaError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

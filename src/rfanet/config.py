@@ -98,6 +98,9 @@ class RunConfig:
             raise ConfigurationError(f"synthetic.jitter must be finite and >= 0, got {syn.jitter}")
         if syn.noise_pool_size < 0:
             raise ConfigurationError("synthetic.noise_pool_size must be >= 0")
+        for f in fields(self.paths):
+            if "\0" in (getattr(self.paths, f.name) or ""):
+                raise ConfigurationError(f"paths.{f.name} contains a NUL byte")
         return self
 
     def to_dict(self):
@@ -106,7 +109,6 @@ class RunConfig:
         for section, (owner, keys) in _LAYOUT.items():
             holder = getattr(self, owner) if owner else self
             out[section] = {key: getattr(holder, name) for key, name in keys.items()}
-        del out["aggregation"]["subseq_len"]  # read only: it defaults to train.subseq_len
         return out
 
 
@@ -162,13 +164,13 @@ def _all_fields(cls, *but):
 
 # JSON section -> (the RunConfig field that holds it, "" for RunConfig itself,
 # {JSON key: field name}). The hidden size and peephole form of TrainConfig
-# are the [model] section; aggregation.subseq_len is read but never written
+# are the [model] section; the aggregation L is train.subseq_len, not a key
 _LAYOUT = {
     "image": ("", {"width": "image_w", "height": "image_h"}),
     "grid": ("grid", _all_fields(PatchGridSpec)),
     "model": ("train", _same("hidden_dim", "peephole")),
     "train": ("train", _all_fields(TrainConfig, "hidden_dim", "peephole")),
-    "aggregation": ("agg", _all_fields(AggregationConfig)),
+    "aggregation": ("agg", _all_fields(AggregationConfig, "subseq_len")),
     "matching": ("", _same("scorer", "ranksvm_C", "ranksvm_iters")),
     "experiment": ("experiment", _all_fields(ExperimentSpec)),
     "synthetic": ("synthetic", _all_fields(SyntheticSpec)),
@@ -210,8 +212,7 @@ def config_from_dict(data):
             if not any(_JSON_TYPES[t.strip()](value) for t in expected.split("|")):
                 raise ConfigurationError(f"[{section}] {key} must be {expected}, not {value!r}")
             target[keys[key]] = tuple(value) if isinstance(value, list) else value
-    train_L = parts["train"].get("subseq_len", defaults.train.subseq_len)
-    parts["agg"].setdefault("subseq_len", train_L)
+    parts["agg"]["subseq_len"] = parts["train"].get("subseq_len", defaults.train.subseq_len)
     sections = {owner: replace(getattr(defaults, owner), **kw) for owner, kw in parts.items()}
     return replace(defaults, **top, **sections).validate()
 

@@ -477,8 +477,8 @@ def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
     spliced in. Its windows are drawn from a seed derived from
     ``agg_cfg.seed``."""
     keys = [(pid, cam) for pid in ids for cam in (0, 1)]
-    cfgs = [replace(agg_cfg, seed=_derive_seed(agg_cfg.seed, pid, cam)) for pid, cam in keys]
-    values = embed_projected(model, ax, [rows[key] for key in keys], cfgs, depth)
+    seeds = [_derive_seed(agg_cfg.seed, pid, cam) for pid, cam in keys]
+    values = embed_projected(model, ax, [rows[key] for key in keys], agg_cfg, seeds, depth)
     embeddings = [SequenceEmbedding(v, pid, cam) for v, (pid, cam) in zip(values, keys)]
     return embeddings[0::2], embeddings[1::2]
 

@@ -118,10 +118,8 @@ class PatchGridSpec:
 # decoding / encoding
 # ---------------------------------------------------------------------------
 
-def _parse_pnm(data, magic):
-    if data[:2] != magic:
-        raise FormatError(f"expected magic {magic.decode()!r}", 0)
-    pos = 2
+def _parse_pnm(data):
+    pos = 2  # after the magic
     fields = []
     while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
@@ -150,15 +148,15 @@ def _parse_pnm(data, magic):
     return width, height, pos
 
 
-def decode_image(data, fmt):
-    """Decode bytes in the declared format ('PGM' or 'PPM') to RawImage.
+def decode_image(data):
+    """Decode PPM (P6) or PGM (P5) bytes to RawImage, by their magic.
 
-    PGM (P5) input is replicated to all three channels.
+    PGM input is replicated to all three channels.
     """
-    channels = {"PPM": 3, "PGM": 1}.get(fmt.upper())
+    channels = {b"P6": 3, b"P5": 1}.get(data[:2])
     if channels is None:
-        raise FormatError(f"unknown image format {fmt!r}")
-    width, height, pos = _parse_pnm(data, b"P6" if channels == 3 else b"P5")
+        raise FormatError("unrecognized image magic", 0)
+    width, height, pos = _parse_pnm(data)
     need = width * height * channels
     if len(data) - pos < need:
         raise FormatError(
@@ -174,11 +172,7 @@ def decode_image(data, fmt):
 def read_image(path):
     """Decode a PPM (P6) or PGM (P5) file, by its magic."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    fmt = {b"P6": "PPM", b"P5": "PGM"}.get(data[:2])
-    if fmt is None:
-        raise FormatError("unrecognized image magic", 0)
-    return decode_image(data, fmt)
+        return decode_image(fh.read())
 
 
 def encode_ppm(img):

@@ -91,10 +91,6 @@ class RankSvmModel:
     iters: int
     objective_history: list = field(default_factory=list)
 
-    @property
-    def final_objective(self):
-        return self.objective_history[-1] if self.objective_history else None
-
 
 def _aligned_pairs(probe_embeddings, gallery_embeddings):
     """(n, dim) probe and gallery rows of n >= 2 aligned persons, or DataError

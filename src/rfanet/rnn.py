@@ -100,8 +100,6 @@ class Params(dict):
     its ``W_factors`` hold (dA, X), whose product dA^T X is the W gradient.
     """
 
-    W_factors = None
-
     def __init__(self, shapes):
         super().__init__()
         H = shapes["U_i"][0]
@@ -150,12 +148,6 @@ class RfaModel:
 
     def param_shapes(self):
         return _param_shapes(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
-
-    def copy(self):
-        out = RfaModel(self.input_dim, self.hidden_dim, self.num_classes, self.peephole)
-        for name, value in self.params.items():
-            out.params[name] = value
-        return out
 
 
 def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_bound=0.01):
@@ -362,24 +354,23 @@ def backward(model, trace):
 def sgd_update(model, grads, lr):
     """In-place theta <- theta - lr * grad for every parameter in ``grads``.
 
-    A factored W gradient (``grads.W_factors``, see ``backward``) is applied
-    one _STEP_TILE tile of W at a time: the tile's part of (-lr dA)^T X is
-    one GEMM into a cache-sized buffer, which is then added to W."""
+    The W gradient comes factored (``grads.W_factors``, see ``backward``)
+    and is applied one _STEP_TILE tile of W at a time: the tile's part of
+    (-lr dA)^T X is one GEMM into a cache-sized buffer, then added to W."""
     for name, g in grads.items():
         theta = model.params[name]  # not params[name] -= ..., which copies back
         theta -= g * lr
-    if getattr(grads, "W_factors", None) is not None:
-        dA, X = grads.W_factors
-        step = dA * -lr
-        W = model.params.W
-        rows, cols = _STEP_TILE
-        tile = np.empty((min(rows, W.shape[0]), min(cols, W.shape[1])))
-        for r in range(0, W.shape[0], rows):
-            for c in range(0, W.shape[1], cols):
-                part = W[r : r + rows, c : c + cols]
-                delta = tile[: part.shape[0], : part.shape[1]]
-                np.matmul(step[:, r : r + rows].T, X[:, c : c + cols], out=delta)
-                part += delta
+    dA, X = grads.W_factors
+    step = dA * -lr
+    W = model.params.W
+    rows, cols = _STEP_TILE
+    tile = np.empty((min(rows, W.shape[0]), min(cols, W.shape[1])))
+    for r in range(0, W.shape[0], rows):
+        for c in range(0, W.shape[1], cols):
+            part = W[r : r + rows, c : c + cols]
+            delta = tile[: part.shape[0], : part.shape[1]]
+            np.matmul(step[:, r : r + rows].T, X[:, c : c + cols], out=delta)
+            part += delta
     return model
 
 

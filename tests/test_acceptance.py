@@ -202,9 +202,9 @@ def test_acceptance_09_ranksvm_solver():
         hinge == pytest.approx(0.0, abs=1e-9)
         and accuracy == 1.0
         and np.all(np.diff(hist) <= 0.0)
-        and model.final_objective <= grid_best * 1.01
+        and model.objective_history[-1] <= grid_best * 1.01
     )
-    print(f"  objective {model.final_objective:.6f} vs grid {grid_best:.6f}, "
+    print(f"  objective {model.objective_history[-1]:.6f} vs grid {grid_best:.6f}, "
           f"accuracy {accuracy:.2f}")
     _verdict(9, "ranksvm-solver", ok)
 

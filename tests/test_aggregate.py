@@ -86,7 +86,8 @@ def test_mean_over_sampled_windows(model, rng):
 
 def _embed_at_depth(model, xs, depth, cfg):
     """One sequence's mean h_depth, through the batched embedding."""
-    return embed_projected(model, rf.project(model, xs), [np.arange(len(xs))], [cfg], depth)[0]
+    return embed_projected(model, rf.project(model, xs), [np.arange(len(xs))], cfg, [cfg.seed],
+                           depth)[0]
 
 
 def test_depth_slices_full_embedding(model, rng):
@@ -109,41 +110,44 @@ def test_depth_out_of_range(model, rng):
 
 @pytest.mark.parametrize("block", [aggregate._WINDOW_BLOCK, 1], ids=["one-batch", "per-sequence"])
 def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
-    # sequences of different lengths, window counts and seeds, stacked into
-    # one descriptor matrix and projected once; with a block of 1 value every
-    # sequence runs as its own batch
+    # sequences of different lengths and seeds, stacked into one descriptor
+    # matrix and projected once, at several window counts; with a block of
+    # 1 value every sequence runs as its own batch
     monkeypatch.setattr(aggregate, "_WINDOW_BLOCK", block)
-    lengths, counts = (9, 4, 12, 6, 4), (3, 2, 5, 4, 7)
+    lengths = (9, 4, 12, 6, 4)
     seqs = [rng.standard_normal((T, 4)) for T in lengths]
-    cfgs = [rf.AggregationConfig(4, K, seed=10 + s) for s, K in enumerate(counts)]
+    seeds = [10 + s for s in range(len(seqs))]
     starts = np.cumsum((0,) + lengths)
     rows = [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])]
     ax = rf.project(model, np.concatenate(seqs))
 
-    means = embed_projected(model, ax, rows, cfgs)
-    assert means.shape == (len(seqs), 12)
-    for xs, cfg, got in zip(seqs, cfgs, means):
-        assert got.tobytes() == rf.embed_sequence(model, xs, cfg).values.tobytes()
-    for depth in range(1, 5):
-        at_depth = embed_projected(model, ax, rows, cfgs, depth)
-        for xs, cfg, got in zip(seqs, cfgs, at_depth):
-            assert got.tobytes() == _embed_at_depth(model, xs, depth, cfg).tobytes()
+    for K in (3, 2, 5, 4, 7):
+        own = [rf.AggregationConfig(4, K, seed) for seed in seeds]  # each sequence alone
+        means = embed_projected(model, ax, rows, rf.AggregationConfig(4, K), seeds)
+        assert means.shape == (len(seqs), 12)
+        for xs, cfg, got in zip(seqs, own, means):
+            assert got.tobytes() == rf.embed_sequence(model, xs, cfg).values.tobytes()
+        for depth in range(1, 5):
+            at_depth = embed_projected(model, ax, rows, rf.AggregationConfig(4, K), seeds, depth)
+            for xs, cfg, got in zip(seqs, own, at_depth):
+                assert got.tobytes() == _embed_at_depth(model, xs, depth, cfg).tobytes()
 
     # rows may be any rows of ax, in any order: a reversed sequence
-    back = embed_projected(model, ax, [rows[0][::-1]], cfgs[:1])[0]
-    assert back.tobytes() == rf.embed_sequence(model, seqs[0][::-1], cfgs[0]).values.tobytes()
+    cfg = rf.AggregationConfig(4, 3, seeds[0])
+    back = embed_projected(model, ax, [rows[0][::-1]], cfg, seeds[:1])[0]
+    assert back.tobytes() == rf.embed_sequence(model, seqs[0][::-1], cfg).values.tobytes()
 
 
 def test_batched_embedding_checks(model, rng):
     ax = rf.project(model, rng.standard_normal((8, 4)))
-    rows = [np.arange(8)]
-    two_lengths = [rf.AggregationConfig(3, 2), rf.AggregationConfig(4, 2)]
-    with pytest.raises(DataError, match="subsequence lengths"):
-        embed_projected(model, ax, rows * 2, two_lengths)
+    rows, cfg = [np.arange(8)], rf.AggregationConfig(3, 2)
     with pytest.raises(DataError, match="depth"):
-        embed_projected(model, ax, rows, [rf.AggregationConfig(3, 2)], depth=4)
+        embed_projected(model, ax, rows, cfg, [0], depth=4)
     with pytest.raises(DataError, match="shorter"):
-        embed_projected(model, ax, [np.arange(2)], [rf.AggregationConfig(3, 2)])
+        embed_projected(model, ax, [np.arange(2)], cfg, [0])
+    for seeds in ([0], [0, 1, 2]):  # one seed per sequence, or zip would drop some
+        with pytest.raises(DataError, match=f"2 sequences but {len(seeds)} seeds"):
+            embed_projected(model, ax, rows * 2, cfg, seeds)
 
 
 def test_nonfinite_embedding_rejected():

@@ -1,6 +1,7 @@
 """Every name the benchmark calls resolves in rfanet.
 
-``bench/workloads.py`` calls the package as ``rf.<name>``,
+``bench/workloads.py`` calls the package as ``rf.<name>(...)``, each call
+with arguments that must bind to the callee's signature,
 ``bench/layers.py`` hooks functions by ``"<module>.<function>"`` and reads
 their arguments by parameter name, and ``bench/selftest.py`` checks
 attributes as ``rfanet.<module>.<name>``. Deleting or renaming one of them
@@ -31,6 +32,20 @@ def _rf_names():
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name) and node.value.id == "rf"
     })
+
+
+def _rf_calls():
+    """(name, line, positional count, keyword names, has a ``*`` argument)
+    of every ``rf.<name>(...)`` call in bench/workloads.py."""
+    return sorted(
+        (node.func.attr, node.lineno,
+         sum(not isinstance(a, ast.Starred) for a in node.args),
+         tuple(k.arg for k in node.keywords if k.arg is not None),
+         any(isinstance(a, ast.Starred) for a in node.args))
+        for node in ast.walk(_tree("workloads.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "rf"
+    )
 
 
 def _hooked_functions():
@@ -79,6 +94,8 @@ def _selftest_attributes():
 def test_contract_names_found():
     # the collectors themselves: an empty list would make the tests below vacuous
     assert "run_experiment" in _rf_names() and "embed_sequence" in _rf_names()
+    calls = {(name, positional, keywords) for name, _, positional, keywords, _ in _rf_calls()}
+    assert {("AggregationConfig", 3, ()), ("embed_sequence", 3, ("source_id",))} <= calls
     assert "features.sequence_features" in _hooked_functions()
     assert {("rnn.backward", "model"), ("rnn.backward", "trace"), ("rnn.sgd_update", "grads"),
             ("rnn.lstm_step", "model"), ("features.sequence_features", "images"),
@@ -91,6 +108,20 @@ def test_contract_names_found():
 @pytest.mark.parametrize("name", _rf_names())
 def test_workload_name_resolves(name):
     assert hasattr(rf, name), f"bench/workloads.py calls rf.{name}, which rfanet lacks"
+
+
+@pytest.mark.parametrize("name,line,positional,keywords,starred", _rf_calls(),
+                         ids=[f"{call[0]}:{call[1]}" for call in _rf_calls()])
+def test_workload_call_binds(name, line, positional, keywords, starred):
+    # a ``*`` argument fills an unknown number of positions: only the
+    # keywords and the positions before it are checked
+    signature = inspect.signature(getattr(rf, name))
+    bind = signature.bind_partial if starred else signature.bind
+    try:
+        bind(*[None] * positional, **dict.fromkeys(keywords))
+    except TypeError as exc:
+        pytest.fail(f"bench/workloads.py:{line} calls rf.{name} with {positional} positional "
+                    f"arguments and keywords {keywords}, which do not bind: {exc}")
 
 
 @pytest.mark.parametrize("name", _hooked_functions())

@@ -1,11 +1,13 @@
 import json
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfanet as rf
+import rfanet.cli as cli
 from rfanet.cli import main
 from rfanet.errors import ConfigurationError
 from rfanet.rnn import PARAM_ORDER
@@ -67,10 +69,26 @@ def test_config_unknown_key(tmp_path):
 
 
 def test_config_mismatched_subseq_len():
+    # the aggregation L is train.subseq_len: JSON has no key for it, and a
+    # RunConfig built in code must agree
+    assert rf.config_from_dict(tiny_config_dict()).agg.subseq_len == 5
     data = tiny_config_dict()
     data["aggregation"]["subseq_len"] = 7
-    with pytest.raises(ConfigurationError, match="must equal"):
+    with pytest.raises(ConfigurationError, match=r"unknown keys in \[aggregation\]"):
         rf.config_from_dict(data)
+    cfg = rf.desk_scale()
+    cfg.agg = replace(cfg.agg, subseq_len=7)
+    with pytest.raises(ConfigurationError, match="must equal"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("key", ["manifest", "model", "out_dir"])
+def test_config_rejects_nul_in_paths(key):
+    paths = rf.PathsConfig(**{key: "run/m\u0000.rfanet"})
+    with pytest.raises(ConfigurationError, match=f"paths.{key} contains a NUL byte"):
+        rf.desk_scale(paths=paths).validate()
+    with pytest.raises(ConfigurationError, match=f"paths.{key} contains a NUL byte"):
+        rf.config_from_dict(tiny_config_dict(**{key: "run/m\u0000.rfanet"}))
 
 
 def test_config_grid_must_cover():
@@ -453,7 +471,7 @@ def test_cli_eval_rejects_nan_ranksvm_C(pipeline, tmp_path, capsys):
                            out_dir=str(tmp_path / "out"))
     cfg["matching"] = {"scorer": "ranksvm", "ranksvm_C": float("nan")}
     path = write_config(tmp_path, cfg)
-    assert "NaN" in open(path).read()
+    assert "NaN" in Path(path).read_text()
     assert main(["eval", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "ranksvm_C must be finite" in err and "Traceback" not in err
@@ -466,11 +484,55 @@ def test_cli_train_rejects_nan_learning_rate(pipeline, tmp_path, capsys):
                            model=str(model_path))
     cfg["train"]["lr_initial"] = float("nan")
     path = write_config(tmp_path, cfg)
-    assert "NaN" in open(path).read()
+    assert "NaN" in Path(path).read_text()
     assert main(["train", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "must be finite" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command,key", [("train", "model"), ("eval", "out_dir")])
+def test_cli_rejects_nul_in_output_path(pipeline, tmp_path, capsys, monkeypatch, command, key):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{command} started work before its paths were checked")
+
+    monkeypatch.setattr(cli, "train", forbidden)
+    monkeypatch.setattr(cli, "run_experiment", forbidden)
+    paths = {"manifest": str(pipeline["data"] / "manifest.json"),
+             key: str(tmp_path / "m\u0000.rfanet")}
+    assert main([command, "--config", write_config(tmp_path, tiny_config_dict(**paths))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: paths.{key} contains a NUL byte")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# each request is far above the 128 TiB of a user address space, so it is
+# refused at once, whatever the host's overcommit policy
+@pytest.mark.parametrize("command,section,key,value", [
+    ("train", "model", "hidden_dim", 10**9),  # W alone is 374 TiB
+    ("embed", "aggregation", "num_subsequences", 10**14),  # window starts: 728 TiB
+], ids=["train-hidden_dim", "embed-num_subsequences"])
+def test_cli_config_too_large_for_memory(pipeline, tmp_path, capsys, command, section, key,
+                                         value):
+    out = tmp_path / "out.bin"
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"), model=str(out))
+    cfg[section][key] = value
+    argv = [command, "--config", write_config(tmp_path, cfg)]
+    if command == "embed":
+        argv += ["--model", str(pipeline["model"]), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_gradcheck_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gradcheck", "--n", str(10**14)]) == 2  # W_y alone is 2.84 PiB
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_embed_rejects_model_header_larger_than_file(tmp_path, capsys):

@@ -19,30 +19,38 @@ from conftest import random_image
 
 def test_decode_p6_minimal():
     data = b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 0, 255])
-    img = rf.decode_image(data, "PPM")
+    img = rf.decode_image(data)
     assert (img.width, img.height) == (2, 1)
     assert img.pixels.tolist() == [[[255, 0, 0], [0, 0, 255]]]
 
 
 def test_decode_p5_gray_replication():
-    img = rf.decode_image(b"P5\n1 1\n255\n" + bytes([128]), "PGM")
+    img = rf.decode_image(b"P5\n1 1\n255\n" + bytes([128]))
     assert img.pixels.tolist() == [[[128, 128, 128]]]
 
 
 def test_decode_truncated_payload():
     data = b"P6\n4 4\n255\n" + bytes([1, 2, 3])
     with pytest.raises(FormatError, match="truncated pixel payload"):
-        rf.decode_image(data, "PPM")
+        rf.decode_image(data)
 
 
 def test_decode_bad_maxval():
     with pytest.raises(FormatError, match="maxval"):
-        rf.decode_image(b"P6\n1 1\n65535\n" + bytes(6), "PPM")
+        rf.decode_image(b"P6\n1 1\n65535\n" + bytes(6))
 
 
 def test_decode_with_comment():
     data = b"P6\n# a comment\n1 1\n255\n" + bytes([9, 8, 7])
-    assert rf.decode_image(data, "PPM").pixels.tolist() == [[[9, 8, 7]]]
+    assert rf.decode_image(data).pixels.tolist() == [[[9, 8, 7]]]
+
+
+@pytest.mark.parametrize("data", [b"P3\n1 1\n255\n9 8 7\n", b"BM" + bytes(8), b"P", b""],
+                         ids=["ascii-ppm", "bmp", "one-byte", "empty"])
+def test_decode_unknown_magic(data):
+    with pytest.raises(FormatError, match="unrecognized image magic") as exc:
+        rf.decode_image(data)
+    assert exc.value.offset == 0
 
 
 def test_ppm_roundtrip(rng, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 import lstm_reference as ref
 import rfanet as rf
 from rfanet.aggregate import sample_starts
-from rfanet.rnn import PARAM_ORDER
+from rfanet.rnn import PARAM_ORDER, Params
 
 D, H, N, L = 7, 4, 3, 5
 RTOL = 1e-10
@@ -64,7 +64,7 @@ def test_params_are_views_of_stacked_storage():
     # assigning a name writes through to the stacked arrays
     p["U_c"] = np.ones((H, H))
     assert np.all(p.U[2 * H : 3 * H] == 1.0)
-    copy = model.copy()
+    copy = _model("full")
     copy.params["W_o"][...] = 0.0
     assert np.all(copy.params.W[3 * H :] == 0.0) and not np.all(p.W[3 * H :] == 0.0)
 
@@ -171,7 +171,7 @@ def test_embeddings_match_per_window_mean():
                                windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
     for depth in range(1, L + 1):
         at_depth = rf.embed_projected(model, rf.project(model, frames), [np.arange(11)],
-                                      [cfg], depth)[0]
+                                      cfg, [cfg.seed], depth)[0]
         np.testing.assert_allclose(at_depth, windows[:, depth - 1].mean(axis=0),
                                    rtol=RTOL, atol=0)
 
@@ -223,8 +223,12 @@ def test_factored_gradients_equal_dense(monkeypatch, peephole):
 
     # tiles that do not divide W, so the last row and column tiles are partial
     monkeypatch.setattr(rfanet.rnn, "_STEP_TILE", (5, 3))
-    m_dense, m_factored = model.copy(), model.copy()
-    rf.sgd_update(m_dense, dense, 0.3)
+    m_dense, m_factored = _model(peephole), _model(peephole)
+    dense_set = Params(model.param_shapes())  # the W gates' rows as dense tensors
+    for name, g in dense.items():
+        dense_set[name] = g
+    dense_set.W_factors = (np.zeros((1, 4 * H)), np.zeros((1, D)))
+    rf.sgd_update(m_dense, dense_set, 0.3)
     rf.sgd_update(m_factored, factored, 0.3)
     for name in PARAM_ORDER:
         np.testing.assert_allclose(m_factored.params[name], m_dense.params[name],

@@ -292,10 +292,21 @@ def test_backward_deterministic(rng):
 # sgd
 # ---------------------------------------------------------------------------
 
+def _gradients(model, value):
+    """A gradient set laid out as ``backward`` returns it, every entry at
+    ``value``: dense tensors, and the W gates' gradient as factors (dA, X)."""
+    shapes = model.param_shapes()
+    grads = Params({n: s for n, s in shapes.items() if n[:2] != "W_" or n == "W_y"})
+    for name in grads:
+        grads[name] = value
+    grads.W_factors = (np.full((1, 4 * model.hidden_dim), value), np.ones((1, model.input_dim)))
+    return grads
+
+
 def test_sgd_zero_lr():
     model = rf.init_model(3, 2, 2, seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
-    rf.sgd_update(model, Params(model.param_shapes()), 0.0)
+    rf.sgd_update(model, _gradients(model, 0.0), 0.0)
     for name in before:
         assert np.array_equal(model.params[name], before[name])
 
@@ -303,7 +314,7 @@ def test_sgd_zero_lr():
 def test_sgd_scalar_update():
     model = zero_model(D=1, H=1, N=2)
     model.params["b_c"][0] = 1.0
-    grads = Params(model.param_shapes())
+    grads = _gradients(model, 0.0)
     grads["b_c"][0] = 2.0
     rf.sgd_update(model, grads, 0.1)
     assert model.params["b_c"][0] == pytest.approx(0.8)
@@ -311,11 +322,11 @@ def test_sgd_scalar_update():
 
 def test_sgd_linearity():
     m1 = rf.init_model(3, 2, 2, seed=4)
-    m2 = m1.copy()
-    g = {k: np.full_like(v, 0.25) for k, v in m1.params.items()}
+    m2 = rf.init_model(3, 2, 2, seed=4)
+    g = _gradients(m1, 0.25)
     rf.sgd_update(m1, g, 0.1)
     rf.sgd_update(m1, g, 0.2)
-    rf.sgd_update(m2, {k: 0.3 * v for k, v in g.items()}, 1.0)
+    rf.sgd_update(m2, _gradients(m2, 0.3 * 0.25), 1.0)
     for name in m1.params:
         assert m1.params[name] == pytest.approx(m2.params[name], abs=1e-15)
 
