@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -65,6 +66,20 @@ class RunConfig:
         return self.train.hidden_dim * self.train.subseq_len
 
     def validate(self):
+        for section, values in self.to_dict().items():
+            for key, value in values.items():
+                for number in value if isinstance(value, tuple) else (value,):
+                    # beyond an array index, and 10**400 is no float either
+                    if isinstance(number, int) and abs(number) > sys.maxsize:
+                        raise ConfigurationError(
+                            f"[{section}] {key} is out of range: an integer in a "
+                            f"config must be below 2**63 in magnitude"
+                        )
+        if self.image_h * self.image_w * 7 * 8 > sys.maxsize:
+            # to_frame_tensor's seven float64 planes
+            raise ConfigurationError(
+                f"[image] a {self.image_w}x{self.image_h} frame is larger than any array"
+            )
         self.grid.validate_for(self.image_h, self.image_w)
         self.train.validate()
         self.agg.validate()

@@ -53,6 +53,13 @@ class CosineScorer:
 # bit-identical gallery rows need not score bit-identically (see compute_cmc).
 _GALLERY_BLOCK = 16
 
+# n(n-1) x dim pair-matrix bytes above which train_ranksvm streams the pairs
+# one probe at a time in place of building the matrix. A desk-size fit (10
+# ids, dim 80: 57.6 KB) stays below it: numpy call overhead bounds it, and a
+# streamed fit was 3x slower there. 30 ids at dim 5,120 (35.6 MB) and the
+# paper's 150 training ids (915 MB) stream.
+_PAIR_BYTES = 4 * 2**20
+
 
 class RankSvmScorer:
     """w . |p - g| of a trained RankSvmModel; higher means more similar."""
@@ -130,6 +137,56 @@ def pair_difference_features(probe_embeddings, gallery_embeddings):
     return diffs
 
 
+class _StreamedPairs:
+    """The rows a_i - |p_i - g_j| (j != i, a_i = |p_i - g_i|) of
+    pair_difference_features as its two products, never stored.
+
+    With |p - g| = 2 max(p, g) - p - g, a row is a_i + p_i + g_j
+    - 2 max(p_i, g_j): the first three terms are (n, dim) vector algebra and
+    only max(p_i, g_j) is streamed, one probe's n x dim block at a time into
+    one buffer. At 30 ids and dim 5,120 a block is 1.2 MB, small enough to
+    stay in a core's L2 cache for the product that reads it; blocks of three
+    probes were slower.
+    """
+
+    def __init__(self, probes, gallery):
+        self.probes, self.gallery = probes, gallery
+        self.buf = np.empty_like(gallery)
+        a = probes - gallery
+        np.abs(a, out=a)
+        # pair_difference_features' all-zero test, stopped at the first
+        # probe with a non-zero row (j = i gives a_i itself)
+        for p, a_i in zip(probes, a):
+            np.abs(np.subtract(p, gallery, out=self.buf), out=self.buf)
+            if (self.buf != a_i).any():
+                break
+        else:
+            raise DegenerateProblemError("all pair features are identical; nothing to rank")
+        a += probes
+        self.base = a  # a_i + p_i
+        self.off = ~np.eye(len(probes), dtype=bool)
+
+    def violated_sum(self, violated):
+        """violated @ rows, for a boolean mask over the rows in their order."""
+        V = np.zeros(self.off.shape)
+        V[self.off] = violated
+        larger = np.zeros(self.gallery.shape[1])
+        for p, row in zip(self.probes, V):
+            if row.any():
+                larger += row @ np.maximum(p, self.gallery, out=self.buf)
+        return V.sum(axis=1) @ self.base + V.sum(axis=0) @ self.gallery - 2.0 * larger
+
+    def margins(self, w):
+        """rows @ w."""
+        S = np.empty(self.off.shape)
+        for p, row in zip(self.probes, S):
+            np.matmul(np.maximum(p, self.gallery, out=self.buf), w, out=row)
+        S *= -2.0
+        S += (self.base @ w)[:, None]
+        S += self.gallery @ w
+        return S[self.off]
+
+
 def _objective(w, margins, C):
     """0.5 |w|^2 + C * sum max(0, 1 - m) over the constraint margins m = diffs @ w."""
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
@@ -152,22 +209,44 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     1 - 1/t, which keeps it inside the ball, and the margins are scaled with
     it; diffs @ w is recomputed only after a step that adds violated rows.
     The averaged iterate's margins follow the same recurrence as w_avg, so
-    its objective needs no pass over the pair matrix.
+    its objective needs no pass over the pairs.
+
+    The n(n-1) x dim pair matrix is built only while it fits in _PAIR_BYTES
+    (4 MiB), and that side is unchanged bit for bit. Above it, a step with
+    violated rows makes two streamed passes over the probes (see
+    _StreamedPairs): one for the violated sum, which skips probes without a
+    violated row, and one for the new margins. Each probe costs one
+    np.maximum over the gallery and one product, since |p - g| = 2 max(p, g)
+    - p - g exactly. Either way the fit holds O(n dim) plus at most
+    _PAIR_BYTES of pairs, in place of n(n-1) x dim. The two sides agree to
+    rounding: the max form's error is a few eps times sum_k |w_k| (|p_k| +
+    |g_k|), as in RankSvmScorer.scores.
     """
     if not (math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
     if iters < 1:
         raise DataError("iters must be >= 1")
-    diffs = pair_difference_features(probe_embeddings, gallery_embeddings)
-    m = diffs.shape[0]
+    probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
+    n, dim = probes.shape
+    m = n * (n - 1)
     lam = 1.0 / (C * m)
     radius = 1.0 / np.sqrt(lam)
 
-    w = np.zeros(diffs.shape[1])
+    w = np.zeros(dim)
     margins = np.zeros(m)  # diffs @ w
     w_avg = np.zeros_like(w)
     m_avg = np.zeros(m)    # diffs @ w_avg
     w_best = w_avg.copy()
+    # the pair buffers come after the loop's arrays: allocated first, they
+    # left a hole under w_best, which outlives the fit, that split the free
+    # heap, and a 300-id ranking after a 30-id fit then grew the heap and the
+    # peak RSS by 12 MB
+    if m * dim * 8 <= _PAIR_BYTES:
+        diffs = pair_difference_features(probes, gallery)
+        violated_sum, margins_of = (lambda v: v @ diffs), (lambda w: diffs @ w)
+    else:
+        pairs = _StreamedPairs(probes, gallery)
+        violated_sum, margins_of = pairs.violated_sum, pairs.margins
     best = _objective(w_best, m_avg, C)
     weight_sum = 0.0
     history = []
@@ -177,12 +256,12 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
         scale = 1.0 - 1.0 / t
         w *= scale
         if violated.any():
-            # one pass over the pair matrix, with no copy of the violated rows
-            w += (violated @ diffs) / (lam * m * t)
+            # one pass over the pairs, with no copy of the violated rows
+            w += violated_sum(violated) / (lam * m * t)
             norm = np.linalg.norm(w)
             if norm > radius:
                 w *= radius / norm
-            margins = diffs @ w
+            margins = margins_of(w)
         else:
             # w was inside the ball and only shrank, so no projection is due
             margins *= scale

@@ -28,6 +28,27 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def streamed_pairs(monkeypatch):
+    """train_ranksvm on its streamed side at any size: a pair budget of 0
+    bytes, and a pair matrix that must not be built."""
+    import rfanet.matching as matching
+
+    def built(*_args):
+        raise AssertionError("the streamed fit built the pair matrix")
+
+    monkeypatch.setattr(matching, "_PAIR_BYTES", 0)
+    monkeypatch.setattr(matching, "pair_difference_features", built)
+
+
+@pytest.fixture(params=["materialized", "streamed"])
+def pair_side(request):
+    """Each side of train_ranksvm's pair budget, for problems far below it."""
+    if request.param == "streamed":
+        request.getfixturevalue("streamed_pairs")
+    return request.param
+
+
 def random_image(rng, width, height):
     return rf.RawImage(
         width, height, rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)

@@ -466,6 +466,35 @@ def test_cli_rejects_bad_seed_or_synthetic_value(
         rf.config_from_dict(data)
 
 
+# numbers no array or float can hold: 10**400 overflowed float() in
+# math.isfinite, and an image width of 2**62 or 2**63 reached numpy as an
+# array too big or a non-integer index
+@pytest.mark.parametrize("section,key,value,message", [
+    ("matching", "ranksvm_C", 10**400, r"\[matching\] ranksvm_C is out of range"),
+    ("train", "lr_initial", 10**400, r"\[train\] lr_initial is out of range"),
+    ("synthetic", "jitter", 10**400, r"\[synthetic\] jitter is out of range"),
+    ("synthetic", "camera_gain", [1.0, -10**400, 1.0],
+     r"\[synthetic\] camera_gain is out of range"),
+    ("image", "width", 2**62, r"\[image\] a 4611686018427387904x32 frame is larger"),
+    ("image", "width", 2**63, r"\[image\] width is out of range"),
+], ids=["C-1e400", "lr-1e400", "jitter-1e400", "gain-minus-1e400", "width-2e62", "width-2e63"])
+def test_cli_rejects_number_no_array_can_hold(tmp_path, capsys, section, key, value, message):
+    data = tiny_config_dict()
+    data[section][key] = value
+    out = tmp_path / "d"
+    assert main(["synth", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
+
+
+def test_config_built_in_code_rejects_out_of_range_number():
+    with pytest.raises(ConfigurationError, match="ranksvm_C is out of range"):
+        rf.desk_scale(ranksvm_C=10**400).validate()
+
+
 def test_cli_eval_rejects_nan_ranksvm_C(pipeline, tmp_path, capsys):
     cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
                            out_dir=str(tmp_path / "out"))

@@ -3,6 +3,7 @@ import pytest
 
 import matching_reference as ref
 import rfanet as rf
+import rfanet.matching as matching
 from rfanet.errors import DataError, DegenerateProblemError
 from rfanet.matching import _objective, pair_difference_features
 
@@ -132,7 +133,7 @@ def test_ranksvm_separable_perfect_accuracy(rng):
     assert rf.ranking_accuracy(model, probes, gallery) == 1.0
 
 
-def test_ranksvm_history_monotone(rng):
+def _history_monotone(rng):
     probes, gallery = _separable_instance(rng)
     model = rf.train_ranksvm(probes, gallery, C=100.0, iters=1500)
     hist = np.array(model.objective_history)
@@ -141,6 +142,14 @@ def test_ranksvm_history_monotone(rng):
     assert model.objective_history[-1] == pytest.approx(
         ref.hinge_objective(model.w, pair_difference_features(probes, gallery), 100.0)
     )
+
+
+def test_ranksvm_history_monotone(rng):
+    _history_monotone(rng)
+
+
+def test_streamed_ranksvm_history_monotone(rng, streamed_pairs):
+    _history_monotone(rng)
 
 
 def test_ranksvm_matches_grid_search_oracle(rng):
@@ -208,6 +217,57 @@ def test_ranking_accuracy_checks_inputs(rng):
         rf.ranking_accuracy(model, probes, gallery[:-1])
     with pytest.raises(DataError, match="at least 2"):
         rf.ranking_accuracy(model, probes[:1], gallery[:1])
+
+
+@pytest.mark.parametrize("probes,gallery", [
+    ([[1.0, 1.0]] * 3, [[1.0, 1.0]] * 3),
+    ([[0.0], [0.0]], [[1.0], [-1.0]]),   # |p - g| is 1 for every pair
+], ids=["identical", "mirrored"])
+def test_ranksvm_rejects_identical_pair_features(pair_side, probes, gallery):
+    with pytest.raises(DegenerateProblemError, match="all pair features are identical"):
+        rf.train_ranksvm(np.array(probes), np.array(gallery), iters=5)
+
+
+def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(pair_side):
+    # probes 0 and 1 see |p - g| = 1 in every pair, probe 2 does not
+    probes, gallery = [[0.0], [0.0], [10.0]], [[1.0], [-1.0], [1.0]]
+    assert rf.train_ranksvm(np.array(probes), np.array(gallery), iters=5).objective_history
+
+
+# n(n-1) x dim float64 bytes against the 4 MiB budget: desk-noise's fit,
+# the budget exactly and one column over, and full-match's 35.6 MB fit
+@pytest.mark.parametrize("n,dim,streams", [
+    (10, 80, False), (2, 2**18, False), (2, 2**18 + 1, True), (30, 5120, True),
+])
+def test_pair_budget_picks_the_fit(monkeypatch, n, dim, streams):
+    built = []
+    real = matching.pair_difference_features
+    monkeypatch.setattr(matching, "pair_difference_features",
+                        lambda *args: built.append(1) or real(*args))
+    data = np.random.default_rng(n)
+    probes = data.standard_normal((n, dim))
+    rf.train_ranksvm(probes, probes + data.standard_normal((n, dim)), iters=2)
+    assert bool(built) is not streams
+
+
+def test_streamed_fit_memory_stays_bounded():
+    import tracemalloc
+
+    data = np.random.default_rng(150)
+    n, dim = 150, 5120
+    probes = list(data.standard_normal((n, dim)))
+    gallery = [p + 0.5 * data.standard_normal(dim) for p in probes]
+    tracemalloc.start()
+    try:
+        model = rf.train_ranksvm(probes, gallery, C=1.0, iters=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every pair violates at w = 0, where the objective is C n(n-1)
+    assert model.objective_history[-1] < n * (n - 1)
+    # the stacked embeddings are 6.1 MB each; the n(n-1) x dim pair matrix
+    # would be 915 MB
+    assert peak < 32 * 2**20, peak
 
 
 def test_ranking_accuracy_builds_no_pair_matrix():

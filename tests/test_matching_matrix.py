@@ -27,10 +27,7 @@ def _instance(rng, n, dim, separable):
     return probes, gallery
 
 
-@pytest.mark.parametrize("separable", [True, False], ids=["separable", "non-separable"])
-@pytest.mark.parametrize("C", [0.01, 1.0, 5.0, 100.0])
-@pytest.mark.parametrize("n,dim", [(5, 2), (12, 30)])
-def test_ranksvm_matches_reference(separable, C, n, dim):
+def _matches_reference(separable, C, n, dim):
     rng = np.random.default_rng(n * dim)
     probes, gallery = _instance(rng, n, dim, separable)
     w, history = ref.train_ranksvm(probes, gallery, C, 1500)
@@ -38,6 +35,27 @@ def test_ranksvm_matches_reference(separable, C, n, dim):
     np.testing.assert_allclose(model.w, w, rtol=RTOL, atol=RTOL * np.abs(w).max())
     np.testing.assert_allclose(model.objective_history, history, rtol=RTOL)
     assert np.all(np.diff(model.objective_history) <= 0.0)
+
+
+_separable = pytest.mark.parametrize("separable", [True, False],
+                                     ids=["separable", "non-separable"])
+_C = pytest.mark.parametrize("C", [0.01, 1.0, 5.0, 100.0])
+_size = pytest.mark.parametrize("n,dim", [(5, 2), (12, 30)])
+
+
+# every instance here is far below the pair budget: the materialized fit
+@_separable
+@_C
+@_size
+def test_ranksvm_matches_reference(separable, C, n, dim):
+    _matches_reference(separable, C, n, dim)
+
+
+@_separable
+@_C
+@_size
+def test_streamed_ranksvm_matches_reference(streamed_pairs, separable, C, n, dim):
+    _matches_reference(separable, C, n, dim)
 
 
 def test_ranksvm_objective_needs_no_pass_over_pairs(rng):
