@@ -113,6 +113,13 @@ class RunConfig:
             raise ConfigurationError(f"synthetic.jitter must be finite and >= 0, got {syn.jitter}")
         if syn.noise_pool_size < 0:
             raise ConfigurationError("synthetic.noise_pool_size must be >= 0")
+        frames = 2 * syn.num_persons * syn.frames_per_camera + syn.noise_pool_size
+        if frames * self.image_w * self.image_h * 3 > sys.maxsize:
+            # generate_synthetic holds every uint8 RGB frame before any is written
+            raise ConfigurationError(
+                f"[synthetic] {frames} frames of {self.image_w}x{self.image_h} are larger "
+                f"than any array"
+            )
         for f in fields(self.paths):
             if "\0" in (getattr(self.paths, f.name) or ""):
                 raise ConfigurationError(f"paths.{f.name} contains a NUL byte")

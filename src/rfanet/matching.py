@@ -53,12 +53,11 @@ class CosineScorer:
 # bit-identical gallery rows need not score bit-identically (see compute_cmc).
 _GALLERY_BLOCK = 16
 
-# n(n-1) x dim pair-matrix bytes above which train_ranksvm streams the pairs
-# one probe at a time in place of building the matrix. A desk-size fit (10
-# ids, dim 80: 57.6 KB) stays below it: numpy call overhead bounds it, and a
-# streamed fit was 3x slower there. 30 ids at dim 5,120 (35.6 MB) and the
-# paper's 150 training ids (915 MB) stream.
-_PAIR_BYTES = 4 * 2**20
+# bytes of one max(P_blk, G) block of the RankSVM fit: as many whole probes
+# as fit, and at least one. 2 MiB is about one core's L2 cache: 30 ids at
+# dim 5,120 (1.2 MB a probe) and 150 ids run one probe a block, which was
+# faster than three, and a desk-size fit (10 ids, dim 80) is one block.
+_PROBE_BLOCK_BYTES = 2 * 2**20
 
 
 class RankSvmScorer:
@@ -120,18 +119,12 @@ def pair_difference_features(probe_embeddings, gallery_embeddings):
     """Margin rows s+_i - s-_ij for every i and j != i, in that order.
 
     s+_i = |a_i - b_i| (true pair), s-_ij = |a_i - b_j| (wrong pair); the
-    solver wants w . (s+_i - s-_ij) >= 1. The n(n-1) x dim matrix is filled
-    in place, one block of n-1 rows per probe.
+    solver wants w . (s+_i - s-_ij) >= 1. train_ranksvm never builds this
+    n(n-1) x dim matrix (see _StreamedPairs); the tests' reference solver does.
     """
     probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
-    n = len(probes)
-    diffs = np.empty((n * (n - 1), probes.shape[1]))
-    for i in range(n):
-        block = diffs[i * (n - 1):(i + 1) * (n - 1)]
-        np.subtract(probes[i], gallery[:i], out=block[:i])
-        np.subtract(probes[i], gallery[i + 1:], out=block[i:])
-        np.abs(block, out=block)
-        np.subtract(np.abs(probes[i] - gallery[i]), block, out=block)
+    diffs = np.abs(probes - gallery)[:, None] - np.abs(probes[:, None] - gallery)
+    diffs = diffs[~np.eye(len(probes), dtype=bool)]
     if not diffs.any():
         raise DegenerateProblemError("all pair features are identical; nothing to rank")
     return diffs
@@ -143,44 +136,57 @@ class _StreamedPairs:
 
     With |p - g| = 2 max(p, g) - p - g, a row is a_i + p_i + g_j
     - 2 max(p_i, g_j): the first three terms are (n, dim) vector algebra and
-    only max(p_i, g_j) is streamed, one probe's n x dim block at a time into
-    one buffer. At 30 ids and dim 5,120 a block is 1.2 MB, small enough to
-    stay in a core's L2 cache for the product that reads it; blocks of three
-    probes were slower.
+    only max(p_i, g_j) is streamed, a block of whole probes at a time into
+    one buffer of at most _PROBE_BLOCK_BYTES, or of one probe. max rounds
+    nothing, so the error is that of the products: a few eps times
+    sum_k |w_k| (|p_k| + |g_k|), as in RankSvmScorer.scores.
     """
 
     def __init__(self, probes, gallery):
+        n, dim = probes.shape
         self.probes, self.gallery = probes, gallery
-        self.buf = np.empty_like(gallery)
-        a = probes - gallery
-        np.abs(a, out=a)
+        step = max(1, _PROBE_BLOCK_BYTES // (n * max(dim, 1) * 8))
+        buf = np.empty((min(step, n), n, dim))
+        # each block's probe rows and its (rows, n, dim) view of the one buffer
+        self.blocks = [(slice(i, i + step), buf[:min(step, n - i)]) for i in range(0, n, step)]
+        a = np.abs(probes - gallery)
         # pair_difference_features' all-zero test, stopped at the first
-        # probe with a non-zero row (j = i gives a_i itself)
-        for p, a_i in zip(probes, a):
-            np.abs(np.subtract(p, gallery, out=self.buf), out=self.buf)
-            if (self.buf != a_i).any():
+        # block with a non-zero row (j = i gives a_i itself)
+        for rows, block in self.blocks:
+            np.abs(np.subtract(probes[rows, None], gallery, out=block), out=block)
+            if (block != a[rows, None]).any():
                 break
         else:
             raise DegenerateProblemError("all pair features are identical; nothing to rank")
         a += probes
         self.base = a  # a_i + p_i
-        self.off = ~np.eye(len(probes), dtype=bool)
+        self.off = ~np.eye(n, dtype=bool)
+        self.held = None  # the block whose max(p_i, g_j) the buffer holds
+
+    def _larger(self, k):
+        """max(p_i, g_j) for the probes i of block k, as (rows * n, dim) rows;
+        it does not depend on w, so a one-block fit fills the buffer once."""
+        rows, buf = self.blocks[k]
+        if self.held != k:
+            np.maximum(self.probes[rows, None], self.gallery, out=buf)
+            self.held = k
+        return buf.reshape(-1, buf.shape[2])
 
     def violated_sum(self, violated):
         """violated @ rows, for a boolean mask over the rows in their order."""
         V = np.zeros(self.off.shape)
         V[self.off] = violated
         larger = np.zeros(self.gallery.shape[1])
-        for p, row in zip(self.probes, V):
-            if row.any():
-                larger += row @ np.maximum(p, self.gallery, out=self.buf)
+        for k, (rows, _) in enumerate(self.blocks):
+            if np.count_nonzero(V[rows]):
+                larger += V[rows].reshape(-1) @ self._larger(k)
         return V.sum(axis=1) @ self.base + V.sum(axis=0) @ self.gallery - 2.0 * larger
 
     def margins(self, w):
         """rows @ w."""
         S = np.empty(self.off.shape)
-        for p, row in zip(self.probes, S):
-            np.matmul(np.maximum(p, self.gallery, out=self.buf), w, out=row)
+        for k, (rows, _) in enumerate(self.blocks):
+            np.matmul(self._larger(k), w, out=S[rows].reshape(-1))
         S *= -2.0
         S += (self.base @ w)[:, None]
         S += self.gallery @ w
@@ -208,19 +214,16 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     iteration to the next: a step with no violated row only scales w by
     1 - 1/t, which keeps it inside the ball, and the margins are scaled with
     it; diffs @ w is recomputed only after a step that adds violated rows.
+    The violated sum depends on the mask alone and is recomputed only when
+    the mask changes: a desk-size fit kept one mask for 1,999 of 2,000 steps.
     The averaged iterate's margins follow the same recurrence as w_avg, so
     its objective needs no pass over the pairs.
 
-    The n(n-1) x dim pair matrix is built only while it fits in _PAIR_BYTES
-    (4 MiB), and that side is unchanged bit for bit. Above it, a step with
-    violated rows makes two streamed passes over the probes (see
-    _StreamedPairs): one for the violated sum, which skips probes without a
-    violated row, and one for the new margins. Each probe costs one
-    np.maximum over the gallery and one product, since |p - g| = 2 max(p, g)
-    - p - g exactly. Either way the fit holds O(n dim) plus at most
-    _PAIR_BYTES of pairs, in place of n(n-1) x dim. The two sides agree to
-    rounding: the max form's error is a few eps times sum_k |w_k| (|p_k| +
-    |g_k|), as in RankSvmScorer.scores.
+    A step with violated rows makes two streamed passes over the pairs (see
+    _StreamedPairs): one for the violated sum, which skips probe blocks
+    without a violated row, and one for the new margins. The fit holds
+    O(n dim) plus one block of at most _PROBE_BLOCK_BYTES, in place of the
+    n(n-1) x dim pair matrix.
     """
     if not (math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
@@ -237,31 +240,27 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     w_avg = np.zeros_like(w)
     m_avg = np.zeros(m)    # diffs @ w_avg
     w_best = w_avg.copy()
-    # the pair buffers come after the loop's arrays: allocated first, they
-    # left a hole under w_best, which outlives the fit, that split the free
-    # heap, and a 300-id ranking after a 30-id fit then grew the heap and the
-    # peak RSS by 12 MB
-    if m * dim * 8 <= _PAIR_BYTES:
-        diffs = pair_difference_features(probes, gallery)
-        violated_sum, margins_of = (lambda v: v @ diffs), (lambda w: diffs @ w)
-    else:
-        pairs = _StreamedPairs(probes, gallery)
-        violated_sum, margins_of = pairs.violated_sum, pairs.margins
+    # the pair buffers come after the loop's arrays: allocated first, they left
+    # a hole under w_best (which outlives the fit) that split the free heap, and
+    # a 300-id ranking after a 30-id fit then grew the heap and peak RSS by 12 MB
+    pairs = _StreamedPairs(probes, gallery)
     best = _objective(w_best, m_avg, C)
     weight_sum = 0.0
     history = []
+    mask = total = None  # the last violated mask and its sum of rows
     for t in range(1, iters + 1):
         # w - (lambda w - sum of violated rows / m) / (lambda t)
         violated = margins < 1.0
         scale = 1.0 - 1.0 / t
         w *= scale
         if violated.any():
-            # one pass over the pairs, with no copy of the violated rows
-            w += violated_sum(violated) / (lam * m * t)
+            if not np.array_equal(violated, mask):
+                mask, total = violated, pairs.violated_sum(violated)
+            w += total / (lam * m * t)
             norm = np.linalg.norm(w)
             if norm > radius:
                 w *= radius / norm
-            margins = margins_of(w)
+            margins = pairs.margins(w)
         else:
             # w was inside the ball and only shrank, so no projection is due
             margins *= scale

@@ -29,24 +29,15 @@ def rng():
 
 
 @pytest.fixture
-def streamed_pairs(monkeypatch):
-    """train_ranksvm on its streamed side at any size: a pair budget of 0
-    bytes, and a pair matrix that must not be built."""
+def probe_block(monkeypatch):
+    """probe_block(k, n, dim) sizes train_ranksvm's max(P_blk, G) blocks to k
+    whole probes of an n-id, dim-wide fit; the last block holds the rest."""
     import rfanet.matching as matching
 
-    def built(*_args):
-        raise AssertionError("the streamed fit built the pair matrix")
+    def blocks_of(k, n, dim):
+        monkeypatch.setattr(matching, "_PROBE_BLOCK_BYTES", k * n * dim * 8)
 
-    monkeypatch.setattr(matching, "_PAIR_BYTES", 0)
-    monkeypatch.setattr(matching, "pair_difference_features", built)
-
-
-@pytest.fixture(params=["materialized", "streamed"])
-def pair_side(request):
-    """Each side of train_ranksvm's pair budget, for problems far below it."""
-    if request.param == "streamed":
-        request.getfixturevalue("streamed_pairs")
-    return request.param
+    return blocks_of
 
 
 def random_image(rng, width, height):

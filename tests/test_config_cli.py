@@ -477,17 +477,20 @@ def test_cli_rejects_bad_seed_or_synthetic_value(
      r"\[synthetic\] camera_gain is out of range"),
     ("image", "width", 2**62, r"\[image\] a 4611686018427387904x32 frame is larger"),
     ("image", "width", 2**63, r"\[image\] width is out of range"),
-], ids=["C-1e400", "lr-1e400", "jitter-1e400", "gain-minus-1e400", "width-2e62", "width-2e63"])
+    ("synthetic", "num_persons", 2**62, r"\[synthetic\] \d+ frames of 16x32 are larger"),
+], ids=["C-1e400", "lr-1e400", "jitter-1e400", "gain-minus-1e400", "width-2e62", "width-2e63",
+        "persons-2e62"])
 def test_cli_rejects_number_no_array_can_hold(tmp_path, capsys, section, key, value, message):
     data = tiny_config_dict()
     data[section][key] = value
+    # checked first: an accepted 2**62 persons makes synth grow until it is killed
+    with pytest.raises(ConfigurationError, match=message):
+        rf.config_from_dict(data)
     out = tmp_path / "d"
     assert main(["synth", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
-    with pytest.raises(ConfigurationError, match=message):
-        rf.config_from_dict(data)
 
 
 def test_config_built_in_code_rejects_out_of_range_number():

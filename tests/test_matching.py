@@ -133,8 +133,7 @@ def test_ranksvm_separable_perfect_accuracy(rng):
     assert rf.ranking_accuracy(model, probes, gallery) == 1.0
 
 
-def _history_monotone(rng):
-    probes, gallery = _separable_instance(rng)
+def _history_monotone(probes, gallery):
     model = rf.train_ranksvm(probes, gallery, C=100.0, iters=1500)
     hist = np.array(model.objective_history)
     assert len(hist) == 1500
@@ -145,11 +144,15 @@ def _history_monotone(rng):
 
 
 def test_ranksvm_history_monotone(rng):
-    _history_monotone(rng)
+    _history_monotone(*_separable_instance(rng))
 
 
-def test_streamed_ranksvm_history_monotone(rng, streamed_pairs):
-    _history_monotone(rng)
+# blocks of one probe and of 3, which leave a partial last block of 2
+def test_streamed_ranksvm_history_monotone(rng, probe_block):
+    probes, gallery = _separable_instance(rng)
+    for k in (1, 3):
+        probe_block(k, 5, 2)
+        _history_monotone(probes, gallery)
 
 
 def test_ranksvm_matches_grid_search_oracle(rng):
@@ -222,32 +225,35 @@ def test_ranking_accuracy_checks_inputs(rng):
 @pytest.mark.parametrize("probes,gallery", [
     ([[1.0, 1.0]] * 3, [[1.0, 1.0]] * 3),
     ([[0.0], [0.0]], [[1.0], [-1.0]]),   # |p - g| is 1 for every pair
-], ids=["identical", "mirrored"])
-def test_ranksvm_rejects_identical_pair_features(pair_side, probes, gallery):
-    with pytest.raises(DegenerateProblemError, match="all pair features are identical"):
-        rf.train_ranksvm(np.array(probes), np.array(gallery), iters=5)
+    ([[]] * 3, [[]] * 3),                 # no dimensions: no pair feature at all
+], ids=["identical", "mirrored", "empty"])
+def test_ranksvm_rejects_identical_pair_features(probe_block, probes, gallery):
+    probes, gallery = np.array(probes), np.array(gallery)
+    for k in range(1, len(probes) + 1):
+        probe_block(k, *probes.shape)
+        with pytest.raises(DegenerateProblemError, match="all pair features are identical"):
+            rf.train_ranksvm(probes, gallery, iters=5)
 
 
-def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(pair_side):
+def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(probe_block):
     # probes 0 and 1 see |p - g| = 1 in every pair, probe 2 does not
-    probes, gallery = [[0.0], [0.0], [10.0]], [[1.0], [-1.0], [1.0]]
-    assert rf.train_ranksvm(np.array(probes), np.array(gallery), iters=5).objective_history
+    probes, gallery = np.array([[0.0], [0.0], [10.0]]), np.array([[1.0], [-1.0], [1.0]])
+    for k in (1, 2, 3):
+        probe_block(k, 3, 1)
+        assert rf.train_ranksvm(probes, gallery, iters=5).objective_history
 
 
-# n(n-1) x dim float64 bytes against the 4 MiB budget: desk-noise's fit,
-# the budget exactly and one column over, and full-match's 35.6 MB fit
-@pytest.mark.parametrize("n,dim,streams", [
-    (10, 80, False), (2, 2**18, False), (2, 2**18 + 1, True), (30, 5120, True),
-])
-def test_pair_budget_picks_the_fit(monkeypatch, n, dim, streams):
-    built = []
-    real = matching.pair_difference_features
-    monkeypatch.setattr(matching, "pair_difference_features",
-                        lambda *args: built.append(1) or real(*args))
+# desk-noise's fit, one block of all 10 probes, and full-match's fit, one
+# probe a block: neither builds the n(n-1) x dim pair matrix
+@pytest.mark.parametrize("n,dim", [(10, 80), (30, 5120)])
+def test_fit_never_builds_the_pair_matrix(monkeypatch, n, dim):
+    def built(*_args):
+        raise AssertionError("the fit built the pair matrix")
+
+    monkeypatch.setattr(matching, "pair_difference_features", built)
     data = np.random.default_rng(n)
     probes = data.standard_normal((n, dim))
     rf.train_ranksvm(probes, probes + data.standard_normal((n, dim)), iters=2)
-    assert bool(built) is not streams
 
 
 def test_streamed_fit_memory_stays_bounded():

@@ -43,7 +43,7 @@ _C = pytest.mark.parametrize("C", [0.01, 1.0, 5.0, 100.0])
 _size = pytest.mark.parametrize("n,dim", [(5, 2), (12, 30)])
 
 
-# every instance here is far below the pair budget: the materialized fit
+# at the real block budget every instance here is one block of all its probes
 @_separable
 @_C
 @_size
@@ -51,11 +51,15 @@ def test_ranksvm_matches_reference(separable, C, n, dim):
     _matches_reference(separable, C, n, dim)
 
 
+# blocks of one probe, and of 3 and 5 probes, which leave a partial last
+# block at n = 5 and at n = 12
 @_separable
 @_C
 @_size
-def test_streamed_ranksvm_matches_reference(streamed_pairs, separable, C, n, dim):
-    _matches_reference(separable, C, n, dim)
+def test_streamed_ranksvm_matches_reference(probe_block, separable, C, n, dim):
+    for k in (1, 3, 5):
+        probe_block(k, n, dim)
+        _matches_reference(separable, C, n, dim)
 
 
 def test_ranksvm_objective_needs_no_pass_over_pairs(rng):
@@ -96,11 +100,13 @@ def _tied_set(rng, n, dim):
     )
 
 
-# 80 probes span two probe blocks, 80 gallery entries five gallery blocks
-@pytest.mark.parametrize("dim", [2, 3, 6])
-def test_cmc_matches_per_pair_reference_with_ties(dim):
+# 80 probes span two probe blocks, 80 gallery entries five gallery blocks;
+# 83 gallery entries leave a last gallery block of 3 rows
+@pytest.mark.parametrize("dim,n", [(2, 80), (3, 80), (6, 80), (6, 83)],
+                         ids=["2", "3", "6", "6-83"])
+def test_cmc_matches_per_pair_reference_with_ties(dim, n):
     rng = np.random.default_rng(dim)
-    probes, gallery = _tied_set(rng, 80, dim)
+    probes, gallery = _tied_set(rng, n, dim)
     w = rng.integers(-3, 4, dim).astype(float)
     svm = rf.RankSvmModel(w, 1.0, 1)
     for scorer, score in (
