@@ -40,6 +40,19 @@ def probe_block(monkeypatch):
     return blocks_of
 
 
+@pytest.fixture(params=["materialized", "streamed"])
+def block_sizes(request, probe_block):
+    """block_sizes(n, dim) sets and yields each probe-block size in turn: one
+    block of all n probes ("materialized", every pair product in one buffer),
+    or each size from 1 to n - 1 ("streamed")."""
+    def sizes(n, dim):
+        for k in [n] if request.param == "materialized" else range(1, n):
+            probe_block(k, n, dim)
+            yield k
+
+    return sizes
+
+
 def random_image(rng, width, height):
     return rf.RawImage(
         width, height, rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)

@@ -227,19 +227,17 @@ def test_ranking_accuracy_checks_inputs(rng):
     ([[0.0], [0.0]], [[1.0], [-1.0]]),   # |p - g| is 1 for every pair
     ([[]] * 3, [[]] * 3),                 # no dimensions: no pair feature at all
 ], ids=["identical", "mirrored", "empty"])
-def test_ranksvm_rejects_identical_pair_features(probe_block, probes, gallery):
+def test_ranksvm_rejects_identical_pair_features(block_sizes, probes, gallery):
     probes, gallery = np.array(probes), np.array(gallery)
-    for k in range(1, len(probes) + 1):
-        probe_block(k, *probes.shape)
+    for _ in block_sizes(*probes.shape):
         with pytest.raises(DegenerateProblemError, match="all pair features are identical"):
             rf.train_ranksvm(probes, gallery, iters=5)
 
 
-def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(probe_block):
+def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(block_sizes):
     # probes 0 and 1 see |p - g| = 1 in every pair, probe 2 does not
     probes, gallery = np.array([[0.0], [0.0], [10.0]]), np.array([[1.0], [-1.0], [1.0]])
-    for k in (1, 2, 3):
-        probe_block(k, 3, 1)
+    for _ in block_sizes(3, 1):
         assert rf.train_ranksvm(probes, gallery, iters=5).objective_history
 
 
