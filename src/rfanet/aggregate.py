@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DataError, FormatError
 from .fileio import atomic_write
+from .matching import _embedding_row
 from .rnn import LstmState, lstm_step, project
 
 EMBEDDING_MAGIC = b"RFAEMB1"
@@ -46,9 +47,9 @@ class SequenceEmbedding:
     camera: int = 0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise DataError("embedding contains non-finite entries")
+        self.values = _embedding_row(self.values, f"id {self.source_id}")
+        if not self.values.size:
+            raise DataError(f"id {self.source_id}: embedding has dimension 0")
 
 
 def _unroll(model, ax):
@@ -129,6 +130,7 @@ def write_embeddings(path, embeddings):
         raise DataError("no embeddings to write")
     dim = embeddings[0].values.size
     for k, emb in enumerate(embeddings):
+        emb.__post_init__()  # its values may have been replaced since it was built
         if emb.values.size != dim:
             raise DataError("embeddings have inconsistent dimensions")
         for name, value, bits in (("source_id", emb.source_id, 32), ("camera", emb.camera, 8)):

@@ -31,7 +31,7 @@ from .aggregate import SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError, FormatError
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write
-from .matching import CosineScorer, RankSvmScorer, train_ranksvm
+from .matching import CosineScorer, RankSvmScorer, _embedding_matrix, train_ranksvm
 from .rnn import LabeledSequence, project, train
 
 
@@ -190,22 +190,6 @@ class CmcCurve:
 _PROBE_BLOCK = 64
 
 
-def _stack_values(embeddings, role):
-    """(n, dim) float64 rows of the embeddings; DataError names the id of a
-    row of another dimension or with a non-finite value."""
-    rows = [np.asarray(e.values, dtype=np.float64) for e in embeddings]
-    for e, row in zip(embeddings, rows):
-        if row.shape != rows[0].shape:
-            raise DataError(f"{role} id {e.source_id}: embedding shape {row.shape}, "
-                            f"expected {rows[0].shape}")
-    X = np.stack(rows)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{role} id {embeddings[int(np.argmin(finite))].source_id} "
-                        "has a non-finite embedding")
-    return X
-
-
 def _first_twins(G):
     """Each row's first bit-identical row, or None when every row is unique.
 
@@ -237,7 +221,9 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     With ``"cosine"`` or a ``RankSvmScorer``, whose scores are functions of
     the rows, bit-identical gallery rows tie exactly: each is ranked on the
     score of the first of them, since BLAS may round their scores apart.
-    Any other scorer's matrix is ranked as it is.
+    Any other scorer's matrix is ranked as it is. Embedding values that are
+    not numeric, 1-D, finite and of one shape raise DataError; a scorer of
+    another kind raises ConfigurationError.
     """
     if len(probe_embeddings) == 0:
         raise DataError("no probes")
@@ -255,13 +241,17 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     truth = np.asarray(truth, dtype=np.intp)
     if scorer == "cosine":
         scorer = CosineScorer()
-    G = _stack_values(gallery_embeddings, "gallery")
+    elif not callable(getattr(scorer, "scores", None)):
+        raise ConfigurationError(f"unknown scorer {scorer!r}")
+    G = _embedding_matrix(gallery_embeddings, "gallery",
+                          [f"id {g.source_id}" for g in gallery_embeddings])
     twins = _first_twins(G) if isinstance(scorer, (CosineScorer, RankSvmScorer)) else None
     n = len(gallery_embeddings)
     position = np.arange(n)
     counts = np.zeros(n)
     for start in range(0, len(probe_embeddings), _PROBE_BLOCK):
-        P = _stack_values(probe_embeddings[start:start + _PROBE_BLOCK], "probe")
+        block = probe_embeddings[start:start + _PROBE_BLOCK]
+        P = _embedding_matrix(block, "probe", [f"id {e.source_id}" for e in block])
         own = truth[start:start + len(P)]
         S = scorer.scores(P, G)
         if not np.isfinite(S).all():

@@ -19,8 +19,28 @@ import numpy as np
 from .errors import DataError, DegenerateProblemError
 
 
-def _vec(x):
-    return np.asarray(getattr(x, "values", x), dtype=np.float64)
+def _embedding_row(x, what, shape=None):
+    """An embedding's values, or a row, as a finite 1-D float64 array, of
+    ``shape`` if given, or DataError naming ``what``. A float64 row is not copied."""
+    try:
+        row = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"{what}: embedding is not numeric") from None
+    if row.ndim != 1 or shape not in (None, row.shape):
+        raise DataError(f"{what}: embedding shape {row.shape}, expected {shape or '1-D'}")
+    if not np.isfinite(row).all():
+        raise DataError(f"{what} has a non-finite embedding value")
+    return row
+
+
+def _embedding_matrix(items, role, names=None, shape=None):
+    """(n, dim) stack of rows _embedding_row accepts, each of ``shape`` or else
+    of the first one's; DataError names ``{role} {name}`` (``embedding k`` by default)."""
+    names = [f"embedding {k}" for k in range(len(items))] if names is None else names
+    rows = []
+    for x, name in zip(items, names):
+        rows.append(_embedding_row(x, f"{role} {name}", rows[0].shape if rows else shape))
+    return np.stack(rows)
 
 
 def _score_inputs(P, G, dim=None):
@@ -99,20 +119,14 @@ class RankSvmModel:
 
 
 def _aligned_pairs(probe_embeddings, gallery_embeddings):
-    """(n, dim) probe and gallery rows of n >= 2 aligned persons, or DataError
-    naming the first probe or gallery index with a non-finite value."""
+    """(n, dim) probe and gallery rows of n >= 2 aligned persons, or DataError."""
     n = len(probe_embeddings)
     if n != len(gallery_embeddings):
         raise DataError("probe/gallery lists must be aligned per person")
     if n < 2:
         raise DataError("RankSVM needs at least 2 persons")
-    probes = np.stack([_vec(e) for e in probe_embeddings])
-    gallery = np.stack([_vec(e) for e in gallery_embeddings])
-    for role, X in (("probe", probes), ("gallery", gallery)):
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise DataError(f"{role} embedding {int(np.argmin(finite))} has a non-finite value")
-    return probes, gallery
+    probes = _embedding_matrix(probe_embeddings, "probe")
+    return probes, _embedding_matrix(gallery_embeddings, "gallery", shape=probes.shape[1:])
 
 
 def pair_difference_features(probe_embeddings, gallery_embeddings):
@@ -223,12 +237,13 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     _StreamedPairs): one for the violated sum, which skips probe blocks
     without a violated row, and one for the new margins. The fit holds
     O(n dim) plus one block of at most _PROBE_BLOCK_BYTES, in place of the
-    n(n-1) x dim pair matrix.
+    n(n-1) x dim pair matrix. A bad C or iters, fewer than 2 aligned
+    persons and rows that _embedding_matrix refuses raise DataError.
     """
     if not (math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
-    if iters < 1:
-        raise DataError("iters must be >= 1")
+    if not (isinstance(iters, (int, np.integer)) and iters >= 1):
+        raise DataError(f"iters must be an integer >= 1, got {iters!r}")
     probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
     n, dim = probes.shape
     m = n * (n - 1)
@@ -239,10 +254,10 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     margins = np.zeros(m)  # diffs @ w
     w_avg = np.zeros_like(w)
     m_avg = np.zeros(m)    # diffs @ w_avg
+    # w_best outlives the fit: allocated once, before the pair buffers, and
+    # updated in place, it stays out of freed gallery-sized heap holes (a copy
+    # in one made a 300-id ranking after a 30-id fit add 12 MB to peak RSS)
     w_best = w_avg.copy()
-    # the pair buffers come after the loop's arrays: allocated first, they left
-    # a hole under w_best (which outlives the fit) that split the free heap, and
-    # a 300-id ranking after a 30-id fit then grew the heap and peak RSS by 12 MB
     pairs = _StreamedPairs(probes, gallery)
     best = _objective(w_best, m_avg, C)
     weight_sum = 0.0
@@ -270,7 +285,7 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
         obj = _objective(w_avg, m_avg, C)
         if obj < best:
             best = obj
-            w_best = w_avg.copy()
+            w_best[...] = w_avg
         history.append(best)
     return RankSvmModel(w_best, C, iters, history)
 

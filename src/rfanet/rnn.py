@@ -536,15 +536,14 @@ class GradCheckReport:
 
 def grad_check(
     input_dim=6, hidden_dim=4, num_classes=3, subseq_len=5, seed=0,
-    eps=1e-5, peephole="full", corrupt=None,
+    eps=1e-5, peephole="full",
 ):
     """Compare analytic BPTT gradients against central finite differences.
 
     Relative error is |a - n| / max(|a|, |n|, 1e-6); the floor keeps
     finite-difference roundoff (about 1e-11 on an O(1) loss) from inflating
     the ratio on near-zero gradient entries. The worst entry per tensor is
-    reported. ``corrupt`` is a test hook mutating the analytic gradients
-    before comparison.
+    reported.
     """
     rng = np.random.default_rng(seed)
     model = init_model(
@@ -558,8 +557,6 @@ def grad_check(
     grads = backward(model, trace)
     dA, X = grads.W_factors
     analytic = {**grads, **dict(zip((f"W_{g}" for g in GATES), np.split(dA.T @ X, 4)))}
-    if corrupt is not None:
-        corrupt(analytic)
 
     per_tensor = {}
     for name in PARAM_ORDER:

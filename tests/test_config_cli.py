@@ -749,13 +749,18 @@ def test_cli_gradcheck_size_cap(capsys):
     assert main(["gradcheck", "--d", "5000", "--h", "10"]) == 1
 
 
-def test_gradcheck_corrupt_hook_fails():
-    def corrupt(grads):
-        grads["W_c"] += 0.05
+def test_gradcheck_corrupt_hook_fails(monkeypatch):
+    backward = rf.rnn.backward
 
-    report = rf.grad_check(4, 3, 2, 3, seed=1, corrupt=corrupt)
+    def corrupt(model, trace):
+        grads = backward(model, trace)
+        grads["b_c"] += 0.05
+        return grads
+
+    monkeypatch.setattr(rf.rnn, "backward", corrupt)
+    report = rf.grad_check(4, 3, 2, 3, seed=1)
     assert not report.passed
-    assert report.per_tensor["W_c"] >= report.threshold
+    assert report.per_tensor["b_c"] >= report.threshold
 
 
 def test_cli_determinism(tmp_path):

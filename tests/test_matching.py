@@ -4,7 +4,7 @@ import pytest
 import matching_reference as ref
 import rfanet as rf
 import rfanet.matching as matching
-from rfanet.errors import DataError, DegenerateProblemError
+from rfanet.errors import DataError, DegenerateProblemError, RfaError
 from rfanet.matching import _objective, pair_difference_features
 
 
@@ -309,3 +309,75 @@ def test_ranksvm_rejects_non_finite_C(rng, C):
     with pytest.raises(DataError, match="C must be finite"):
         rf.train_ranksvm(probes, gallery, C=C)
 
+
+
+# ---------------------------------------------------------------------------
+# malformed embeddings and arguments: each entry point that reaches one ends
+# in an RfaError, not a numpy traceback
+# ---------------------------------------------------------------------------
+
+_ROWS = [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, 0.0]]
+_RAGGED = [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]
+_TWO_D = [np.eye(2) * k for k in range(1, 4)]
+_WIDTH_4 = [row + [3.0] for row in _ROWS]
+_STRINGS = [["a", "b", "c"]] * 3
+
+
+def _accuracy(probes, gallery):
+    return rf.ranking_accuracy(rf.RankSvmModel(np.ones(3), 1.0, 1), probes, gallery)
+
+
+def _cmc(values=None, scorer="cosine"):
+    """compute_cmc on 3 persons; gallery id k's values become (k + 1) * values
+    after construction, which SequenceEmbedding would refuse."""
+    probes = [rf.SequenceEmbedding([1.0, k], k, 0) for k in range(3)]
+    gallery = [rf.SequenceEmbedding([1.0, k], k, 1) for k in range(3)]
+    if values is not None:
+        for k, g in enumerate(gallery):
+            g.values = (k + 1) * values
+    return rf.compute_cmc(probes, gallery, scorer)
+
+
+_MALFORMED = {
+    "train_ranksvm-ragged": lambda: rf.train_ranksvm(_RAGGED, _ROWS, iters=5),
+    "train_ranksvm-2-D": lambda: rf.train_ranksvm(_TWO_D, _TWO_D, iters=5),
+    "train_ranksvm-width-3-vs-4": lambda: rf.train_ranksvm(_ROWS, _WIDTH_4, iters=5),
+    "train_ranksvm-strings": lambda: rf.train_ranksvm(_STRINGS, _ROWS, iters=5),
+    "train_ranksvm-iters-2.5": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], iters=2.5),
+    "pair_difference_features-ragged": lambda: pair_difference_features(_ROWS, _RAGGED),
+    "pair_difference_features-2-D": lambda: pair_difference_features(_TWO_D, _TWO_D[::-1]),
+    "pair_difference_features-width-3-vs-4": lambda: pair_difference_features(_ROWS, _WIDTH_4),
+    "pair_difference_features-strings": lambda: pair_difference_features(_ROWS, _STRINGS),
+    "ranking_accuracy-ragged": lambda: _accuracy(_RAGGED, _ROWS),
+    "ranking_accuracy-strings": lambda: _accuracy(_ROWS, _STRINGS),
+    "compute_cmc-0-d": lambda: _cmc(np.float64(1.0)),
+    "compute_cmc-2-D": lambda: _cmc(np.eye(2)),
+    "compute_cmc-scorer-ranksvm": lambda: _cmc(scorer="ranksvm"),
+    "compute_cmc-scorer-None": lambda: _cmc(scorer=None),
+    "SequenceEmbedding-strings": lambda: rf.SequenceEmbedding(["a"]),
+    "SequenceEmbedding-2-D": lambda: rf.SequenceEmbedding(np.eye(2)),
+    "SequenceEmbedding-dim-0": lambda: rf.SequenceEmbedding(np.empty(0)),
+}
+
+
+@pytest.mark.parametrize("call", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_is_an_rfa_error(call):
+    with pytest.raises(RfaError):
+        call()
+
+
+# a (2, 2) value was written flattened and read back with dimension 4, and a
+# dimension-0 or NaN value was written to a file that read_embeddings refuses;
+# values replaced after the embedding was built were written unchecked
+@pytest.mark.parametrize("values,built", [
+    (np.eye(2), True), (np.empty(0), True),
+    (np.eye(2), False), (np.empty(0), False), (np.array([np.nan, 1.0]), False),
+], ids=["2-D-built", "dim-0-built", "2-D-replaced", "dim-0-replaced", "nan-replaced"])
+def test_embedding_file_round_trip_refuses_unreadable_values(tmp_path, values, built):
+    path = tmp_path / "one.emb"
+    with pytest.raises(RfaError):
+        emb = rf.SequenceEmbedding(values if built else [1.0, 2.0], 0, 0)
+        emb.values = values
+        rf.write_embeddings(path, [emb])
+        rf.read_embeddings(path)
+    assert not path.exists()
