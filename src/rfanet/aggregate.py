@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, FormatError
 from .fileio import atomic_write
-from .matching import _embedding_row
+from .matching import _embedding_matrix, _embedding_row
 from .rnn import LstmState, lstm_step, project
 
 EMBEDDING_MAGIC = b"RFAEMB1"
@@ -128,20 +128,19 @@ def write_embeddings(path, embeddings):
     atomically; every record is validated before the file is opened."""
     if not embeddings:
         raise DataError("no embeddings to write")
-    dim = embeddings[0].values.size
+    values = _embedding_matrix(embeddings, "embedding", range(len(embeddings)))
+    if not values.shape[1] or np.abs(values).max() > np.finfo(np.float32).max:
+        raise DataError("embeddings of dimension 0 or beyond the float32 range cannot be written")
     for k, emb in enumerate(embeddings):
-        emb.__post_init__()  # its values may have been replaced since it was built
-        if emb.values.size != dim:
-            raise DataError("embeddings have inconsistent dimensions")
         for name, value, bits in (("source_id", emb.source_id, 32), ("camera", emb.camera, 8)):
             if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
                 raise DataError(f"embedding {k}: {name} {value!r} is not a u{bits}")
     with atomic_write(path) as fh:
         fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<II", dim, len(embeddings)))
-        for emb in embeddings:
+        fh.write(struct.pack("<II", values.shape[1], len(embeddings)))
+        for emb, row in zip(embeddings, values):
             fh.write(struct.pack("<IB", emb.source_id, emb.camera))
-            fh.write(np.ascontiguousarray(emb.values, dtype="<f4").tobytes())
+            fh.write(row.astype("<f4").tobytes())
 
 
 def read_embeddings(path):

@@ -24,7 +24,7 @@ def _embedding_row(x, what, shape=None):
     ``shape`` if given, or DataError naming ``what``. A float64 row is not copied."""
     try:
         row = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"{what}: embedding is not numeric") from None
     if row.ndim != 1 or shape not in (None, row.shape):
         raise DataError(f"{what}: embedding shape {row.shape}, expected {shape or '1-D'}")

@@ -344,6 +344,7 @@ _MALFORMED = {
     "train_ranksvm-width-3-vs-4": lambda: rf.train_ranksvm(_ROWS, _WIDTH_4, iters=5),
     "train_ranksvm-strings": lambda: rf.train_ranksvm(_STRINGS, _ROWS, iters=5),
     "train_ranksvm-iters-2.5": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], iters=2.5),
+    "train_ranksvm-huge-int": lambda: rf.train_ranksvm([[10**400, 0.0]] + _ROWS[1:], _ROWS, iters=5),
     "pair_difference_features-ragged": lambda: pair_difference_features(_ROWS, _RAGGED),
     "pair_difference_features-2-D": lambda: pair_difference_features(_TWO_D, _TWO_D[::-1]),
     "pair_difference_features-width-3-vs-4": lambda: pair_difference_features(_ROWS, _WIDTH_4),
@@ -357,6 +358,7 @@ _MALFORMED = {
     "SequenceEmbedding-strings": lambda: rf.SequenceEmbedding(["a"]),
     "SequenceEmbedding-2-D": lambda: rf.SequenceEmbedding(np.eye(2)),
     "SequenceEmbedding-dim-0": lambda: rf.SequenceEmbedding(np.empty(0)),
+    "SequenceEmbedding-huge-int": lambda: rf.SequenceEmbedding([10**400]),
 }
 
 
@@ -367,12 +369,15 @@ def test_malformed_input_is_an_rfa_error(call):
 
 
 # a (2, 2) value was written flattened and read back with dimension 4, and a
-# dimension-0 or NaN value was written to a file that read_embeddings refuses;
-# values replaced after the embedding was built were written unchecked
+# dimension-0, NaN or beyond-float32 value was written to a file that
+# read_embeddings refuses; values replaced after the embedding was built were
+# written unchecked, and a list of strings ended in AttributeError
 @pytest.mark.parametrize("values,built", [
     (np.eye(2), True), (np.empty(0), True),
     (np.eye(2), False), (np.empty(0), False), (np.array([np.nan, 1.0]), False),
-], ids=["2-D-built", "dim-0-built", "2-D-replaced", "dim-0-replaced", "nan-replaced"])
+    (np.array([1e39, 1.0]), True), (["a", "b"], False),
+], ids=["2-D-built", "dim-0-built", "2-D-replaced", "dim-0-replaced", "nan-replaced",
+        "beyond-float32-built", "strings-replaced"])
 def test_embedding_file_round_trip_refuses_unreadable_values(tmp_path, values, built):
     path = tmp_path / "one.emb"
     with pytest.raises(RfaError):
