@@ -23,6 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,13 @@ from .aggregate import SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError, FormatError
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write
-from .matching import CosineScorer, RankSvmScorer, _embedding_matrix, train_ranksvm
+from .matching import (
+    CosineScorer,
+    RankSvmScorer,
+    _cosine_scores,
+    _embedding_matrix,
+    train_ranksvm,
+)
 from .rnn import LabeledSequence, project, train
 
 
@@ -210,50 +217,66 @@ def _first_twins(G):
     return first
 
 
+def _source_ids(embeddings, role):
+    """Each embedding's source_id, or DataError for an entry without one."""
+    try:
+        return [e.source_id for e in embeddings]
+    except AttributeError:
+        raise DataError(f"{role} entries must be SequenceEmbeddings, with a source_id") from None
+
+
 def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     """rates[k-1] = fraction of probes whose true match ranks within top k.
 
     ``scorer`` is ``"cosine"`` or has ``scores(P, G)`` returning the
     (n_p, n_g) score matrix, higher meaning more similar. The gallery is
-    stacked once and the probes are scored in blocks. The rank of the true
+    stacked once (with its norms, for cosine) and the probes are scored in
+    blocks. The rank of the true
     match is the count of higher scores plus the count of equal scores at a
     lower gallery index: its place in a stable sort by descending score.
     With ``"cosine"`` or a ``RankSvmScorer``, whose scores are functions of
     the rows, bit-identical gallery rows tie exactly: each is ranked on the
     score of the first of them, since BLAS may round their scores apart.
-    Any other scorer's matrix is ranked as it is. Embedding values that are
-    not numeric, 1-D, finite and of one shape raise DataError; a scorer of
-    another kind raises ConfigurationError.
+    Any other scorer's matrix is ranked as it is. Entries without a
+    ``source_id`` and embedding values that are not numeric, 1-D, finite and
+    of one shape raise DataError; a scorer of another kind raises
+    ConfigurationError.
     """
     if len(probe_embeddings) == 0:
         raise DataError("no probes")
     if len(gallery_embeddings) == 0:
         raise DataError("empty gallery")
+    gallery_ids = _source_ids(gallery_embeddings, "gallery")
+    probe_ids = _source_ids(probe_embeddings, "probe")
     column = {}
-    for k, g in enumerate(gallery_embeddings):
-        if column.setdefault(g.source_id, k) != k:
-            raise DataError(f"gallery contains duplicate person id {g.source_id}")
+    for k, gid in enumerate(gallery_ids):
+        if column.setdefault(gid, k) != k:
+            raise DataError(f"gallery contains duplicate person id {gid}")
     truth = []
-    for probe in probe_embeddings:
-        if probe.source_id not in column:
-            raise DataError(f"probe id {probe.source_id} not in gallery")
-        truth.append(column[probe.source_id])
+    for pid in probe_ids:
+        if pid not in column:
+            raise DataError(f"probe id {pid} not in gallery")
+        truth.append(column[pid])
     truth = np.asarray(truth, dtype=np.intp)
-    if scorer == "cosine":
+    if isinstance(scorer, str) and scorer == "cosine":
         scorer = CosineScorer()
     elif not callable(getattr(scorer, "scores", None)):
         raise ConfigurationError(f"unknown scorer {scorer!r}")
-    G = _embedding_matrix(gallery_embeddings, "gallery",
-                          [f"id {g.source_id}" for g in gallery_embeddings])
+    G = _embedding_matrix(gallery_embeddings, "gallery", [f"id {i}" for i in gallery_ids])
+    scores = scorer.scores
+    if isinstance(scorer, CosineScorer):
+        # the gallery norms once for every probe block
+        scores = partial(_cosine_scores, g_norm=np.linalg.norm(G, axis=1))
     twins = _first_twins(G) if isinstance(scorer, (CosineScorer, RankSvmScorer)) else None
     n = len(gallery_embeddings)
     position = np.arange(n)
     counts = np.zeros(n)
     for start in range(0, len(probe_embeddings), _PROBE_BLOCK):
         block = probe_embeddings[start:start + _PROBE_BLOCK]
-        P = _embedding_matrix(block, "probe", [f"id {e.source_id}" for e in block])
+        P = _embedding_matrix(block, "probe",
+                              [f"id {i}" for i in probe_ids[start:start + _PROBE_BLOCK]])
         own = truth[start:start + len(P)]
-        S = scorer.scores(P, G)
+        S = scores(P, G)
         if not np.isfinite(S).all():
             raise DataError("scorer returned non-finite scores")
         if twins is not None:

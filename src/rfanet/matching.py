@@ -12,6 +12,7 @@ on the score of the first of them, as the exact tie they are.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,17 +55,24 @@ def _score_inputs(P, G, dim=None):
     return P, G
 
 
+def _cosine_scores(P, G, g_norm=None):
+    """CosineScorer.scores; compute_cmc passes the gallery's row norms
+    ``g_norm``, computed once for all of its probe blocks."""
+    P, G = _score_inputs(P, G)
+    p_norm = np.linalg.norm(P, axis=1)
+    if g_norm is None:
+        g_norm = np.linalg.norm(G, axis=1)
+    if not (p_norm.all() and g_norm.all()):
+        raise DataError("cosine score undefined for a zero-norm vector")
+    return (P @ G.T) / np.outer(p_norm, g_norm)
+
+
 class CosineScorer:
     """(p . g) / (|p| |g|), in [-1, 1]; higher means more similar."""
 
     def scores(self, P, G):
         """(n_p, n_g) cosine similarities of every probe row with every gallery row."""
-        P, G = _score_inputs(P, G)
-        p_norm = np.linalg.norm(P, axis=1)
-        g_norm = np.linalg.norm(G, axis=1)
-        if not (p_norm.all() and g_norm.all()):
-            raise DataError("cosine score undefined for a zero-norm vector")
-        return (P @ G.T) / np.outer(p_norm, g_norm)
+        return _cosine_scores(P, G)
 
 
 # gallery rows per max(G_blk, p) block: 16 x 5,120 float64 is 640 kB, which
@@ -95,7 +103,7 @@ class RankSvmScorer:
         and the error is that of the dot products: a few eps * sum_k |w_k|
         (|p_k| + |g_k|).
         """
-        w = self.model.w
+        w = _embedding_row(self.model.w, "RankSVM weights")
         P, G = _score_inputs(P, G, w.size)
         out = np.empty((len(P), len(G)))
         buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
@@ -224,70 +232,104 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     best averaged iterate seen so far is tracked and returned; its objective
     is recorded each iteration and is non-increasing by construction.
 
-    The margins diffs @ w are linear in w, so they are carried from one
-    iteration to the next: a step with no violated row only scales w by
-    1 - 1/t, which keeps it inside the ball, and the margins are scaled with
-    it; diffs @ w is recomputed only after a step that adds violated rows.
-    The violated sum depends on the mask alone and is recomputed only when
-    the mask changes: a desk-size fit kept one mask for 1,999 of 2,000 steps.
-    The averaged iterate's margins follow the same recurrence as w_avg, so
-    its objective needs no pass over the pairs.
+    The steps run in stretches that keep one violated mask. With T the sum
+    of the mask's rows (zero for an empty mask), a step is
+    w <- (1 - 1/t) w + T / (lambda m t) and then the projection, so within a
+    stretch that starts from w = x0 and w_avg = R0, w stays a x0 + b T and
+    w_avg stays rho R0 + alpha x0 + beta T. The fit carries x0, R0 and T and
+    their margins rows @ x0, rows @ R0 and rows @ T, and a step is a few
+    scalar recurrences: |w| and |w_avg| come from the 3 x 3 Gram matrix of
+    the three vectors. Margins, violated test and hinge sums of a run of
+    steps are one (steps, m) block of at most _PROBE_BLOCK_BYTES, and runs
+    double in length while the mask holds; the stretch ends at the first
+    step whose w violates another set of rows, and that step's w, w_avg and
+    margins start the next one. A desk-size fit keeps one mask for all
+    2,000 steps.
 
-    A step with violated rows makes two streamed passes over the pairs (see
-    _StreamedPairs): one for the violated sum, which skips probe blocks
-    without a violated row, and one for the new margins. The fit holds
-    O(n dim) plus one block of at most _PROBE_BLOCK_BYTES, in place of the
-    n(n-1) x dim pair matrix. A bad C or iters, fewer than 2 aligned
-    persons and rows that _embedding_matrix refuses raise DataError.
+    A new non-empty mask makes two streamed passes over the pairs (see
+    _StreamedPairs): violated_sum for T, which skips probe blocks without a
+    violated row, and margins(T). The fit holds O(n dim) plus one pair
+    block of at most _PROBE_BLOCK_BYTES, in place of the n(n-1) x dim pair
+    matrix. A bad C or iters, fewer than 2 aligned persons and rows that
+    _embedding_matrix refuses raise DataError.
     """
-    if not (math.isfinite(C) and C > 0):
+    if not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
     if not (isinstance(iters, (int, np.integer)) and iters >= 1):
         raise DataError(f"iters must be an integer >= 1, got {iters!r}")
     probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
     n, dim = probes.shape
     m = n * (n - 1)
-    lam = 1.0 / (C * m)
-    radius = 1.0 / np.sqrt(lam)
+    # Python floats: the per-step recurrences below are scalar arithmetic
+    lam = 1.0 / (float(C) * m)
+    radius = 1.0 / math.sqrt(lam)
 
-    w = np.zeros(dim)
-    margins = np.zeros(m)  # diffs @ w
-    w_avg = np.zeros_like(w)
-    m_avg = np.zeros(m)    # diffs @ w_avg
+    # R0 = w_avg and x0 = w at the start of a stretch and its violated sum T,
+    # and rows @ each of them
+    X = np.zeros((3, dim))
+    M = np.zeros((3, m))
     # w_best outlives the fit: allocated once, before the pair buffers, and
     # updated in place, it stays out of freed gallery-sized heap holes (a copy
     # in one made a 300-id ranking after a 30-id fit add 12 MB to peak RSS)
-    w_best = w_avg.copy()
+    w_best = np.zeros(dim)
     pairs = _StreamedPairs(probes, gallery)
-    best = _objective(w_best, m_avg, C)
-    weight_sum = 0.0
-    history = []
-    mask = total = None  # the last violated mask and its sum of rows
-    for t in range(1, iters + 1):
-        # w - (lambda w - sum of violated rows / m) / (lambda t)
-        violated = margins < 1.0
-        scale = 1.0 - 1.0 / t
-        w *= scale
-        if violated.any():
-            if not np.array_equal(violated, mask):
-                mask, total = violated, pairs.violated_sum(violated)
-            w += total / (lam * m * t)
-            norm = np.linalg.norm(w)
-            if norm > radius:
-                w *= radius / norm
-            margins = pairs.margins(w)
+    best = _objective(w_best, M[0], C)
+    history = np.empty(iters)
+    # the margins of a run of steps, one row a step, refilled for each run
+    block = np.empty((min(max(1, _PROBE_BLOCK_BYTES // (m * 8)), iters), m))
+    t = 1
+    while t <= iters:
+        # a stretch: the steps from t on that keep the violated mask of x0
+        mask = M[1] < 1.0
+        if mask.any():
+            X[2] = pairs.violated_sum(mask)
+            M[2] = pairs.margins(X[2])
         else:
-            # w was inside the ball and only shrank, so no projection is due
-            margins *= scale
-        weight_sum += t
-        w_avg += (w - w_avg) * t / weight_sum
-        m_avg += (margins - m_avg) * t / weight_sum
-        obj = _objective(w_avg, m_avg, C)
-        if obj < best:
-            best = obj
-            w_best[...] = w_avg
-        history.append(best)
-    return RankSvmModel(w_best, C, iters, history)
+            X[2] = 0.0
+            M[2] = 0.0
+        gram = X @ X.T
+        gxx, gxt, gtt = map(float, (gram[1, 1], gram[1, 2], gram[2, 2]))
+        a, b = 1.0, 0.0                    # w = a x0 + b T
+        rho, alpha, beta = 1.0, 0.0, 0.0   # w_avg = rho R0 + alpha x0 + beta T
+        run = 1
+        while t <= iters:
+            coef = []
+            for s in range(t, t + min(run, len(block), iters + 1 - t)):
+                scale = 1.0 - 1.0 / s
+                a, b = a * scale, b * scale + 1.0 / (lam * m * s)
+                # max: rounding can take the Gram form below 0 near w = 0
+                norm = math.sqrt(max(a * a * gxx + 2.0 * a * b * gxt + b * b * gtt, 0.0))
+                if norm > radius:
+                    a, b = a * radius / norm, b * radius / norm
+                f = s / (s * (s + 1) // 2)   # t / sum of the weights 1..t
+                rho, alpha, beta = rho - rho * f, alpha + (a - alpha) * f, beta + (b - beta) * f
+                coef.append((0.0, a, b, rho, alpha, beta))
+            coef = np.array(coef).reshape(-1, 2, 3)
+            margins = np.matmul(coef[:, 0], M, out=block[:len(coef)])
+            changed = ((margins < 1.0) != mask).any(axis=1)
+            ends = changed.any()
+            # steps t .. t + k - 1 keep the mask; the last of them may leave it
+            k = int(changed.argmax()) + 1 if ends else len(coef)
+            x_margins = margins[k - 1].copy()
+            hinge = np.matmul(coef[:k, 1], M, out=block[:k])  # w_avg's margins
+            r_margins = hinge[k - 1].copy()
+            np.subtract(1.0, hinge, out=hinge)
+            np.maximum(hinge, 0.0, out=hinge)
+            obj = 0.5 * np.einsum("ki,ij,kj->k", coef[:k, 1], gram, coef[:k, 1])
+            obj += C * hinge.sum(axis=1)
+            lowest = np.minimum.accumulate(np.concatenate(([best], obj)))
+            improved = np.flatnonzero(obj < lowest[:-1])
+            if improved.size:
+                np.matmul(coef[improved[-1], 1], X, out=w_best)
+            best = float(lowest[-1])
+            history[t - 1:t - 1 + k] = lowest[1:]
+            t += k
+            if ends:
+                X[:2] = coef[k - 1, ::-1] @ X
+                M[0], M[1] = r_margins, x_margins
+                break
+            run *= 2
+    return RankSvmModel(w_best, C, iters, history.tolist())
 
 
 def ranking_accuracy(model, probe_embeddings, gallery_embeddings):

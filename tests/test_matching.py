@@ -355,6 +355,11 @@ _MALFORMED = {
     "compute_cmc-2-D": lambda: _cmc(np.eye(2)),
     "compute_cmc-scorer-ranksvm": lambda: _cmc(scorer="ranksvm"),
     "compute_cmc-scorer-None": lambda: _cmc(scorer=None),
+    "compute_cmc-scorer-array": lambda: _cmc(scorer=np.ones(3)),
+    "compute_cmc-bare-arrays": lambda: rf.compute_cmc(np.eye(3), np.eye(3), "cosine"),
+    "compute_cmc-ranksvm-w-list": lambda: _cmc(scorer=rf.RankSvmScorer(
+        rf.RankSvmModel([1.0, 1.0, 1.0], 1.0, 1))),
+    "train_ranksvm-C-string": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], C="1", iters=5),
     "SequenceEmbedding-strings": lambda: rf.SequenceEmbedding(["a"]),
     "SequenceEmbedding-2-D": lambda: rf.SequenceEmbedding(np.eye(2)),
     "SequenceEmbedding-dim-0": lambda: rf.SequenceEmbedding(np.empty(0)),

@@ -1,9 +1,12 @@
-"""The carried-margin RankSVM solver and the score-matrix CMC against the
+"""The stretch-form RankSVM solver and the score-matrix CMC against the
 per-iteration loop and the per-pair ranking in matching_reference.py.
-Summation order differs (carried and scaled margins against fresh mat-vecs,
-GEMMs against per-pair dot products), so the solver agrees to a tolerance;
-the CMC inputs are integer-valued, so every score is exact and ties are
-compared exactly."""
+While the violated mask holds, the solver keeps w and w_avg as combinations
+of three vectors and their margins as the same combinations of three
+margin rows, with norms from a 3 x 3 Gram matrix; the reference recomputes
+diffs @ w and w_avg's objective from the pair matrix every step. Summation
+order differs (and GEMMs against per-pair dot products), so the solver
+agrees to a tolerance; the CMC inputs are integer-valued, so every score is
+exact and ties are compared exactly."""
 
 import math
 
@@ -27,14 +30,19 @@ def _instance(rng, n, dim, separable):
     return probes, gallery
 
 
-def _matches_reference(separable, C, n, dim):
-    rng = np.random.default_rng(n * dim)
-    probes, gallery = _instance(rng, n, dim, separable)
-    w, history = ref.train_ranksvm(probes, gallery, C, 1500)
-    model = rf.train_ranksvm(probes, gallery, C=C, iters=1500)
+def _assert_matches(probes, gallery, C, iters):
+    """The fit's w and history against the reference's, which it returns."""
+    w, history = ref.train_ranksvm(probes, gallery, C, iters)
+    model = rf.train_ranksvm(probes, gallery, C=C, iters=iters)
     np.testing.assert_allclose(model.w, w, rtol=RTOL, atol=RTOL * np.abs(w).max())
     np.testing.assert_allclose(model.objective_history, history, rtol=RTOL)
     assert np.all(np.diff(model.objective_history) <= 0.0)
+    return history
+
+
+def _matches_reference(separable, C, n, dim):
+    rng = np.random.default_rng(n * dim)
+    _assert_matches(*_instance(rng, n, dim, separable), C, 1500)
 
 
 _separable = pytest.mark.parametrize("separable", [True, False],
@@ -60,6 +68,57 @@ def test_streamed_ranksvm_matches_reference(probe_block, separable, C, n, dim):
     for k in (1, 3, 5):
         probe_block(k, n, dim)
         _matches_reference(separable, C, n, dim)
+
+
+def _full_match(seed, n, dim):
+    """full-match's training embeddings (bench/workloads.py FullMatch) at n
+    ids and dimension dim: identity prototypes, one camera shift and
+    per-dimension noise of scales from 0.5 to 6."""
+    rng = np.random.default_rng(seed)
+    shift = 0.5 * rng.standard_normal(dim)
+    scale = rng.uniform(0.5, 6.0, dim)
+    protos = rng.standard_normal((n, dim))
+    probes, gallery = [], []
+    for proto in protos:
+        probes.append(proto + scale * rng.standard_normal(dim))
+        gallery.append(proto + shift + scale * rng.standard_normal(dim))
+    return probes, gallery
+
+
+def _all_violated():
+    # rows too short for any margin to reach 1 inside the ball: every pair
+    # stays violated, w stays put after step 1 and so does the objective
+    rng = np.random.default_rng(80)
+    return list(0.005 * rng.standard_normal((10, 80))), list(0.005 * rng.standard_normal((10, 80)))
+
+
+# the benchmark's two regimes: desk-noise's fit keeps one mask of every pair
+# and is best at step 1; full-match's first step leaves no pair violated,
+# and masks return one at a time as w shrinks (5 non-empty masks here, the
+# last at step 1,239)
+@pytest.mark.parametrize("instance,masks_made", [
+    (_all_violated, 1), (lambda: _full_match(3, 8, 256), 5),
+], ids=["all-violated", "stall"])
+def test_ranksvm_regimes_match_reference(monkeypatch, instance, masks_made):
+    probes, gallery = instance()
+    masks, passes = [], []
+    violated_sum, margins = matching._StreamedPairs.violated_sum, matching._StreamedPairs.margins
+
+    def counted_sum(self, violated):
+        masks.append(violated.tobytes())
+        return violated_sum(self, violated)
+
+    def counted_margins(self, w):
+        passes.append(w.shape)
+        return margins(self, w)
+
+    monkeypatch.setattr(matching._StreamedPairs, "violated_sum", counted_sum)
+    monkeypatch.setattr(matching._StreamedPairs, "margins", counted_margins)
+    history = _assert_matches(probes, gallery, 1.0, 2000)
+    # one violated sum and one margins pass per distinct violated mask
+    assert len(passes) == len(masks) == len(set(masks)) == masks_made
+    if masks_made == 1:
+        assert history == [history[0]] * 2000
 
 
 def test_ranksvm_objective_needs_no_pass_over_pairs(rng):
@@ -134,11 +193,33 @@ def test_score_matrices_match_per_pair_scores(rng):
     w = rng.standard_normal(40)
     cos = rf.CosineScorer().scores(P, G)
     svm = rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)).scores(P, G)
+    assert np.array_equal(rf.RankSvmScorer(rf.RankSvmModel(list(w), 1.0, 1)).scores(P, G), svm)
     assert cos.shape == svm.shape == (5, 37)
     for i in range(5):
         for j in range(37):
             assert cos[i, j] == pytest.approx(ref.cosine_score(P[i], G[j]), rel=1e-12)
             assert svm[i, j] == pytest.approx(ref.ranksvm_score(w, P[i], G[j]), rel=1e-12)
+
+
+def test_cosine_cmc_computes_gallery_norms_once(monkeypatch):
+    # 150 probes make three probe blocks; the gallery's norms are one computation
+    rng = np.random.default_rng(150)
+    n, dim = 150, 8
+    G = rng.standard_normal((n, dim))
+    P = G + 0.5 * rng.standard_normal((n, dim))
+    probes = [rf.SequenceEmbedding(P[k], k, 0) for k in range(n)]
+    gallery = [rf.SequenceEmbedding(G[k], k, 1) for k in range(n)]
+    expected = ref.compute_cmc(probes, gallery, ref.cosine_score)
+    norm, shapes = np.linalg.norm, []
+
+    def counted_norm(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    assert np.array_equal(rf.compute_cmc(probes, gallery, "cosine").rates, expected)
+    assert shapes.count((n, dim)) == 1
+    assert sorted(shapes) == [(22, dim), (64, dim), (64, dim), (n, dim)]
 
 
 # 291 = 36 * 8 + 3 = 18 * 16 + 3: the last rows are edge rows of the cosine
