@@ -61,7 +61,6 @@ from .features import (
     to_frame_tensor,
 )
 from .matching import (
-    CosineScorer,
     RankSvmModel,
     RankSvmScorer,
     ranking_accuracy,

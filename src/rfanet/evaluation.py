@@ -23,7 +23,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +31,7 @@ from .aggregate import SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError, FormatError
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write
-from .matching import (
-    CosineScorer,
-    RankSvmScorer,
-    _cosine_scores,
-    _embedding_matrix,
-    train_ranksvm,
-)
+from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
 from .rnn import LabeledSequence, project, train
 
 
@@ -192,29 +185,9 @@ class CmcCurve:
         return float(self.rates[k - 1])
 
 
-# probes scored per scores() call: one block is 64 x dim float64 (2.6 MB at
+# probes scored per block scorer call: one block is 64 x dim float64 (2.6 MB at
 # dim 5,120), where stacking every probe at once would add a full copy of them
 _PROBE_BLOCK = 64
-
-
-def _first_twins(G):
-    """Each row's first bit-identical row, or None when every row is unique.
-
-    The wrapping uint64 sum of a row's bits is an exact, order-free
-    fingerprint: rows with distinct fingerprints differ, so whole rows are
-    compared only within a fingerprint group, and only with its first rows.
-    """
-    bits = G.view(np.uint64)
-    _, group, counts = np.unique(bits.sum(axis=1), return_inverse=True, return_counts=True)
-    if counts.max() == 1:
-        return None
-    first = np.arange(len(G))
-    for k in np.flatnonzero(counts[group] > 1):
-        for j in np.flatnonzero(group[:k] == group[k]):
-            if first[j] == j and np.array_equal(bits[j], bits[k]):
-                first[k] = j
-                break
-    return first
 
 
 def _source_ids(embeddings, role):
@@ -228,16 +201,13 @@ def _source_ids(embeddings, role):
 def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     """rates[k-1] = fraction of probes whose true match ranks within top k.
 
-    ``scorer`` is ``"cosine"`` or has ``scores(P, G)`` returning the
-    (n_p, n_g) score matrix, higher meaning more similar. The gallery is
-    stacked once (with its norms, for cosine) and the probes are scored in
-    blocks. The rank of the true
-    match is the count of higher scores plus the count of equal scores at a
-    lower gallery index: its place in a stable sort by descending score.
-    With ``"cosine"`` or a ``RankSvmScorer``, whose scores are functions of
-    the rows, bit-identical gallery rows tie exactly: each is ranked on the
-    score of the first of them, since BLAS may round their scores apart.
-    Any other scorer's matrix is ranked as it is. Entries without a
+    ``scorer`` is ``"cosine"``, a ``RankSvmScorer`` or has ``scores(P, G)``
+    returning the (n_p, n_g) score matrix, higher meaning more similar. The
+    gallery is stacked and bound to the scorer once (``bind_scorer``, which
+    forms the gallery terms and checks every matrix), and the probes are
+    scored in blocks. The rank of the true match is the count of higher
+    scores plus the count of equal scores at a lower gallery index: its
+    place in a stable sort by descending score. Entries without a
     ``source_id`` and embedding values that are not numeric, 1-D, finite and
     of one shape raise DataError; a scorer of another kind raises
     ConfigurationError.
@@ -252,22 +222,12 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     for k, gid in enumerate(gallery_ids):
         if column.setdefault(gid, k) != k:
             raise DataError(f"gallery contains duplicate person id {gid}")
-    truth = []
-    for pid in probe_ids:
-        if pid not in column:
-            raise DataError(f"probe id {pid} not in gallery")
-        truth.append(column[pid])
-    truth = np.asarray(truth, dtype=np.intp)
-    if isinstance(scorer, str) and scorer == "cosine":
-        scorer = CosineScorer()
-    elif not callable(getattr(scorer, "scores", None)):
-        raise ConfigurationError(f"unknown scorer {scorer!r}")
+    missing = [pid for pid in probe_ids if pid not in column]
+    if missing:
+        raise DataError(f"probe id {missing[0]} not in gallery")
+    truth = np.array([column[pid] for pid in probe_ids], dtype=np.intp)
     G = _embedding_matrix(gallery_embeddings, "gallery", [f"id {i}" for i in gallery_ids])
-    scores = scorer.scores
-    if isinstance(scorer, CosineScorer):
-        # the gallery norms once for every probe block
-        scores = partial(_cosine_scores, g_norm=np.linalg.norm(G, axis=1))
-    twins = _first_twins(G) if isinstance(scorer, (CosineScorer, RankSvmScorer)) else None
+    score = bind_scorer(scorer, G)
     n = len(gallery_embeddings)
     position = np.arange(n)
     counts = np.zeros(n)
@@ -276,11 +236,7 @@ def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
         P = _embedding_matrix(block, "probe",
                               [f"id {i}" for i in probe_ids[start:start + _PROBE_BLOCK]])
         own = truth[start:start + len(P)]
-        S = scores(P, G)
-        if not np.isfinite(S).all():
-            raise DataError("scorer returned non-finite scores")
-        if twins is not None:
-            S = S[:, twins]
+        S = score(P)
         s_own = S[np.arange(len(P)), own][:, None]
         rank = (S > s_own).sum(axis=1) + ((S == s_own) & (position < own[:, None])).sum(axis=1)
         counts += np.bincount(rank, minlength=n)

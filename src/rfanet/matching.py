@@ -1,12 +1,13 @@
 """Probe-gallery scoring: cosine similarity and a linear RankSVM trained on
 element-wise absolute-difference pair features.
 
-Both scorers return HIGHER values for more similar pairs, as a whole
-(n_probes, n_gallery) matrix from ``scores(P, G)``; ranking sorts by
-descending score with ties broken by ascending gallery index. BLAS sums
-some rows of a product in another order than the rest, so two bit-identical
-gallery rows can score a last bit apart; ``compute_cmc`` ranks such twins
-on the score of the first of them, as the exact tie they are.
+``bind_scorer`` binds a scorer to the stacked gallery once and returns the
+block scorer that ``compute_cmc`` calls for each block of probes. Scores are
+HIGHER for more similar pairs; ranking sorts by descending score with ties
+broken by ascending gallery index. BLAS sums some rows of a product in
+another order than the rest, so two bit-identical gallery rows can score a
+last bit apart; the cosine and RankSVM block scorers give each such twin the
+score of the first of them, as the exact tie it is.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateProblemError
+from .errors import ConfigurationError, DataError, DegenerateProblemError
 
 
 def _embedding_row(x, what, shape=None):
@@ -44,41 +45,71 @@ def _embedding_matrix(items, role, names=None, shape=None):
     return np.stack(rows)
 
 
-def _score_inputs(P, G, dim=None):
-    """(n_p, d) probes and (n_g, d) gallery as float64, or DataError."""
-    P = np.asarray(P, dtype=np.float64)
+def _first_twins(G):
+    """Each row's first bit-identical row: itself when it is the first.
+
+    The wrapping uint64 sum of a row's bits is an exact, order-free
+    fingerprint: rows with distinct fingerprints differ, so whole rows are
+    compared only within a fingerprint group, and only with its first rows.
+    """
+    bits = G.view(np.uint64)
+    _, group, counts = np.unique(bits.sum(axis=1), return_inverse=True, return_counts=True)
+    first = np.arange(len(G))
+    for k in np.flatnonzero(counts[group] > 1):
+        for j in np.flatnonzero(group[:k] == group[k]):
+            if first[j] == j and np.array_equal(bits[j], bits[k]):
+                first[k] = j
+                break
+    return first
+
+
+def bind_scorer(scorer, G):
+    """The block scorer of ``scorer`` bound to the gallery rows G: P -> the
+    (len(P), len(G)) score matrix of the probe rows P, checked.
+
+    ``scorer`` is "cosine", a RankSvmScorer or has ``scores(P, G)``, whose
+    matrix is ranked as given; anything else raises ConfigurationError. The
+    gallery terms are formed once, here. Probes of another dimension, and a
+    matrix that is not a finite numeric array of that shape, raise DataError.
+    """
     G = np.asarray(G, dtype=np.float64)
-    if P.ndim != 2 or G.ndim != 2 or P.shape[1] != G.shape[1]:
-        raise DataError(f"dimension mismatch: probes {P.shape} vs gallery {G.shape}")
-    if dim is not None and P.shape[1] != dim:
-        raise DataError(f"dimension mismatch: embeddings of dim {P.shape[1]}, model of dim {dim}")
-    return P, G
+    if G.ndim != 2:
+        raise DataError(f"dimension mismatch: gallery of shape {G.shape}, expected 2-D")
+    twins = slice(None)  # a view: any other scorer's columns as they are
+    if isinstance(scorer, str) and scorer == "cosine":
+        g_norm, twins = np.linalg.norm(G, axis=1), _first_twins(G)
 
+        def scores(P):
+            p_norm = np.linalg.norm(P, axis=1)
+            if not (p_norm.all() and g_norm.all()):
+                raise DataError("cosine score undefined for a zero-norm vector")
+            return (P @ G.T) / np.outer(p_norm, g_norm)
+    elif isinstance(scorer, RankSvmScorer):
+        scores, twins = _ranksvm_scorer(scorer.model, G), _first_twins(G)
+    elif callable(getattr(scorer, "scores", None)):
+        def scores(P):
+            return scorer.scores(P, G)
+    else:
+        raise ConfigurationError(f"unknown scorer {scorer!r}")
 
-def _cosine_scores(P, G, g_norm=None):
-    """CosineScorer.scores; compute_cmc passes the gallery's row norms
-    ``g_norm``, computed once for all of its probe blocks."""
-    P, G = _score_inputs(P, G)
-    p_norm = np.linalg.norm(P, axis=1)
-    if g_norm is None:
-        g_norm = np.linalg.norm(G, axis=1)
-    if not (p_norm.all() and g_norm.all()):
-        raise DataError("cosine score undefined for a zero-norm vector")
-    return (P @ G.T) / np.outer(p_norm, g_norm)
+    def score(P):
+        P = np.asarray(P, dtype=np.float64)
+        if P.ndim != 2 or P.shape[1] != G.shape[1]:
+            raise DataError(f"dimension mismatch: probes {P.shape} vs gallery {G.shape}")
+        S = scores(P)
+        shape = (len(P), len(G))
+        if not (isinstance(S, np.ndarray) and S.dtype.kind in "biuf" and S.shape == shape):
+            got = f"{S.shape} {S.dtype} array" if isinstance(S, np.ndarray) else type(S).__name__
+            raise DataError(f"scorer returned a {got}, expected a {shape} array of numbers")
+        if not np.isfinite(S).all():
+            raise DataError("scorer returned non-finite scores")
+        return S[:, twins]
 
-
-class CosineScorer:
-    """(p . g) / (|p| |g|), in [-1, 1]; higher means more similar."""
-
-    def scores(self, P, G):
-        """(n_p, n_g) cosine similarities of every probe row with every gallery row."""
-        return _cosine_scores(P, G)
+    return score
 
 
 # gallery rows per max(G_blk, p) block: 16 x 5,120 float64 is 640 kB, which
-# stays in L2 while every probe of a call is scored against it. The last
-# block's gemv, and G @ w, may sum their edge rows in another order, so
-# bit-identical gallery rows need not score bit-identically (see compute_cmc).
+# stays in L2 while every probe of a call is scored against it
 _GALLERY_BLOCK = 16
 
 # bytes of one max(P_blk, G) block of the RankSVM fit: as many whole probes
@@ -88,25 +119,24 @@ _GALLERY_BLOCK = 16
 _PROBE_BLOCK_BYTES = 2 * 2**20
 
 
-class RankSvmScorer:
-    """w . |p - g| of a trained RankSvmModel; higher means more similar."""
+def _ranksvm_scorer(model, G):
+    """P -> w . |p - g| of ``model`` for every probe row p and gallery row g,
+    with w checked, G @ w and the gallery-block buffer formed once.
 
-    def __init__(self, model):
-        self.model = model
+    w . |p - g| = 2 w . max(p, g) - w . p - w . g, since |a - b| =
+    2 max(a, b) - a - b exactly. ``np.maximum`` rounds nothing, so each
+    (probe, gallery block) pair costs one elementwise pass and a gemv,
+    and the error is that of the dot products: a few eps * sum_k |w_k|
+    (|p_k| + |g_k|).
+    """
+    w = _embedding_row(model.w, "RankSVM weights")
+    if G.shape[1] != w.size:
+        raise DataError(f"dimension mismatch: gallery of dim {G.shape[1]}, model of dim {w.size}")
+    g_w = G @ w
+    buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
 
-    def scores(self, P, G):
-        """(n_p, n_g) RankSVM scores of every probe row with every gallery row.
-
-        w . |p - g| = 2 w . max(p, g) - w . p - w . g, since |a - b| =
-        2 max(a, b) - a - b exactly. ``np.maximum`` rounds nothing, so each
-        (probe, gallery block) pair costs one elementwise pass and a gemv,
-        and the error is that of the dot products: a few eps * sum_k |w_k|
-        (|p_k| + |g_k|).
-        """
-        w = _embedding_row(self.model.w, "RankSVM weights")
-        P, G = _score_inputs(P, G, w.size)
+    def scores(P):
         out = np.empty((len(P), len(G)))
-        buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
         for g0 in range(0, len(G), _GALLERY_BLOCK):
             block = G[g0:g0 + _GALLERY_BLOCK]
             larger = buf[:len(block)]
@@ -114,8 +144,21 @@ class RankSvmScorer:
                 out[i, g0:g0 + len(block)] = np.maximum(block, p, out=larger) @ w
         out *= 2.0
         out -= (P @ w)[:, None]
-        out -= G @ w
+        out -= g_w
         return out
+
+    return scores
+
+
+@dataclass
+class RankSvmScorer:
+    """w . |p - g| of a trained RankSvmModel; higher means more similar."""
+
+    model: RankSvmModel
+
+    def scores(self, P, G):
+        """(n_p, n_g) RankSVM scores of every probe row with every gallery row."""
+        return bind_scorer(self, G)(P)
 
 
 @dataclass
@@ -161,7 +204,7 @@ class _StreamedPairs:
     only max(p_i, g_j) is streamed, a block of whole probes at a time into
     one buffer of at most _PROBE_BLOCK_BYTES, or of one probe. max rounds
     nothing, so the error is that of the products: a few eps times
-    sum_k |w_k| (|p_k| + |g_k|), as in RankSvmScorer.scores.
+    sum_k |w_k| (|p_k| + |g_k|), as in _ranksvm_scorer.
     """
 
     def __init__(self, probes, gallery):
@@ -253,9 +296,9 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     matrix. A bad C or iters, fewer than 2 aligned persons and rows that
     _embedding_matrix refuses raise DataError.
     """
-    if not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
+    if isinstance(C, bool) or not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
-    if not (isinstance(iters, (int, np.integer)) and iters >= 1):
+    if isinstance(iters, bool) or not (isinstance(iters, (int, np.integer)) and iters >= 1):
         raise DataError(f"iters must be an integer >= 1, got {iters!r}")
     probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
     n, dim = probes.shape
@@ -339,7 +382,7 @@ def ranking_accuracy(model, probe_embeddings, gallery_embeddings):
     for the score matrix S, so no pair matrix is built.
     """
     P, G = _aligned_pairs(probe_embeddings, gallery_embeddings)
-    S = RankSvmScorer(model).scores(P, G)
+    S = bind_scorer(RankSvmScorer(model), G)(P)
     n = len(S)
     # the diagonal never beats itself, so the count is over j != i only
     return float((np.diag(S)[:, None] > S).sum() / (n * (n - 1)))

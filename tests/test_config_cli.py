@@ -567,6 +567,19 @@ def test_cli_gradcheck_too_large_for_memory(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+# the rfanet console script is cli.entry: it exits with main's code
+@pytest.mark.parametrize("args,code", [
+    (["gradcheck", "--d", "3", "--h", "2", "--n", "2", "--l", "2"], 0),
+    (["gradcheck", "--d", "0"], 1),
+], ids=["passes", "bad-dimension"])
+def test_cli_entry_exits_with_main_code(monkeypatch, capsys, args, code):
+    assert main(args) == code
+    monkeypatch.setattr(cli.sys, "argv", ["rfanet", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+
+
 def test_cli_embed_rejects_model_header_larger_than_file(tmp_path, capsys):
     # a 21-byte file whose header claims W_i alone is 2^20 x 2^31 doubles
     model_path = tmp_path / "huge.rfanet"

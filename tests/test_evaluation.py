@@ -150,6 +150,24 @@ def test_cmc_rejects_non_finite_scores():
         rf.compute_cmc([_emb([1.0], 0, 0)], gallery, Broken())
 
 
+# each used to end in a numpy ValueError, IndexError, IndexError and TypeError
+@pytest.mark.parametrize("output", [
+    lambda P, G: np.zeros((len(P), len(G) + 1)),
+    lambda P, G: np.zeros((len(P), len(G) - 1)),
+    lambda P, G: np.zeros(len(P) * len(G)),
+    lambda P, G: np.zeros((len(P), len(G))).tolist(),
+], ids=["5x6", "5x4", "flat-25", "nested-list"])
+def test_cmc_rejects_malformed_scores(output):
+    class Malformed:
+        def scores(self, P, G):
+            return output(P, G)
+
+    gallery = [_emb([1.0, i], i, 1) for i in range(5)]
+    probes = [_emb([1.0, i], i, 0) for i in range(5)]
+    with pytest.raises(DataError, match=r"expected a \(5, 5\) array"):
+        rf.compute_cmc(probes, gallery, Malformed())
+
+
 def test_mean_cmc():
     a = rf.CmcCurve([0.5, 1.0])
     b = rf.CmcCurve([1.0, 1.0])

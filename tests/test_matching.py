@@ -10,7 +10,7 @@ from rfanet.matching import _objective, pair_difference_features
 
 def _cosine(a, b):
     """The cosine score of one pair through the matrix path."""
-    return float(rf.CosineScorer().scores([a], [b])[0, 0])
+    return float(matching.bind_scorer("cosine", [b])([a])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +41,12 @@ def test_cosine_accepts_embeddings(rng):
 
 def test_cosine_zero_vector_rejected():
     with pytest.raises(DataError, match="zero-norm"):
-        rf.CosineScorer().scores([[0.0, 0.0]], [[1.0, 2.0]])
+        matching.bind_scorer("cosine", [[1.0, 2.0]])([[0.0, 0.0]])
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(DataError):
-        rf.CosineScorer().scores([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
+        matching.bind_scorer("cosine", [[1.0, 2.0, 3.0]])([[1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_cosine_dimension_mismatch():
 def test_rank_gallery_descending():
     probe = np.array([1.0, 0.0])
     gallery = np.array([[0.0, 1.0], [1.0, 0.1], [1.0, 1.0]])
-    order = np.argsort(-rf.CosineScorer().scores([probe], gallery)[0], kind="stable")
+    order = np.argsort(-matching.bind_scorer("cosine", gallery)([probe])[0], kind="stable")
     assert order.tolist() == [1, 2, 0]
 
 
@@ -360,6 +360,8 @@ _MALFORMED = {
     "compute_cmc-ranksvm-w-list": lambda: _cmc(scorer=rf.RankSvmScorer(
         rf.RankSvmModel([1.0, 1.0, 1.0], 1.0, 1))),
     "train_ranksvm-C-string": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], C="1", iters=5),
+    "train_ranksvm-C-True": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], C=True, iters=5),
+    "train_ranksvm-iters-True": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], iters=True),
     "SequenceEmbedding-strings": lambda: rf.SequenceEmbedding(["a"]),
     "SequenceEmbedding-2-D": lambda: rf.SequenceEmbedding(np.eye(2)),
     "SequenceEmbedding-dim-0": lambda: rf.SequenceEmbedding(np.empty(0)),

@@ -181,7 +181,7 @@ def test_rank_gallery_matches_per_pair_reference():
     rng = np.random.default_rng(5)
     probes, gallery = _tied_set(rng, 80, 3)
     values = [g.values for g in gallery]
-    S = rf.CosineScorer().scores([p.values for p in probes[:10]], values)
+    S = matching.bind_scorer("cosine", values)([p.values for p in probes[:10]])
     for probe, row in zip(probes, S):
         scores = np.array([ref.cosine_score(probe.values, g) for g in values])
         expected = np.argsort(-scores, kind="stable")
@@ -191,7 +191,7 @@ def test_rank_gallery_matches_per_pair_reference():
 def test_score_matrices_match_per_pair_scores(rng):
     P, G = rng.standard_normal((5, 40)), rng.standard_normal((37, 40))
     w = rng.standard_normal(40)
-    cos = rf.CosineScorer().scores(P, G)
+    cos = matching.bind_scorer("cosine", G)(P)
     svm = rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)).scores(P, G)
     assert np.array_equal(rf.RankSvmScorer(rf.RankSvmModel(list(w), 1.0, 1)).scores(P, G), svm)
     assert cos.shape == svm.shape == (5, 37)
@@ -220,6 +220,38 @@ def test_cosine_cmc_computes_gallery_norms_once(monkeypatch):
     assert np.array_equal(rf.compute_cmc(probes, gallery, "cosine").rates, expected)
     assert shapes.count((n, dim)) == 1
     assert sorted(shapes) == [(22, dim), (64, dim), (64, dim), (n, dim)]
+
+
+def test_ranksvm_cmc_forms_gallery_terms_once(monkeypatch):
+    # 300 probes make five probe blocks; w is checked and G @ w formed once
+    rng = np.random.default_rng(300)
+    n, dim = 300, 8
+    G = rng.standard_normal((n, dim))
+    P = G + 0.5 * rng.standard_normal((n, dim))
+    probes = [rf.SequenceEmbedding(P[k], k, 0) for k in range(n)]
+    gallery = [rf.SequenceEmbedding(G[k], k, 1) for k in range(n)]
+    scorer = rf.RankSvmScorer(rf.RankSvmModel(-rng.uniform(0.5, 1.5, dim), 1.0, 1))
+    expected = rf.compute_cmc(probes, gallery, scorer).rates
+    checks, products = [], []
+
+    class SpiedWeights(np.ndarray):
+        def __rmatmul__(self, other):
+            products.append(np.shape(other))
+            return np.matmul(other, self.view(np.ndarray))
+
+    row = matching._embedding_row
+
+    def spied_row(x, what, shape=None):
+        out = row(x, what, shape)
+        if what == "RankSVM weights":
+            checks.append(what)
+            return out.view(SpiedWeights)
+        return out
+
+    monkeypatch.setattr(matching, "_embedding_row", spied_row)
+    assert np.array_equal(rf.compute_cmc(probes, gallery, scorer).rates, expected)
+    assert len(checks) == 1
+    assert products.count((n, dim)) == 1
 
 
 # 291 = 36 * 8 + 3 = 18 * 16 + 3: the last rows are edge rows of the cosine
