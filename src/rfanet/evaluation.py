@@ -201,16 +201,15 @@ def _source_ids(embeddings, role):
 def compute_cmc(probe_embeddings, gallery_embeddings, scorer):
     """rates[k-1] = fraction of probes whose true match ranks within top k.
 
-    ``scorer`` is ``"cosine"``, a ``RankSvmScorer`` or has ``scores(P, G)``
-    returning the (n_p, n_g) score matrix, higher meaning more similar. The
-    gallery is stacked and bound to the scorer once (``bind_scorer``, which
-    forms the gallery terms and checks every matrix), and the probes are
-    scored in blocks. The rank of the true match is the count of higher
-    scores plus the count of equal scores at a lower gallery index: its
-    place in a stable sort by descending score. Entries without a
-    ``source_id`` and embedding values that are not numeric, 1-D, finite and
-    of one shape raise DataError; a scorer of another kind raises
-    ConfigurationError.
+    ``scorer`` is ``"cosine"`` or a ``RankSvmScorer``, higher scores meaning
+    more similar; any other raises ConfigurationError. The gallery is
+    stacked and bound to the scorer once (``bind_scorer``, which forms the
+    gallery terms and checks every score matrix), and the probes are scored
+    in blocks. The rank of the true match is the count of higher scores plus
+    the count of equal scores at a lower gallery index: its place in a
+    stable sort by descending score. Entries without a ``source_id`` and
+    embedding values that are not numeric, 1-D, finite and of one shape
+    raise DataError.
     """
     if len(probe_embeddings) == 0:
         raise DataError("no probes")
@@ -382,7 +381,12 @@ class ExperimentReport:
 
 
 def _derive_seed(*parts):
-    return int(np.random.SeedSequence([int(p) & (2**31 - 1) for p in parts]).generate_state(1)[0])
+    """A seed from integer parts; a part outside [0, 2**31) becomes a non-zero
+    marker word (top bit, bit length, sign) and |part|, so parts never alias."""
+    words = []
+    for p in map(int, parts):
+        words += [p] if 0 <= p < 2**31 else [2**31 | abs(p).bit_length() << 1 | (p < 0), abs(p)]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def describe_dataset(dataset, run_config, with_pool=False):

@@ -6,8 +6,8 @@ block scorer that ``compute_cmc`` calls for each block of probes. Scores are
 HIGHER for more similar pairs; ranking sorts by descending score with ties
 broken by ascending gallery index. BLAS sums some rows of a product in
 another order than the rest, so two bit-identical gallery rows can score a
-last bit apart; the cosine and RankSVM block scorers give each such twin the
-score of the first of them, as the exact tie it is.
+last bit apart; the block scorer gives each such twin the score of the
+first of them, as the exact tie it is.
 """
 
 from __future__ import annotations
@@ -21,13 +21,18 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DegenerateProblemError
 
 
+def _float64(x, message):
+    """x as a float64 array (not copied if it is one), or DataError(message)."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(message) from None
+
+
 def _embedding_row(x, what, shape=None):
     """An embedding's values, or a row, as a finite 1-D float64 array, of
     ``shape`` if given, or DataError naming ``what``. A float64 row is not copied."""
-    try:
-        row = np.asarray(getattr(x, "values", x), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"{what}: embedding is not numeric") from None
+    row = _float64(getattr(x, "values", x), f"{what}: embedding is not numeric")
     if row.ndim != 1 or shape not in (None, row.shape):
         raise DataError(f"{what}: embedding shape {row.shape}, expected {shape or '1-D'}")
     if not np.isfinite(row).all():
@@ -65,42 +70,34 @@ def _first_twins(G):
 
 def bind_scorer(scorer, G):
     """The block scorer of ``scorer`` bound to the gallery rows G: P -> the
-    (len(P), len(G)) score matrix of the probe rows P, checked.
-
-    ``scorer`` is "cosine", a RankSvmScorer or has ``scores(P, G)``, whose
-    matrix is ranked as given; anything else raises ConfigurationError. The
-    gallery terms are formed once, here. Probes of another dimension, and a
-    matrix that is not a finite numeric array of that shape, raise DataError.
+    (len(P), len(G)) score matrix of the probe rows P, checked. ``scorer`` is
+    "cosine" or a RankSvmScorer, else ConfigurationError. The gallery terms
+    are formed once, here. Rows that are not numbers of one length, probes of
+    another dimension and non-finite scores (both scorers can overflow) raise
+    DataError.
     """
-    G = np.asarray(G, dtype=np.float64)
+    G = _float64(G, "gallery is not a numeric matrix")
     if G.ndim != 2:
         raise DataError(f"dimension mismatch: gallery of shape {G.shape}, expected 2-D")
-    twins = slice(None)  # a view: any other scorer's columns as they are
-    if isinstance(scorer, str) and scorer == "cosine":
-        g_norm, twins = np.linalg.norm(G, axis=1), _first_twins(G)
+    if isinstance(scorer, RankSvmScorer):
+        scores = _ranksvm_scorer(scorer.model, G)
+    elif isinstance(scorer, str) and scorer == "cosine":
+        g_norm = np.linalg.norm(G, axis=1)
 
         def scores(P):
             p_norm = np.linalg.norm(P, axis=1)
             if not (p_norm.all() and g_norm.all()):
                 raise DataError("cosine score undefined for a zero-norm vector")
             return (P @ G.T) / np.outer(p_norm, g_norm)
-    elif isinstance(scorer, RankSvmScorer):
-        scores, twins = _ranksvm_scorer(scorer.model, G), _first_twins(G)
-    elif callable(getattr(scorer, "scores", None)):
-        def scores(P):
-            return scorer.scores(P, G)
     else:
         raise ConfigurationError(f"unknown scorer {scorer!r}")
+    twins = _first_twins(G)
 
     def score(P):
-        P = np.asarray(P, dtype=np.float64)
+        P = _float64(P, "probes are not a numeric matrix")
         if P.ndim != 2 or P.shape[1] != G.shape[1]:
             raise DataError(f"dimension mismatch: probes {P.shape} vs gallery {G.shape}")
         S = scores(P)
-        shape = (len(P), len(G))
-        if not (isinstance(S, np.ndarray) and S.dtype.kind in "biuf" and S.shape == shape):
-            got = f"{S.shape} {S.dtype} array" if isinstance(S, np.ndarray) else type(S).__name__
-            raise DataError(f"scorer returned a {got}, expected a {shape} array of numbers")
         if not np.isfinite(S).all():
             raise DataError("scorer returned non-finite scores")
         return S[:, twins]
@@ -152,13 +149,9 @@ def _ranksvm_scorer(model, G):
 
 @dataclass
 class RankSvmScorer:
-    """w . |p - g| of a trained RankSvmModel; higher means more similar."""
+    """w . |p - g| of a trained RankSvmModel, for bind_scorer; higher is more similar."""
 
     model: RankSvmModel
-
-    def scores(self, P, G):
-        """(n_p, n_g) RankSVM scores of every probe row with every gallery row."""
-        return bind_scorer(self, G)(P)
 
 
 @dataclass

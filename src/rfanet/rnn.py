@@ -447,10 +447,10 @@ def train(sequences, cfg):
     sequence per epoch, shuffled and processed in mini-batches with averaged
     gradients, one forward/backward call per mini-batch. The W gradient of a
     batch stays factored (see ``backward``), so training holds no array of
-    W's size besides W itself. A batch's (B, L, D) input is filled instance
-    by instance from slices of the sequences' features, so store-backed
-    sequences expand only the B*L rows of the batch. Fully deterministic
-    given cfg.seed.
+    W's size besides W itself. Each batch's (B, L, D) input is filled, in one
+    reused buffer, instance by instance from slices of the sequences'
+    features, so store-backed sequences expand only the B*L rows of the
+    batch. Fully deterministic given cfg.seed.
 
     Raises DataError for a sequence with non-finite features (a store
     checks its own rows when it is built), and for a batch whose loss or
@@ -487,6 +487,7 @@ def train(sequences, cfg):
         peephole=cfg.peephole, init_bound=cfg.init_bound,
     )
     history = []
+    buf = np.empty((min(cfg.batch_size, len(sequences)), L, input_dim))
     for epoch in range(cfg.epochs):
         starts = [int(rng.integers(0, s.features.shape[0] - L + 1)) for s in sequences]
         order = rng.permutation(len(sequences))
@@ -494,7 +495,7 @@ def train(sequences, cfg):
         epoch_losses = []
         for b in range(0, len(order), cfg.batch_size):
             batch = order[b : b + cfg.batch_size]
-            xs = np.empty((len(batch), L, input_dim))
+            xs = buf[:len(batch)]
             for x, k in zip(xs, batch):
                 x[...] = sequences[k].features[starts[k] : starts[k] + L]
             labels = np.array([sequences[k].label for k in batch])

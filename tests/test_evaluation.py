@@ -58,36 +58,34 @@ def test_splits_need_two_ids():
 # CMC
 # ---------------------------------------------------------------------------
 
-class IdentityScorer:
-    """Scores 1.0 for the true match, 0.0 otherwise; an embedding's first
-    value is its person id."""
-
-    def scores(self, P, G):
-        return (P[:, :1] == G[:, 0]).astype(float)
-
-
 def _emb(vec, pid, cam=0):
     return rf.SequenceEmbedding(np.asarray(vec, float), pid, cam)
 
 
+def _scorers(dim, w=-1.0):
+    """Cosine, and a RankSVM scoring w * |p - g|_1 (the negated L1 distance
+    by default)."""
+    return ["cosine", rf.RankSvmScorer(rf.RankSvmModel(np.full(dim, w), 1.0, 1))]
+
+
 def test_cmc_perfect_scorer():
-    gallery = [_emb([i, 1.0], i, 1) for i in range(4)]
-    probes = [_emb([i, 1.0], i, 0) for i in range(4)]
-    curve = rf.compute_cmc(probes, gallery, IdentityScorer())
-    assert curve.rates == pytest.approx([1.0, 1.0, 1.0, 1.0])
-    assert curve.rate(1) == 1.0
+    # one-hot rows: each probe scores highest against its own gallery row only
+    gallery = [_emb(np.eye(4)[i], i, 1) for i in range(4)]
+    probes = [_emb(np.eye(4)[i], i, 0) for i in range(4)]
+    for scorer in _scorers(4):
+        curve = rf.compute_cmc(probes, gallery, scorer)
+        assert curve.rates == pytest.approx([1.0, 1.0, 1.0, 1.0])
+        assert curve.rate(1) == 1.0
 
 
 def test_cmc_constant_scorer_staircase():
-    # all scores tie, so ranks follow gallery order: probe i lands at rank i+1
-    class Constant:
-        def scores(self, P, G):
-            return np.full((len(P), len(G)), 0.5)
-
-    gallery = [_emb([1.0], i, 1) for i in range(4)]
-    probes = [_emb([1.0], i, 0) for i in range(4)]
-    curve = rf.compute_cmc(probes, gallery, Constant())
-    assert curve.rates == pytest.approx([0.25, 0.5, 0.75, 1.0])
+    # identical gallery rows tie exactly, so ranks follow gallery order:
+    # probe i lands at rank i+1
+    gallery = [_emb([1.0, 0.5], i, 1) for i in range(4)]
+    probes = [_emb([0.5, 1.0], i, 0) for i in range(4)]
+    for scorer in _scorers(2):
+        curve = rf.compute_cmc(probes, gallery, scorer)
+        assert curve.rates == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
 
 def test_cmc_no_probes():
@@ -141,31 +139,32 @@ def test_cmc_rejects_mixed_dimensions():
 
 
 def test_cmc_rejects_non_finite_scores():
-    class Broken:
-        def scores(self, P, G):
-            return np.full((len(P), len(G)), np.nan)
+    # finite embeddings and weights whose products overflow: the cosine
+    # norms and dot products are inf, and so is w * |p - g|; numpy's overflow
+    # warnings are silenced, as it is the check on the scores that is tested
+    gallery = [_emb([1e300, 1e300 * (i + 1)], i, 1) for i in range(2)]
+    for scorer in _scorers(2, w=1e300):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="non-finite scores"):
+                rf.compute_cmc([_emb([1e300, 1e300], 0, 0)], gallery, scorer)
 
-    gallery = [_emb([1.0], i, 1) for i in range(2)]
-    with pytest.raises(DataError, match="non-finite scores"):
-        rf.compute_cmc([_emb([1.0], 0, 0)], gallery, Broken())
+
+def _masked_seed(*parts):
+    """The seed of parts masked to 31 bits, as every part in [0, 2**31) keeps."""
+    return int(np.random.SeedSequence([p & (2**31 - 1) for p in parts]).generate_state(1)[0])
 
 
-# each used to end in a numpy ValueError, IndexError, IndexError and TypeError
-@pytest.mark.parametrize("output", [
-    lambda P, G: np.zeros((len(P), len(G) + 1)),
-    lambda P, G: np.zeros((len(P), len(G) - 1)),
-    lambda P, G: np.zeros(len(P) * len(G)),
-    lambda P, G: np.zeros((len(P), len(G))).tolist(),
-], ids=["5x6", "5x4", "flat-25", "nested-list"])
-def test_cmc_rejects_malformed_scores(output):
-    class Malformed:
-        def scores(self, P, G):
-            return output(P, G)
-
-    gallery = [_emb([1.0, i], i, 1) for i in range(5)]
-    probes = [_emb([1.0, i], i, 0) for i in range(5)]
-    with pytest.raises(DataError, match=r"expected a \(5, 5\) array"):
-        rf.compute_cmc(probes, gallery, Malformed())
+# the trial (seed, trial), window (seed, pid, cam) and noise
+# (seed, trial, level, pid, cam) seeds
+@pytest.mark.parametrize("parts", [(1,), (7, 1), (1, 2, 7, 1)], ids=["trial", "window", "noise"])
+def test_derived_seeds_tell_every_part_apart(parts):
+    rng = np.random.default_rng(len(parts))
+    for low in [(0, *parts), (2**31 - 1, *parts), *rng.integers(0, 2**31, (5, len(parts) + 1))]:
+        assert _derive_seed(*low) == _masked_seed(*map(int, low))
+    # seeds 2**31 apart, and a negative person id against its 31-bit mask
+    seeds = [_derive_seed(seed, *parts) for seed in (0, 2**31, 2**32, 2**62, 2**63 - 1)]
+    seeds += [_derive_seed(0, *parts[:-2], pid, 1) for pid in (-1, 2**31 - 1, -(2**31 + 1))]
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_mean_cmc():

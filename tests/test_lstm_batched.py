@@ -291,3 +291,25 @@ def test_train_allocates_no_second_w():
     # W itself, the (B, L, D) batch and one step tile; a dense W gradient
     # would take the peak past 2 * w_bytes
     assert peak < 1.5 * w_bytes, peak / w_bytes
+
+
+def test_train_holds_one_batch():
+    import tracemalloc
+
+    data = np.random.default_rng(6)
+    D_big, H_small, B, L_big = 50_000, 2, 4, 5
+    seqs = [rf.LabeledSequence(k % 3, data.standard_normal((L_big + 2, D_big)), f"s{k}")
+            for k in range(12)]
+    cfg = rf.TrainConfig(subseq_len=L_big, epochs=2, lr_switch_epoch=2, batch_size=B,
+                         seed=1, hidden_dim=H_small)
+    w_bytes = 4 * H_small * D_big * 8
+    batch_bytes = B * L_big * D_big * 8
+    tracemalloc.start()
+    try:
+        rf.train(seqs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # W and the batch being trained on; keeping the previous batch alive
+    # while the next is filled would take the peak to W + 2 batches
+    assert peak < w_bytes + 1.5 * batch_bytes, (peak - w_bytes) / batch_bytes

@@ -62,17 +62,16 @@ def test_rank_gallery_descending():
 
 
 def test_rank_gallery_stable_ties():
-    class FixedScorer:
-        def scores(self, P, G):
-            assert P.shape == (1, 1) and G.shape == (3, 1)
-            return np.array([[0.2, 0.9, 0.9]])
-
-    # the scores order the gallery as 1, 2, 0: true match k ranks 3, 1, 2
-    gallery = [rf.SequenceEmbedding([0.0], k, 1) for k in range(3)]
-    for k, rank in enumerate((3, 1, 2)):
-        probe = [rf.SequenceEmbedding([0.0], k, 0)]
-        rates = rf.compute_cmc(probe, gallery, FixedScorer()).rates
-        assert rates.tolist() == [0.0] * (rank - 1) + [1.0] * (4 - rank)
+    # cosine scores 0.2, 0.9, 0.9 (and the negated L1 distance the same
+    # order), rows 1 and 2 bit-identical: the scores order the gallery as
+    # 1, 2, 0, so true match k ranks 3, 1, 2
+    rows = [[0.2, 0.96 ** 0.5], [0.9, 0.19 ** 0.5], [0.9, 0.19 ** 0.5]]
+    gallery = [rf.SequenceEmbedding(row, k, 1) for k, row in enumerate(rows)]
+    for scorer in ("cosine", rf.RankSvmScorer(rf.RankSvmModel(-np.ones(2), 1.0, 1))):
+        for k, rank in enumerate((3, 1, 2)):
+            probe = [rf.SequenceEmbedding([1.0, 0.0], k, 0)]
+            rates = rf.compute_cmc(probe, gallery, scorer).rates
+            assert rates.tolist() == [0.0] * (rank - 1) + [1.0] * (4 - rank)
 
 
 def test_rank_gallery_empty():
@@ -194,7 +193,7 @@ def test_ranksvm_deterministic(rng):
 def test_ranksvm_score_direction(rng):
     probes, gallery = _separable_instance(rng)
     model = rf.train_ranksvm(probes, gallery, C=5.0, iters=2000)
-    scores = rf.RankSvmScorer(model).scores(probes, gallery)
+    scores = matching.bind_scorer(rf.RankSvmScorer(model), gallery)(probes)
     for i in range(len(probes)):
         for j in range(len(gallery)):
             if j != i:
@@ -321,6 +320,7 @@ _RAGGED = [[0.0, 1.0, 2.0], [1.0, 0.0], [2.0, 1.0, 0.0]]
 _TWO_D = [np.eye(2) * k for k in range(1, 4)]
 _WIDTH_4 = [row + [3.0] for row in _ROWS]
 _STRINGS = [["a", "b", "c"]] * 3
+_SVM = rf.RankSvmScorer(rf.RankSvmModel(np.ones(3), 1.0, 1))
 
 
 def _accuracy(probes, gallery):
@@ -362,6 +362,10 @@ _MALFORMED = {
     "train_ranksvm-C-string": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], C="1", iters=5),
     "train_ranksvm-C-True": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], C=True, iters=5),
     "train_ranksvm-iters-True": lambda: rf.train_ranksvm(_ROWS, _ROWS[::-1], iters=True),
+    "bind_scorer-gallery-strings": lambda: matching.bind_scorer("cosine", _STRINGS),
+    "bind_scorer-gallery-ragged": lambda: matching.bind_scorer(_SVM, _RAGGED),
+    "bind_scorer-probes-strings": lambda: matching.bind_scorer(_SVM, _ROWS)(_STRINGS),
+    "bind_scorer-probes-ragged": lambda: matching.bind_scorer("cosine", _ROWS)(_RAGGED),
     "SequenceEmbedding-strings": lambda: rf.SequenceEmbedding(["a"]),
     "SequenceEmbedding-2-D": lambda: rf.SequenceEmbedding(np.eye(2)),
     "SequenceEmbedding-dim-0": lambda: rf.SequenceEmbedding(np.empty(0)),

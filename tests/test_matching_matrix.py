@@ -192,8 +192,9 @@ def test_score_matrices_match_per_pair_scores(rng):
     P, G = rng.standard_normal((5, 40)), rng.standard_normal((37, 40))
     w = rng.standard_normal(40)
     cos = matching.bind_scorer("cosine", G)(P)
-    svm = rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)).scores(P, G)
-    assert np.array_equal(rf.RankSvmScorer(rf.RankSvmModel(list(w), 1.0, 1)).scores(P, G), svm)
+    svm = matching.bind_scorer(rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)), G)(P)
+    listed = rf.RankSvmScorer(rf.RankSvmModel(list(w), 1.0, 1))
+    assert np.array_equal(matching.bind_scorer(listed, G)(P), svm)
     assert cos.shape == svm.shape == (5, 37)
     for i in range(5):
         for j in range(37):
@@ -294,7 +295,7 @@ def test_ranksvm_scores_within_rounding_bound(kind, dim):
         G += 100.0
     if kind == "equal":        # p = g exactly: every diagonal score is 0
         G[:20] = P
-    S = rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)).scores(P, G)
+    S = matching.bind_scorer(rf.RankSvmScorer(rf.RankSvmModel(w, 1.0, 1)), G)(P)
     for i in range(len(P)):
         for j in range(len(G)):
             exact = math.fsum(w * np.abs(P[i] - G[j]))
@@ -305,4 +306,4 @@ def test_ranksvm_scores_within_rounding_bound(kind, dim):
 def test_ranksvm_scores_reject_model_dimension():
     scorer = rf.RankSvmScorer(rf.RankSvmModel(np.ones(3), 1.0, 1))
     with pytest.raises(rf.DataError, match="dimension"):
-        scorer.scores(np.ones((2, 4)), np.ones((3, 4)))
+        matching.bind_scorer(scorer, np.ones((3, 4)))
