@@ -152,7 +152,6 @@ def _read_frame(path, owner):
 
 @dataclass
 class SplitSpec:
-    trial_seed: int
     train_ids: tuple
     test_ids: tuple
 
@@ -165,12 +164,9 @@ def make_splits(person_ids, num_trials, master_seed):
     rng = np.random.default_rng(master_seed)
     splits = []
     for _ in range(num_trials):
-        trial_seed = int(rng.integers(2**63))
-        perm = np.random.default_rng(trial_seed).permutation(ids)
+        perm = np.random.default_rng(int(rng.integers(2**63))).permutation(ids)
         k = len(ids) // 2
-        splits.append(
-            SplitSpec(trial_seed, tuple(sorted(perm[:k])), tuple(sorted(perm[k:])))
-        )
+        splits.append(SplitSpec(tuple(sorted(perm[:k])), tuple(sorted(perm[k:]))))
     return splits
 
 

@@ -8,6 +8,12 @@ broken by ascending gallery index. BLAS sums some rows of a product in
 another order than the rest, so two bit-identical gallery rows can score a
 last bit apart; the block scorer gives each such twin the score of the
 first of them, as the exact tie it is.
+
+Every RankSVM pass over probe-gallery pairs, the scorer's and the fit's
+margins and violated sums, reads max(p_i, g_j) from one generator,
+``_pair_max``: blocks of _GALLERY_BLOCK gallery rows outside, probes inside
+and one reused buffer, so the fit's margins are differences of the scorer's
+scores, bit for bit.
 """
 
 from __future__ import annotations
@@ -72,32 +78,43 @@ def bind_scorer(scorer, G):
     """The block scorer of ``scorer`` bound to the gallery rows G: P -> the
     (len(P), len(G)) score matrix of the probe rows P, checked. ``scorer`` is
     "cosine" or a RankSvmScorer, else ConfigurationError. The gallery terms
-    are formed once, here. Rows that are not numbers of one length, probes of
-    another dimension and non-finite scores (both scorers can overflow) raise
-    DataError.
+    (the norms, or the checked w and G @ w) are formed once, here. Rows that
+    are not numbers of one length, probes of another dimension and
+    non-finite scores (both scorers can overflow, without a numpy warning)
+    raise DataError.
     """
     G = _float64(G, "gallery is not a numeric matrix")
     if G.ndim != 2:
         raise DataError(f"dimension mismatch: gallery of shape {G.shape}, expected 2-D")
-    if isinstance(scorer, RankSvmScorer):
-        scores = _ranksvm_scorer(scorer.model, G)
-    elif isinstance(scorer, str) and scorer == "cosine":
-        g_norm = np.linalg.norm(G, axis=1)
+    # overflow ends in the finite-score check below, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(scorer, RankSvmScorer):
+            w = _embedding_row(scorer.model.w, "RankSVM weights")
+            if G.shape[1] != w.size:
+                raise DataError(
+                    f"dimension mismatch: gallery of dim {G.shape[1]}, model of dim {w.size}")
+            g_w = G @ w
 
-        def scores(P):
-            p_norm = np.linalg.norm(P, axis=1)
-            if not (p_norm.all() and g_norm.all()):
-                raise DataError("cosine score undefined for a zero-norm vector")
-            return (P @ G.T) / np.outer(p_norm, g_norm)
-    else:
-        raise ConfigurationError(f"unknown scorer {scorer!r}")
+            def scores(P):
+                return _ranksvm_scores(P, G, w, g_w)
+        elif isinstance(scorer, str) and scorer == "cosine":
+            g_norm = np.linalg.norm(G, axis=1)
+
+            def scores(P):
+                p_norm = np.linalg.norm(P, axis=1)
+                if not (p_norm.all() and g_norm.all()):
+                    raise DataError("cosine score undefined for a zero-norm vector")
+                return (P @ G.T) / np.outer(p_norm, g_norm)
+        else:
+            raise ConfigurationError(f"unknown scorer {scorer!r}")
     twins = _first_twins(G)
 
     def score(P):
         P = _float64(P, "probes are not a numeric matrix")
         if P.ndim != 2 or P.shape[1] != G.shape[1]:
             raise DataError(f"dimension mismatch: probes {P.shape} vs gallery {G.shape}")
-        S = scores(P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = scores(P)
         if not np.isfinite(S).all():
             raise DataError("scorer returned non-finite scores")
         return S[:, twins]
@@ -106,19 +123,32 @@ def bind_scorer(scorer, G):
 
 
 # gallery rows per max(G_blk, p) block: 16 x 5,120 float64 is 640 kB, which
-# stays in L2 while every probe of a call is scored against it
+# stays in L2 while every probe of a pass is taken against it
 _GALLERY_BLOCK = 16
 
-# bytes of one max(P_blk, G) block of the RankSVM fit: as many whole probes
-# as fit, and at least one. 2 MiB is about one core's L2 cache: 30 ids at
-# dim 5,120 (1.2 MB a probe) and 150 ids run one probe a block, which was
-# faster than three, and a desk-size fit (10 ids, dim 80) is one block.
+# bytes of the RankSVM fit's per-run block of margins, one row of n(n - 1)
+# margins a step: 2 MiB is about one core's L2 cache
 _PROBE_BLOCK_BYTES = 2 * 2**20
 
 
-def _ranksvm_scorer(model, G):
-    """P -> w . |p - g| of ``model`` for every probe row p and gallery row g,
-    with w checked, G @ w and the gallery-block buffer formed once.
+def _pair_max(P, G, rows=None):
+    """Yield (i, cols, max(P[i], G[cols])) for each block ``cols`` of
+    _GALLERY_BLOCK gallery rows and, inside it, each probe i of ``rows`` (all
+    of P by default). The maximum is a view of one buffer that the next
+    yield overwrites."""
+    buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
+    rows = range(len(P)) if rows is None else rows
+    for g0 in range(0, len(G), _GALLERY_BLOCK):
+        cols = slice(g0, g0 + _GALLERY_BLOCK)
+        block = G[cols]
+        larger = buf[:len(block)]
+        for i in rows:
+            yield i, cols, np.maximum(block, P[i], out=larger)
+
+
+def _ranksvm_scores(P, G, w, g_w):
+    """w . |p - g| for every probe row p of P and gallery row g of G, with
+    g_w = G @ w.
 
     w . |p - g| = 2 w . max(p, g) - w . p - w . g, since |a - b| =
     2 max(a, b) - a - b exactly. ``np.maximum`` rounds nothing, so each
@@ -126,25 +156,13 @@ def _ranksvm_scorer(model, G):
     and the error is that of the dot products: a few eps * sum_k |w_k|
     (|p_k| + |g_k|).
     """
-    w = _embedding_row(model.w, "RankSVM weights")
-    if G.shape[1] != w.size:
-        raise DataError(f"dimension mismatch: gallery of dim {G.shape[1]}, model of dim {w.size}")
-    g_w = G @ w
-    buf = np.empty((min(len(G), _GALLERY_BLOCK), G.shape[1]))
-
-    def scores(P):
-        out = np.empty((len(P), len(G)))
-        for g0 in range(0, len(G), _GALLERY_BLOCK):
-            block = G[g0:g0 + _GALLERY_BLOCK]
-            larger = buf[:len(block)]
-            for i, p in enumerate(P):
-                out[i, g0:g0 + len(block)] = np.maximum(block, p, out=larger) @ w
-        out *= 2.0
-        out -= (P @ w)[:, None]
-        out -= g_w
-        return out
-
-    return scores
+    out = np.empty((len(P), len(G)))
+    for i, cols, larger in _pair_max(P, G):
+        out[i, cols] = larger @ w
+    out *= 2.0
+    out -= (P @ w)[:, None]
+    out -= g_w
+    return out
 
 
 @dataclass
@@ -192,63 +210,36 @@ class _StreamedPairs:
     """The rows a_i - |p_i - g_j| (j != i, a_i = |p_i - g_i|) of
     pair_difference_features as its two products, never stored.
 
-    With |p - g| = 2 max(p, g) - p - g, a row is a_i + p_i + g_j
-    - 2 max(p_i, g_j): the first three terms are (n, dim) vector algebra and
-    only max(p_i, g_j) is streamed, a block of whole probes at a time into
-    one buffer of at most _PROBE_BLOCK_BYTES, or of one probe. max rounds
-    nothing, so the error is that of the products: a few eps times
-    sum_k |w_k| (|p_k| + |g_k|), as in _ranksvm_scorer.
+    A row's product with w is S[i, i] - S[i, j] for the score matrix S of w
+    (_ranksvm_scores). With |p - g| = 2 max(p, g) - p - g, a row is
+    a_i + p_i + g_j - 2 max(p_i, g_j): the first three terms are (n, dim)
+    vector algebra, and both products take max(p_i, g_j) from _pair_max.
     """
 
     def __init__(self, probes, gallery):
-        n, dim = probes.shape
         self.probes, self.gallery = probes, gallery
-        step = max(1, _PROBE_BLOCK_BYTES // (n * max(dim, 1) * 8))
-        buf = np.empty((min(step, n), n, dim))
-        # each block's probe rows and its (rows, n, dim) view of the one buffer
-        self.blocks = [(slice(i, i + step), buf[:min(step, n - i)]) for i in range(0, n, step)]
         a = np.abs(probes - gallery)
         # pair_difference_features' all-zero test, stopped at the first
-        # block with a non-zero row (j = i gives a_i itself)
-        for rows, block in self.blocks:
-            np.abs(np.subtract(probes[rows, None], gallery, out=block), out=block)
-            if (block != a[rows, None]).any():
-                break
-        else:
+        # probe with a non-zero row (j = i gives a_i itself)
+        if not any((np.abs(p - gallery) != a_i).any() for p, a_i in zip(probes, a)):
             raise DegenerateProblemError("all pair features are identical; nothing to rank")
         a += probes
         self.base = a  # a_i + p_i
-        self.off = ~np.eye(n, dtype=bool)
-        self.held = None  # the block whose max(p_i, g_j) the buffer holds
-
-    def _larger(self, k):
-        """max(p_i, g_j) for the probes i of block k, as (rows * n, dim) rows;
-        it does not depend on w, so a one-block fit fills the buffer once."""
-        rows, buf = self.blocks[k]
-        if self.held != k:
-            np.maximum(self.probes[rows, None], self.gallery, out=buf)
-            self.held = k
-        return buf.reshape(-1, buf.shape[2])
+        self.off = ~np.eye(len(probes), dtype=bool)
 
     def violated_sum(self, violated):
         """violated @ rows, for a boolean mask over the rows in their order."""
         V = np.zeros(self.off.shape)
         V[self.off] = violated
         larger = np.zeros(self.gallery.shape[1])
-        for k, (rows, _) in enumerate(self.blocks):
-            if np.count_nonzero(V[rows]):
-                larger += V[rows].reshape(-1) @ self._larger(k)
+        for i, cols, block in _pair_max(self.probes, self.gallery, np.flatnonzero(V.any(axis=1))):
+            larger += V[i, cols] @ block
         return V.sum(axis=1) @ self.base + V.sum(axis=0) @ self.gallery - 2.0 * larger
 
     def margins(self, w):
         """rows @ w."""
-        S = np.empty(self.off.shape)
-        for k, (rows, _) in enumerate(self.blocks):
-            np.matmul(self._larger(k), w, out=S[rows].reshape(-1))
-        S *= -2.0
-        S += (self.base @ w)[:, None]
-        S += self.gallery @ w
-        return S[self.off]
+        S = _ranksvm_scores(self.probes, self.gallery, w, self.gallery @ w)
+        return (np.diag(S)[:, None] - S)[self.off]
 
 
 def _objective(w, margins, C):
@@ -282,12 +273,13 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     margins start the next one. A desk-size fit keeps one mask for all
     2,000 steps.
 
-    A new non-empty mask makes two streamed passes over the pairs (see
-    _StreamedPairs): violated_sum for T, which skips probe blocks without a
-    violated row, and margins(T). The fit holds O(n dim) plus one pair
-    block of at most _PROBE_BLOCK_BYTES, in place of the n(n-1) x dim pair
-    matrix. A bad C or iters, fewer than 2 aligned persons and rows that
-    _embedding_matrix refuses raise DataError.
+    A new non-empty mask makes two passes over _pair_max's gallery blocks
+    (see _StreamedPairs): violated_sum for T, which skips probes without a
+    violated row, and margins(T), from the scorer's score matrix of T. The
+    fit holds O(n dim), one gallery block and one block of margins of at
+    most _PROBE_BLOCK_BYTES, in place of the n(n-1) x dim pair matrix. A bad
+    C or iters, fewer than 2 aligned persons and rows that _embedding_matrix
+    refuses raise DataError.
     """
     if isinstance(C, bool) or not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
         raise DataError(f"C must be finite and > 0, got {C}")
@@ -304,7 +296,7 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     # and rows @ each of them
     X = np.zeros((3, dim))
     M = np.zeros((3, m))
-    # w_best outlives the fit: allocated once, before the pair buffers, and
+    # w_best outlives the fit: allocated once, before the fit's buffers, and
     # updated in place, it stays out of freed gallery-sized heap holes (a copy
     # in one made a 300-id ranking after a 30-id fit add 12 MB to peak RSS)
     w_best = np.zeros(dim)

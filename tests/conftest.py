@@ -29,25 +29,25 @@ def rng():
 
 
 @pytest.fixture
-def probe_block(monkeypatch):
-    """probe_block(k, n, dim) sizes train_ranksvm's max(P_blk, G) blocks to k
-    whole probes of an n-id, dim-wide fit; the last block holds the rest."""
+def gallery_block(monkeypatch):
+    """gallery_block(k) sizes the max(G_blk, p) blocks of the RankSVM scorer
+    and fit to k gallery rows; the last block holds the rest."""
     import rfanet.matching as matching
 
-    def blocks_of(k, n, dim):
-        monkeypatch.setattr(matching, "_PROBE_BLOCK_BYTES", k * n * dim * 8)
+    def rows(k):
+        monkeypatch.setattr(matching, "_GALLERY_BLOCK", k)
 
-    return blocks_of
+    return rows
 
 
 @pytest.fixture(params=["materialized", "streamed"])
-def block_sizes(request, probe_block):
-    """block_sizes(n, dim) sets and yields each probe-block size in turn: one
-    block of all n probes ("materialized", every pair product in one buffer),
-    or each size from 1 to n - 1 ("streamed")."""
-    def sizes(n, dim):
+def block_sizes(request, gallery_block):
+    """block_sizes(n) sets and yields each gallery-block size of an n-id fit
+    in turn: one block of all n rows ("materialized", every pair of a probe
+    in one block), or each size from 1 to n - 1 ("streamed")."""
+    def sizes(n):
         for k in [n] if request.param == "materialized" else range(1, n):
-            probe_block(k, n, dim)
+            gallery_block(k)
             yield k
 
     return sizes

@@ -146,11 +146,11 @@ def test_ranksvm_history_monotone(rng):
     _history_monotone(*_separable_instance(rng))
 
 
-# blocks of one probe and of 3, which leave a partial last block of 2
-def test_streamed_ranksvm_history_monotone(rng, probe_block):
+# blocks of one gallery row and of 3, which leave a partial last block of 2
+def test_streamed_ranksvm_history_monotone(rng, gallery_block):
     probes, gallery = _separable_instance(rng)
     for k in (1, 3):
-        probe_block(k, 5, 2)
+        gallery_block(k)
         _history_monotone(probes, gallery)
 
 
@@ -228,7 +228,7 @@ def test_ranking_accuracy_checks_inputs(rng):
 ], ids=["identical", "mirrored", "empty"])
 def test_ranksvm_rejects_identical_pair_features(block_sizes, probes, gallery):
     probes, gallery = np.array(probes), np.array(gallery)
-    for _ in block_sizes(*probes.shape):
+    for _ in block_sizes(len(probes)):
         with pytest.raises(DegenerateProblemError, match="all pair features are identical"):
             rf.train_ranksvm(probes, gallery, iters=5)
 
@@ -236,12 +236,12 @@ def test_ranksvm_rejects_identical_pair_features(block_sizes, probes, gallery):
 def test_ranksvm_accepts_a_last_probe_with_distinct_pairs(block_sizes):
     # probes 0 and 1 see |p - g| = 1 in every pair, probe 2 does not
     probes, gallery = np.array([[0.0], [0.0], [10.0]]), np.array([[1.0], [-1.0], [1.0]])
-    for _ in block_sizes(3, 1):
+    for _ in block_sizes(3):
         assert rf.train_ranksvm(probes, gallery, iters=5).objective_history
 
 
-# desk-noise's fit, one block of all 10 probes, and full-match's fit, one
-# probe a block: neither builds the n(n-1) x dim pair matrix
+# desk-noise's fit, one gallery block of all 10 rows, and full-match's fit,
+# blocks of 16 and 14 rows: neither builds the n(n-1) x dim pair matrix
 @pytest.mark.parametrize("n,dim", [(10, 80), (30, 5120)])
 def test_fit_never_builds_the_pair_matrix(monkeypatch, n, dim):
     def built(*_args):

@@ -51,7 +51,7 @@ _C = pytest.mark.parametrize("C", [0.01, 1.0, 5.0, 100.0])
 _size = pytest.mark.parametrize("n,dim", [(5, 2), (12, 30)])
 
 
-# at the real block budget every instance here is one block of all its probes
+# at the real block size every instance here is one block of all its gallery rows
 @_separable
 @_C
 @_size
@@ -59,14 +59,14 @@ def test_ranksvm_matches_reference(separable, C, n, dim):
     _matches_reference(separable, C, n, dim)
 
 
-# blocks of one probe, and of 3 and 5 probes, which leave a partial last
-# block at n = 5 and at n = 12
+# blocks of one gallery row, and of 3 and 5 rows, which leave a partial
+# last block at n = 5 and at n = 12
 @_separable
 @_C
 @_size
-def test_streamed_ranksvm_matches_reference(probe_block, separable, C, n, dim):
+def test_streamed_ranksvm_matches_reference(gallery_block, separable, C, n, dim):
     for k in (1, 3, 5):
-        probe_block(k, n, dim)
+        gallery_block(k)
         _matches_reference(separable, C, n, dim)
 
 
@@ -119,6 +119,55 @@ def test_ranksvm_regimes_match_reference(monkeypatch, instance, masks_made):
     assert len(passes) == len(masks) == len(set(masks)) == masks_made
     if masks_made == 1:
         assert history == [history[0]] * 2000
+
+
+def test_fit_margins_are_the_scorers_score_differences(gallery_block):
+    # the fit's margins and the RankSVM scorer read one max(p, g) stream:
+    # rows @ w is S[i, i] - S[i, j] of the scorer's S, bit for bit
+    probes, gallery = map(np.array, _instance(np.random.default_rng(25), 12, 30, False))
+    assert len(np.unique(gallery, axis=0)) == 12  # no twins to substitute
+    model = rf.train_ranksvm(probes, gallery, C=1.0, iters=200)
+    for k in (1, 5, 12):
+        gallery_block(k)
+        S = matching.bind_scorer(rf.RankSvmScorer(model), gallery)(probes)
+        margins = matching._StreamedPairs(probes, gallery).margins(model.w)
+        assert np.array_equal(margins, (np.diag(S)[:, None] - S)[~np.eye(12, dtype=bool)])
+
+
+# the exact optimum: dual coordinate descent closes the duality gap, and the
+# fit's objective is no lower
+@_separable
+@_C
+@pytest.mark.parametrize("n,dim", [(5, 2), (10, 8)])
+def test_dual_coordinate_descent_reaches_the_optimum(separable, C, n, dim):
+    probes, gallery = _instance(np.random.default_rng(n * dim), n, dim, separable)
+    _, primal, dual = ref.dual_coordinate_descent(probes, gallery, C)
+    assert abs(primal - dual) < 1e-8 * primal
+    model = rf.train_ranksvm(probes, gallery, C=C, iters=1500)
+    diffs = matching.pair_difference_features(probes, gallery)
+    assert primal <= ref.hinge_objective(model.w, diffs, C) * (1 + 1e-9)
+
+
+def test_dual_coordinate_descent_beats_the_grid_search():
+    # acceptance test 09's instance, fit and grid over the weight plane
+    rng = np.random.default_rng(9)
+    probes, gallery = [], []
+    for i in range(5):
+        base = np.abs(rng.normal(0.0, 2.0, 2)) + 2.0 * i
+        probes.append(base + 0.05 * rng.standard_normal(2))
+        gallery.append(base - 0.05 * rng.standard_normal(2))
+    model = rf.train_ranksvm(probes, gallery, C=5.0, iters=10000)
+    diffs = matching.pair_difference_features(probes, gallery)
+    span = max(3.0 * np.abs(model.w).max(), 1.0)
+    axis = np.linspace(-span, span, 1201)
+    # the objective at (u, v) for every v of the axis, one u at a time
+    hinge = (np.maximum(0.0, 1.0 - u * diffs[:, 0] - np.outer(axis, diffs[:, 1])).sum(axis=1)
+             for u in axis)
+    grid_best = min(float((0.5 * (u * u + axis * axis) + 5.0 * h).min())
+                    for u, h in zip(axis, hinge))
+    _, primal, dual = ref.dual_coordinate_descent(probes, gallery, 5.0)
+    assert abs(primal - dual) < 1e-8 * primal
+    assert primal <= min(grid_best, ref.hinge_objective(model.w, diffs, 5.0)) * (1 + 1e-9)
 
 
 def test_ranksvm_objective_needs_no_pass_over_pairs(rng):
