@@ -160,7 +160,11 @@ def read_embeddings(path):
             raise FormatError("truncated embedding record", len(data))
         source_id, camera = struct.unpack_from("<IB", data, pos)
         pos += 5
-        values = np.frombuffer(data, "<f4", dim, pos).astype(np.float64)
+        values = np.frombuffer(data, "<f4", dim, pos)
+        # checked before the cast, which warns on a signalling NaN
+        if not np.isfinite(values).all():
+            raise DataError(f"id {source_id} has a non-finite embedding value")
+        values = values.astype(np.float64)
         pos += dim * 4
         out.append(SequenceEmbedding(values, source_id, camera))
     if len(data) > pos:

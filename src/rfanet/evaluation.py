@@ -390,8 +390,8 @@ def describe_dataset(dataset, run_config, with_pool=False):
 
     Sequence (pid, cam), cam 0 for camera a, has the row indices
     ``store.rows[(pid, cam)]``; with ``with_pool`` the noise pool's rows come
-    last, under the key "pool". The store keeps LBP counts and color means,
-    not float64 rows, so it holds no (N, D) float64 matrix."""
+    last, under the key "pool". The store keeps LBP code planes and color
+    means, not float64 rows, so it holds no (N, D) float64 matrix."""
     rc = run_config
     sequences = {
         (person.person_id, cam): frames

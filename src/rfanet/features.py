@@ -7,14 +7,15 @@ gray plane plus the mean of the six color channels (H, S, V, L*, a*, b*).
 
 Every stage works on a stack of same-size frames: ``resize_bilinear`` takes a
 (T, h, w, 3) pixel stack, ``to_frame_tensor`` gives a (T, 7, H, W) float64
-planes array, ``lbp_codes`` codes every plane and ``_describe_stack`` pools
-all T frames' patch histograms with one bincount. A single image is the
+planes array, ``lbp_codes`` codes every plane and ``_describe_stack`` keeps
+each frame's code plane and pools its color means. A single image is the
 stack without its leading axis. ``describe_frames`` is the one description
 path: it groups frames by input size, describes each group in stacks of at
 most ``_STACK_PIXELS`` output pixels and keeps the result compact, in a
-``DescriptorStore``: the LBP counts as small unsigned integers and the color
-means as float64, expanded to float64 descriptor rows, bit for bit, only on
-request. ``sequence_features`` returns the whole expansion.
+``DescriptorStore``: the uint8 LBP code planes and the float64 color means.
+Only on request does the store count the patch histograms, a chunk of rows
+per bincount, and expand them to float64 descriptor rows, bit for bit.
+``sequence_features`` returns the whole expansion.
 
 Frames already at the target size skip the resize. The color conversion
 works plane by plane and reads the sRGB curve from a 256-entry table, and
@@ -294,16 +295,17 @@ def _patch_code_index(height, width, patch_h, patch_w, stride_v, stride_h):
 
     ``gather`` holds, patch after patch, the flat positions in the whole-plane
     code array (h-2, w-2) of each patch's interior pixels; ``offsets`` holds
-    ``patch_idx * 256`` for the same entries, so one bincount over
-    ``offsets + codes.ravel()[gather]`` yields all patch histograms. Frame t
-    of a stack adds ``t * patches * 256`` on top.
+    the position ``patch_idx * 262`` of the patch's block in a descriptor row
+    for the same entries, so one bincount over ``offsets + codes[gather]``
+    counts every patch histogram in its place in the row. Row t of a chunk
+    adds ``t * D`` on top.
     """
     ys = np.arange(0, height - patch_h + 1, stride_v)
     xs = np.arange(0, width - patch_w + 1, stride_h)
     inner = (np.arange(patch_h - 2)[:, None] * (width - 2) + np.arange(patch_w - 2)).ravel()
     corners = (ys[:, None] * (width - 2) + xs).ravel()
     gather = (corners[:, None] + inner).ravel()
-    offsets = np.repeat(np.arange(corners.size) * LBP_BINS, inner.size)
+    offsets = np.repeat(np.arange(corners.size) * CHANNELS_PER_PATCH, inner.size)
     gather.setflags(write=False)
     offsets.setflags(write=False)
     return gather, offsets
@@ -311,26 +313,20 @@ def _patch_code_index(height, width, patch_h, patch_w, stride_v, stride_h):
 
 def _describe_stack(planes, grid):
     """Compact parts of the descriptors of a planes stack (T, 7, H, W): the
-    (T, P, 256) int64 LBP counts of every patch's interior pixels and the
-    (T, P, 6) float64 means of its H, S, V, L*, a*, b* pixels.
+    (T, (H-2)(W-2)) uint8 LBP codes of each whole gray plane and the
+    (T, P, 6) float64 means of every patch's H, S, V, L*, a*, b* pixels.
 
-    The LBP codes are computed once for each whole gray plane: an interior
-    pixel's code only reads pixels of its own patch, so the whole-plane codes
-    cropped to a patch equal the codes of the patch alone. The histograms of
-    every patch of every frame come from one bincount and all color means
-    from one summed-area table per plane.
+    An interior pixel's code only reads pixels of its own patch, so the
+    whole-plane codes cropped to a patch equal the codes of the patch alone,
+    and the plane holds every patch histogram (``DescriptorStore.expand``
+    counts them). All color means come from one summed-area table per plane.
     """
     height, width = planes.shape[-2:]
     rows, cols = grid.grid_shape(height, width)
     ph, pw = grid.patch_h, grid.patch_w
-    gather, offsets = _patch_code_index(height, width, ph, pw, grid.stride_v, grid.stride_h)
     stack = planes.reshape(-1, 7, height, width)
     T, patches = len(stack), rows * cols
-
     codes = lbp_codes(stack[:, 0]).reshape(T, -1)
-    index = codes[:, gather] + offsets
-    index += np.arange(T)[:, None] * (patches * LBP_BINS)
-    counts = np.bincount(index.ravel(), minlength=T * patches * LBP_BINS)
 
     # summed-area table over the rows the grid reads: row k holds the sums
     # over the frame's first ys[k] rows (ys[0] = top[0] = 0), so the x cumsum
@@ -348,27 +344,49 @@ def _describe_stack(planes, grid):
         - sat[:, :, y1, left] + sat[:, :, y0, left]
     )
     color = sums.reshape(T, 6, patches).transpose(0, 2, 1) / (ph * pw)
-    return counts.reshape(T, patches, LBP_BINS), color
+    return codes, color
+
+
+def _count_codes(codes, gather, offsets, table, out):
+    """Fill descriptor rows ``out`` (n, D) with ``table[count]`` for every
+    patch bin of the code planes ``codes`` (n, (h-2)(w-2)); a color slot
+    counts 0. Its temporaries die on return, before the next chunk's."""
+    index = codes.take(gather, axis=1).astype(np.intp)
+    index += offsets
+    index += np.arange(len(codes))[:, None] * out.shape[1]
+    counts = np.bincount(index.ravel(), minlength=out.size)
+    # a count never exceeds the table; "clip" writes to out unbuffered
+    table.take(counts.reshape(out.shape), out=out, mode="clip")
+
+
+# bytes of temporaries per expansion chunk: the gather index and the bincount
+# output, both int64, of as many rows as fit, at least one. 1 MiB is 9 rows
+# at the desk geometry and 1 at the full one. Larger chunks are slower, as
+# their fresh temporaries page-fault on every call: on a 2-core Xeon, 64
+# full-scale rows expanded in 9.7 ms at 1 MiB, 12.0 ms at 4 MiB and 18.5 ms
+# in one chunk (best of 15 calls)
+_EXPAND_BYTES = 1 << 20
 
 
 @dataclass
 class DescriptorStore:
     """Exact compact descriptors of N frames.
 
-    ``counts`` (N, P, 256) holds each patch's LBP counts in the smallest
-    unsigned dtype that holds the ``interior`` pixel count (ph-2)(pw-2), so
-    no count wraps; ``color`` (N, P, 6) holds the float64 color means.
+    ``codes`` (N, (h-2)(w-2)) holds each frame's uint8 LBP code plane and
+    ``color`` (N, P, 6) its float64 color means; ``geometry`` is the frame
+    and grid layout (height, width, patch_h, patch_w, stride_v, stride_h).
     ``rows`` maps a sequence's key to its row indices, in time order.
 
-    ``expand`` rebuilds float64 descriptor rows with the division that
-    defines the histogram, so an expanded row has every bit of the row a
-    float64 (N, D) matrix would hold, at about a seventh of its bytes: 68.4
-    KB in place of 471.6 KB per full-scale frame.
+    ``expand`` counts each patch's interior codes and divides the counts by
+    the interior pixel count, the division that defines the histogram, so an
+    expanded row has every bit of the row a float64 (N, D) matrix would
+    hold, at about a twenty-fifth of its bytes: 18.6 KB in place of 471.6
+    KB per full-scale frame.
     """
 
-    counts: np.ndarray
+    codes: np.ndarray
     color: np.ndarray
-    interior: int
+    geometry: tuple
     rows: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -377,19 +395,33 @@ class DescriptorStore:
             raise DataError(f"frame {int(np.argmax(bad))} has a non-finite descriptor")
 
     def __len__(self):
-        return len(self.counts)
+        return len(self.codes)
 
     @property
     def dim(self):
-        return self.counts.shape[1] * CHANNELS_PER_PATCH
+        return self.color.shape[1] * CHANNELS_PER_PATCH
 
     def expand(self, index=slice(None)):
-        """(n, D) float64 descriptor rows of the frames ``index`` selects."""
-        counts = self.counts[index]
-        out = np.empty(counts.shape[:-1] + (CHANNELS_PER_PATCH,))
-        np.divide(counts, self.interior, out=out[..., :LBP_BINS])
-        out[..., LBP_BINS:] = self.color[index]
-        return out.reshape(len(out), self.dim)
+        """Float64 descriptor rows of the frames ``index`` selects, as a
+        (N, D) matrix would give them: (n, D) rows, or the (D,) row of an
+        integer. The histograms are counted ``_EXPAND_BYTES`` at a time."""
+        rows = np.arange(len(self))[index]
+        if rows.ndim == 0:
+            return self.expand(rows[None])[0]
+        gather, offsets = _patch_code_index(*self.geometry)
+        dim = self.dim
+        interior = gather.size // self.color.shape[1]
+        # k / interior for every count k: the division that defines the
+        # histogram, read from a table rather than done once per bin
+        table = np.arange(interior + 1) / interior
+        out = np.empty((len(rows), dim))
+        step = max(1, _EXPAND_BYTES // (8 * (gather.size + dim)))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            chunk = out[start : start + step]
+            _count_codes(self.codes[block], gather, offsets, table, chunk)
+            chunk.reshape(len(block), -1, CHANNELS_PER_PATCH)[..., LBP_BINS:] = self.color[block]
+        return out
 
 
 class DescriptorRows:
@@ -426,8 +458,7 @@ def describe_frames(images, grid, frame_w=64, frame_h=128):
     frame t's descriptor whatever the grouping.
     """
     patches = grid.num_patches(frame_h, frame_w)
-    interior = (grid.patch_h - 2) * (grid.patch_w - 2)
-    counts = np.empty((len(images), patches, LBP_BINS), np.min_scalar_type(interior))
+    codes = np.empty((len(images), (frame_h - 2) * (frame_w - 2)), np.uint8)
     color = np.empty((len(images), patches, 6))
     per_stack = max(1, _STACK_PIXELS // (frame_w * frame_h))
     groups = {}
@@ -438,8 +469,9 @@ def describe_frames(images, grid, frame_w=64, frame_h=128):
             block = rows[start : start + per_stack]
             pixels = np.stack([images[t].pixels for t in block])
             planes = to_frame_tensor(resize_bilinear(pixels, frame_w, frame_h))
-            counts[block], color[block] = _describe_stack(planes, grid)
-    return DescriptorStore(counts, color, interior)
+            codes[block], color[block] = _describe_stack(planes, grid)
+    geometry = (frame_h, frame_w, grid.patch_h, grid.patch_w, grid.stride_v, grid.stride_h)
+    return DescriptorStore(codes, color, geometry)
 
 
 def sequence_features(images, grid, frame_w=64, frame_h=128):

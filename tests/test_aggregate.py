@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_read_embeddings_rejects_malformed_file(tmp_path, edit, message):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(FormatError, match=message):
         rf.read_embeddings(path)
+
+
+@pytest.mark.parametrize("bits", [0x7F800001, 0xFF800001, 0x7FC00000, 0x7F800000, 0xFF800000],
+                         ids=["signalling-nan", "negative-signalling-nan", "quiet-nan", "inf",
+                              "negative-inf"])
+def test_read_embeddings_rejects_non_finite_value_without_warning(tmp_path, bits):
+    # record 1 starts at 15 + 17 and holds its values after a 5-byte id and camera
+    path = tmp_path / "embs.rfaemb"
+    rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), k, 0) for k in range(2)])
+    data = bytearray(path.read_bytes())
+    data[15 + 17 + 5 + 4 : 15 + 17 + 5 + 8] = struct.pack("<I", bits)
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="id 1 has a non-finite embedding value"):
+            rf.read_embeddings(path)
 
 
 def test_embeddings_inconsistent_dims(tmp_path, rng):

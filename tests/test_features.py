@@ -1,5 +1,6 @@
 import colorsys
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,27 +363,64 @@ def test_descriptor_matches_reference_constant_frame():
     _assert_matches_reference(img, rf.PatchGridSpec())
 
 
-@pytest.mark.parametrize("size, dtype", [(17, np.uint8), (18, np.uint16)])
-def test_store_counts_hold_a_whole_patch_interior(size, dtype):
+@pytest.mark.parametrize("size", [17, 18])
+def test_expanded_row_holds_a_whole_patch_interior(size):
     # a uniform frame codes every interior pixel 255, so one size x size patch
     # puts (size - 2)^2 codes in one bin: 256 at size 18, which a uint8 count
     # would wrap to 0
     img = rf.RawImage(size, size, np.full((size, size, 3), 90, np.uint8))
     grid = rf.PatchGridSpec(size, size, 1, 1)
-    store = rf.describe_frames([img], grid, size, size)
-    assert store.counts.dtype == dtype
-    assert store.counts[0, 0, 255] == (size - 2) ** 2
+    row = rf.describe_frames([img], grid, size, size).expand()[0]
+    assert row[255] == 1.0
+    assert not row[:255].any()
     _assert_matches_reference(img, grid)
 
 
-def test_store_is_under_a_sixth_of_the_float64_rows_at_full_geometry(rng):
-    images = [random_image(rng, 64, 128) for _ in range(3)]
-    store = rf.describe_frames(images, rf.PatchGridSpec(), 64, 128)
-    assert store.counts.dtype == np.uint8  # 84 interior pixels per 16x8 patch
+@pytest.mark.parametrize("height, width, grid, bound", [
+    (32, 16, rf.PatchGridSpec(8, 4, 4, 2), 3000),   # 420 codes + 49 x 6 color means
+    (128, 64, rf.PatchGridSpec(), 19000),           # 7,812 codes + 225 x 6 color means
+], ids=["desk", "full"])
+def test_store_bytes_per_frame_are_bounded(rng, height, width, grid, bound):
+    images = [random_image(rng, width, height) for _ in range(3)]
+    store = rf.describe_frames(images, grid, width, height)
+    assert store.codes.dtype == np.uint8
+    assert store.codes.nbytes + store.color.nbytes <= 3 * bound
     dense = store.expand()
-    assert dense.shape == (3, 58950)
-    assert 6 * (store.counts.nbytes + store.color.nbytes) <= dense.nbytes
-    _assert_rows_match_per_frame(images, dense, rf.PatchGridSpec(), 64, 128)
+    assert dense.shape == (3, grid.feature_dim(height, width))
+    _assert_rows_match_per_frame(images, dense, grid, width, height)
+
+
+def test_integer_index_gives_one_row(rng):
+    images = [random_image(rng, 16, 32) for _ in range(5)]
+    store = rf.describe_frames(images, rf.PatchGridSpec(8, 4, 4, 2), 16, 32)
+    dense = store.expand()
+    rows = np.array([4, 0, 2])
+    seq = rf.DescriptorRows(store, rows)
+    for k in (0, 2, -1, np.int64(1), np.int32(-3)):
+        assert seq[k].shape == (store.dim,)
+        assert seq[k].tobytes() == dense[rows[k]].tobytes()
+        assert store.expand(k).tobytes() == dense[k].tobytes()
+    with pytest.raises(IndexError):
+        store.expand(5)
+
+
+def test_expansion_holds_one_chunk_besides_its_output(rng):
+    # 160 full-geometry rows are 75 MB of output; counting them in one
+    # bincount would also hold a 24 MB index and a 75 MB count array
+    images = [random_image(rng, 64, 128) for _ in range(8)]
+    store = rf.describe_frames(images, rf.PatchGridSpec(), 64, 128)
+    rows = np.arange(160) % len(images)
+    first = store.expand(0)  # builds the geometry's cached gather index
+    tracemalloc.start()
+    try:
+        out = store.expand(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (160, store.dim)
+    assert peak <= out.nbytes + features._EXPAND_BYTES
+    assert out[:8].tobytes() == out[8:16].tobytes() == store.expand().tobytes()
+    assert out[0].tobytes() == first.tobytes()
 
 
 # ---------------------------------------------------------------------------

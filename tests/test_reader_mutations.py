@@ -1,0 +1,95 @@
+"""Seeded mutations of valid RFANET01 and RFAEMB1 files.
+
+Each mutant is the valid file with a few bytes flipped, cut short at some
+byte, or with a few random bytes inserted; about half of the flips land in
+the header. Every mutant must load, or end in an RfaError, with no other
+exception and no warning. A few mutants that a sweep found, or that a
+reader is known to be sensitive to, are pinned besides the seeded ones.
+"""
+
+import random
+import struct
+import warnings
+
+import numpy as np
+import pytest
+
+import rfanet as rf
+from rfanet.errors import RfaError
+
+CASES = 300
+HEADER_BYTES = 32
+
+
+def _mutants(data, seed):
+    rnd = random.Random(seed)
+    for _ in range(CASES):
+        buf = bytearray(data)
+        kind = rnd.randrange(3)
+        if kind == 0:
+            for _ in range(rnd.randint(1, 4)):
+                end = HEADER_BYTES if rnd.random() < 0.5 else len(buf)
+                buf[rnd.randrange(end)] ^= 1 << rnd.randrange(8)
+        elif kind == 1:
+            del buf[rnd.randrange(len(buf)) :]
+        else:
+            pos = rnd.randrange(len(buf) + 1)
+            buf[pos:pos] = rnd.randbytes(rnd.randint(1, 8))
+        yield bytes(buf)
+
+
+def _with_bits(data, offset, fmt, bits):
+    return data[:offset] + struct.pack(fmt, bits) + data[offset + struct.calcsize(fmt) :]
+
+
+def _model_file(path):
+    rf.save_model(path, rf.init_model(5, 4, 3, seed=8, peephole="diagonal"))
+    data = path.read_bytes()
+    # the first entry of W_i, just after the 21-byte header
+    pinned = [_with_bits(data, 21, "<Q", bits)
+              for bits in (0x7FF0000000000001, 0x7FF8000000000000, 0x7FF0000000000000)]
+    return data, pinned
+
+
+def _embedding_file(path):
+    rng = np.random.default_rng(3)
+    rf.write_embeddings(path, [rf.SequenceEmbedding(rng.standard_normal(4), k, k % 2)
+                               for k in range(3)])
+    data = path.read_bytes()
+    # the first value of record 0: 15 header bytes, then a 5-byte id and camera.
+    # The signalling NaN made the float32 -> float64 cast warn before the check
+    pinned = [_with_bits(data, 20, "<I", bits) for bits in (0x7F800001, 0x7FC00000, 0xFF800000)]
+    return data, pinned
+
+
+def _loads(read, path):
+    """True when ``read`` loads ``path``, False when it raises an RfaError;
+    any other exception, and any warning, propagates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            read(path)
+        except RfaError:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("build, read, seed", [
+    (_model_file, rf.load_model, 6001),
+    (_embedding_file, rf.read_embeddings, 6002),
+], ids=["RFANET01", "RFAEMB1"])
+def test_mutated_file_loads_or_is_an_rfa_error(tmp_path, build, read, seed):
+    path = tmp_path / "valid"
+    data, pinned = build(path)
+    assert _loads(read, path)
+    for mutant in pinned:
+        path.write_bytes(mutant)
+        assert not _loads(read, path)
+    loaded = 0
+    for k, mutant in enumerate(_mutants(data, seed)):
+        path.write_bytes(mutant)
+        try:
+            loaded += _loads(read, path)
+        except Exception as exc:
+            pytest.fail(f"mutant {k} of seed {seed}: {type(exc).__name__}: {exc}")
+    assert 0 < loaded < CASES  # the sweep reaches both outcomes
