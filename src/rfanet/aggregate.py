@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError
 from .fileio import atomic_write
 from .matching import _embedding_matrix, _embedding_row
-from .rnn import LstmState, lstm_step, project
+from .rnn import lstm_step, project
 
 EMBEDDING_MAGIC = b"RFAEMB1"
 
@@ -37,7 +37,9 @@ class AggregationConfig:
 
     def validate(self):
         if self.subseq_len < 1 or self.num_subsequences < 1:
-            raise DataError("subseq_len and num_subsequences must be >= 1")
+            raise ConfigurationError("subseq_len and num_subsequences must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"aggregation.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -55,12 +57,11 @@ class SequenceEmbedding:
 def _unroll(model, ax):
     """Hidden states (..., L, H) from input pre-activations (..., L, 4H),
     from zero state, dropout disabled."""
-    H, L = model.hidden_dim, ax.shape[-2]
-    state = LstmState(np.zeros(ax.shape[:-2] + (H,)), np.zeros(ax.shape[:-2] + (H,)))
-    hs = np.empty(ax.shape[:-1] + (H,))
-    for t in range(L):
-        state, _ = lstm_step(model, ax[..., t, :], state)
-        hs[..., t, :] = state.h
+    hs = np.empty(ax.shape[:-1] + (model.hidden_dim,))
+    h = c = np.zeros(hs.shape[:-2] + hs.shape[-1:])
+    for t in range(ax.shape[-2]):
+        (h, c), _ = lstm_step(model, ax[..., t, :], (h, c))
+        hs[..., t, :] = h
     return hs
 
 

@@ -14,8 +14,6 @@ MKL_NUM_THREADS) in the environment that starts rfanet to cap it.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -34,7 +32,7 @@ from .evaluation import (
     training_set,
     write_report,
 )
-from .fileio import atomic_write
+from .fileio import write_csv
 from .rnn import grad_check, load_model, save_model, train
 
 EXIT_OK = 0
@@ -110,13 +108,8 @@ def cmd_train(args):
     model, history = train(seqs, cfg.train)
     save_model(model_path, model)
     loss_path = model_path.with_suffix(".loss.csv")
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(("epoch", "mean_loss"))
-    for epoch, loss in enumerate(history):
-        writer.writerow((epoch, f"{loss:.12f}"))
-    with atomic_write(loss_path) as fh:
-        fh.write(buf.getvalue().encode())
+    write_csv(loss_path, [("epoch", "mean_loss"),
+                          *((epoch, f"{loss:.12f}") for epoch, loss in enumerate(history))])
     print(f"trained on {len(seqs)} sequences ({len(dataset.persons)} identities); "
           f"model -> {model_path}, loss history -> {loss_path}")
     return EXIT_OK

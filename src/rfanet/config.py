@@ -95,12 +95,10 @@ class RunConfig:
         if self.ranksvm_iters < 1:
             raise ConfigurationError("ranksvm_iters must be >= 1")
         self.experiment.validate(self.train.subseq_len)
-        seeds = {"train.seed": self.train.seed, "aggregation.seed": self.agg.seed,
-                 "synthetic.appearance_seed": self.synthetic.appearance_seed}
-        for name, seed in seeds.items():
-            if seed < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {seed}")
         syn = self.synthetic
+        if syn.appearance_seed < 0:
+            raise ConfigurationError(
+                f"synthetic.appearance_seed must be >= 0, got {syn.appearance_seed}")
         if syn.num_persons < 2:
             raise ConfigurationError("synthetic dataset needs at least 2 persons")
         if syn.frames_per_camera < self.train.subseq_len:

@@ -17,8 +17,6 @@ test sequence is a list of row indices, the pool rows spliced in where
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
@@ -30,7 +28,7 @@ import numpy as np
 from .aggregate import SequenceEmbedding, embed_projected
 from .errors import ConfigurationError, DataError, FormatError
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
 from .rnn import LabeledSequence, project, train
 
@@ -161,6 +159,8 @@ def make_splits(person_ids, num_trials, master_seed):
     ids = sorted(person_ids)
     if len(ids) < 2:
         raise DataError("need at least 2 persons to split")
+    if master_seed < 0:
+        raise DataError(f"master_seed must be >= 0, got {master_seed}")
     rng = np.random.default_rng(master_seed)
     splits = []
     for _ in range(num_trials):
@@ -255,6 +255,8 @@ def inject_noise(frames, fraction, pool, seed):
         raise DataError("noise fraction must be in [0, 1]")
     if not pool:
         raise DataError("noise pool is empty")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     out = list(frames)
     product = fraction * len(out)
     n = round(product) if math.isclose(product, round(product)) else math.ceil(product)
@@ -299,6 +301,8 @@ def generate_synthetic(
     gets seeded per-pixel Gaussian jitter, clamped to [0, 255]."""
     if num_persons < 1 or frames_per_camera < 1:
         raise DataError("num_persons and frames_per_camera must be >= 1")
+    if appearance_seed < 0:
+        raise DataError(f"appearance_seed must be >= 0, got {appearance_seed}")
     rng = np.random.default_rng(appearance_seed)
     gain = np.asarray(camera_gain, dtype=np.float64)
     offset = np.asarray(camera_offset, dtype=np.float64)
@@ -546,10 +550,7 @@ def report_csv_rows(report):
 
 
 def write_report_csv(path, report):
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(report_csv_rows(report))
-    with atomic_write(path) as fh:
-        fh.write(buf.getvalue().encode())
+    write_csv(path, report_csv_rows(report))
 
 
 def report_text(report):

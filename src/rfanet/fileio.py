@@ -1,8 +1,10 @@
 """Atomic file output shared by the model, embedding, loss-history, report,
-config and dataset-manifest writers."""
+config and dataset-manifest writers; ``write_csv`` writes both CSV files."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import uuid
 from contextlib import contextmanager
@@ -29,3 +31,11 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, rows):
+    """Write ``rows`` through ``csv.writer`` (CRLF line ends), atomically."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    with atomic_write(path) as fh:
+        fh.write(buf.getvalue().encode())

@@ -15,10 +15,11 @@ file still holds one tensor per name in PARAM_ORDER, unchanged.
 
 Every pass is batched over B subsequences of L steps; one subsequence is
 a batch of one. ``project`` maps all B*L input rows to gate pre-activations
-with one GEMM; ``lstm_step`` advances the (B, H) state by one timestep;
-``backward`` forms dU = dA^T H_prev as one GEMM over the batch, where
-dA (B, L, 4H) holds the gate deltas. Training and embedding share this
-kernel.
+with one GEMM; ``lstm_step`` advances the (B, H) state by one timestep and
+returns its gate values in the same stacked layout, which ``forward`` keeps
+as (B, L, 4H) next to (B, L + 1, H) h and c records led by the zero state;
+``backward`` forms dU = dA^T H_prev as one GEMM over the batch, where the
+(B, L, 4H) dA holds the gate deltas. Training and embedding share this kernel.
 
 The (4H, D) input-weight gradient dA^T X is never formed: ``backward``
 returns it as its factors dA and X, and ``sgd_update`` applies it to W one
@@ -110,8 +111,7 @@ class Params(dict):
         for name in filter(shapes.__contains__, PARAM_ORDER):
             kind, gate = name.split("_")
             if kind in stacked and gate in GATES:
-                k = GATES.index(gate)
-                tensor = stacked[kind][k * H : (k + 1) * H]
+                tensor = np.split(stacked[kind], 4)[GATES.index(gate)]
             else:
                 tensor = np.zeros(shapes[name])
             dict.__setitem__(self, name, tensor)
@@ -163,6 +163,8 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
         raise ConfigurationError("model dimensions must be >= 1")
     if peephole not in ("full", "diagonal"):
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
     seed = np.random.SeedSequence(seed)  # one entropy draw even for seed=None
     chunks, position = [], 0
@@ -187,13 +189,9 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
 
 
 def _peep(V, c):
-    """Peephole term V c for each row of c (B, H)."""
+    """Peephole term V c for each row of c (B, H); ``_peep(V.T, d)`` is the
+    transposed term V^T d (a diagonal V is its own transpose)."""
     return c @ V.T if V.ndim == 2 else c * V
-
-
-def _peep_t(V, d):
-    """Transposed peephole V^T d for each row of d (B, H)."""
-    return d @ V if V.ndim == 2 else d * V
 
 
 def project(model, xs):
@@ -213,8 +211,8 @@ def lstm_step(model, ax, prev):
     """One recurrence step of a batch.
 
     ``ax`` (B, 4H) are the input pre-activations from ``project`` and ``prev``
-    the (B, H) state. Returns the new state and the gate record
-    {i, f, g, o, c, h}, each (B, H)."""
+    the (B, H) state. Returns the new state and the (B, 4H) gate values
+    i, f, g, o in GATES order, written over the pre-activation sum."""
     H = model.hidden_dim
     h_prev, c_prev = prev
     if ax.shape[-1] != 4 * H or ax.shape[:-1] != h_prev.shape[:-1]:
@@ -223,26 +221,26 @@ def lstm_step(model, ax, prev):
         )
     p = model.params
     a = ax + h_prev @ p.U.T
-    i = _sigmoid(a[..., :H] + _peep(p["V_i"], c_prev))
-    f = _sigmoid(a[..., H : 2 * H] + _peep(p["V_f"], c_prev))
-    g = np.tanh(a[..., 2 * H : 3 * H])
+    i, f, g, o = np.split(a, 4, axis=-1)  # views, written in place
+    i[...] = _sigmoid(i + _peep(p["V_i"], c_prev))
+    f[...] = _sigmoid(f + _peep(p["V_f"], c_prev))
+    np.tanh(g, out=g)
     c = f * c_prev + i * g
-    o = _sigmoid(a[..., 3 * H :] + _peep(p["V_o"], c))
-    h = o * np.tanh(c)
-    return LstmState(h, c), {"i": i, "f": f, "g": g, "o": o, "c": c, "h": h}
+    o[...] = _sigmoid(o + _peep(p["V_o"], c))
+    return LstmState(o * np.tanh(c), c), a
 
 
 @dataclass
 class ForwardTrace:
+    """A forward pass's record. h and c start at the zero state, so h_{t-1},
+    c_{t-1} and c_t of every step are ``h[:, :-1]``, ``c[:, :-1]``, ``c[:, 1:]``."""
+
     x: np.ndarray       # (B, L, D)
-    i: np.ndarray       # (B, L, H)
-    f: np.ndarray
-    g: np.ndarray       # candidate tanh
-    o: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
+    gates: np.ndarray   # (B, L, 4H) i, f, g (candidate tanh), o, stacked as in W and dA
+    c: np.ndarray       # (B, L + 1, H)
+    h: np.ndarray       # (B, L + 1, H)
     mask: np.ndarray    # dropout keep mask, (B, L, H)
-    hd: np.ndarray      # h after inverted-dropout scaling
+    hd: np.ndarray      # h_1..h_L after inverted-dropout scaling
     y: np.ndarray       # (B, L, N)
     losses: np.ndarray  # (B, L) per-timestep -log y[label]
     labels: np.ndarray  # (B,)
@@ -274,28 +272,19 @@ def forward(model, xs, labels, dropout_rate=0.0, rng=None):
 
     B, L, H = X.shape[0], X.shape[1], model.hidden_dim
     ax = project(model, X)
-    rec = {k: np.empty((B, L, H)) for k in ("i", "f", "g", "o", "c", "h")}
-    state = LstmState(np.zeros((B, H)), np.zeros((B, H)))
+    gates = np.empty((B, L, 4 * H))
+    h, c = np.zeros((B, L + 1, H)), np.zeros((B, L + 1, H))
     for t in range(L):
-        state, gates = lstm_step(model, ax[:, t], state)
-        for k, v in gates.items():
-            rec[k][:, t] = v
+        (h[:, t + 1], c[:, t + 1]), gates[:, t] = lstm_step(model, ax[:, t], (h[:, t], c[:, t]))
     if dropout_rate > 0:
         mask = (rng.random((B, L, H)) >= dropout_rate).astype(np.float64)
     else:
         mask = np.ones((B, L, H))
-    hd = rec["h"] * mask / (1.0 - dropout_rate)
+    hd = h[:, 1:] * mask / (1.0 - dropout_rate)
     y = _softmax(hd @ model.params["W_y"].T + model.params["b_y"])
     losses = -np.log(np.take_along_axis(y, labels[:, None, None], axis=2)[..., 0])
-    return ForwardTrace(X, **rec, mask=mask, hd=hd, y=y, losses=losses, labels=labels,
-                        dropout_rate=dropout_rate), losses.mean(axis=1)
-
-
-def _shifted(a):
-    """a[:, t - 1] at step t of a (B, L, H) record, zeros at t = 0."""
-    out = np.zeros_like(a)
-    out[:, 1:] = a[:, :-1]
-    return out
+    return ForwardTrace(X, gates, c, h, mask, hd, y, losses, labels,
+                        dropout_rate), losses.mean(axis=1)
 
 
 def backward(model, trace):
@@ -309,7 +298,7 @@ def backward(model, trace):
     if trace.h.shape[2] != model.hidden_dim or trace.x.shape[2] != model.input_dim:
         raise DataError("trace dimensions do not match the model")
     p = model.params
-    B, L, H = trace.h.shape
+    B, L, H = *trace.x.shape[:2], model.hidden_dim
     N = model.num_classes
     grads = Params({n: s for n, s in model.param_shapes().items() if n[:2] != "W_" or n == "W_y"})
 
@@ -321,29 +310,29 @@ def backward(model, trace):
     grads["b_y"] = dz.sum(axis=(0, 1))
     dh_head = dz @ p["W_y"] * trace.mask / (1.0 - trace.dropout_rate)
 
-    h_prev, c_prev = _shifted(trace.h), _shifted(trace.c)
+    h_prev, c_prev, c_now = trace.h[:, :-1], trace.c[:, :-1], trace.c[:, 1:]
     dA = np.empty((B, L, 4 * H))  # gate pre-activation deltas, GATES order
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(L - 1, -1, -1):
-        i, f, g, o, c = trace.i[:, t], trace.f[:, t], trace.g[:, t], trace.o[:, t], trace.c[:, t]
-        tc = np.tanh(c)
+        i, f, g, o = np.split(trace.gates[:, t], 4, axis=-1)
+        di, df, dg, do = np.split(dA[:, t], 4, axis=-1)  # views, written in place
+        tc = np.tanh(c_now[:, t])
         dh = dh_head[:, t] + dh_next
-        da = dA[:, t]
-        da[:, 3 * H :] = dh * tc * o * (1.0 - o)
-        dc = dh * o * (1.0 - tc * tc) + dc_next + _peep_t(p["V_o"], da[:, 3 * H :])
-        da[:, :H] = dc * g * i * (1.0 - i)
-        da[:, H : 2 * H] = dc * c_prev[:, t] * f * (1.0 - f)
-        da[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
-        dh_next = da @ p.U
-        dc_next = dc * f + _peep_t(p["V_i"], da[:, :H]) + _peep_t(p["V_f"], da[:, H : 2 * H])
+        do[...] = dh * tc * o * (1.0 - o)
+        dc = dh * o * (1.0 - tc * tc) + dc_next + _peep(p["V_o"].T, do)
+        di[...] = dc * g * i * (1.0 - i)
+        df[...] = dc * c_prev[:, t] * f * (1.0 - f)
+        dg[...] = dc * i * (1.0 - g * g)
+        dh_next = dA[:, t] @ p.U
+        dc_next = dc * f + _peep(p["V_i"].T, di) + _peep(p["V_f"].T, df)
 
     rows = dA.reshape(B * L, 4 * H)
     grads.W_factors = (rows, trace.x.reshape(B * L, -1))
     np.matmul(rows.T, h_prev.reshape(B * L, H), out=grads.U)
     grads.b[...] = rows.sum(axis=0)
-    for name, k, cell in (("V_i", 0, c_prev), ("V_f", 1, c_prev), ("V_o", 3, trace.c)):
-        delta = dA[..., k * H : (k + 1) * H]
+    di, df, _, do = np.split(dA, 4, axis=-1)
+    for name, delta, cell in (("V_i", di, c_prev), ("V_f", df, c_prev), ("V_o", do, c_now)):
         if model.peephole == "full":
             grads[name] = delta.reshape(B * L, H).T @ cell.reshape(B * L, H)
         else:
@@ -421,6 +410,8 @@ class TrainConfig:
         if self.clip_norm is not None and not self.clip_norm > 0:
             # a clip norm <= 0 would scale every step by 0 or flip its sign
             raise ConfigurationError("clip_norm must be > 0, or None for no clipping")
+        if self.seed < 0:
+            raise ConfigurationError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -461,14 +452,12 @@ def train(sequences, cfg):
     cfg.validate()
     if not sequences:
         raise DataError("empty training set")
-    labels = sorted({s.label for s in sequences})
-    if len(labels) < 2:
-        raise DataError("training requires at least 2 classes")
-    num_classes = max(labels) + 1
     L = cfg.subseq_len
     input_dim = np.shape(sequences[0].features)[-1]
     for s in sequences:
         name = s.name or s.label
+        if isinstance(s.label, bool) or not isinstance(s.label, (int, np.integer)):
+            raise DataError(f"sequence {name!r} has label {s.label!r}; labels must be integers")
         if s.features.ndim != 2 or s.features.shape[1] != input_dim:
             raise DataError(
                 f"sequence {name!r} has features of shape {s.features.shape}; "
@@ -480,6 +469,10 @@ def train(sequences, cfg):
             )
         if isinstance(s.features, np.ndarray) and not np.all(np.isfinite(s.features)):
             raise DataError(f"sequence {name!r} has non-finite features")
+    labels = sorted({s.label for s in sequences})
+    if len(labels) < 2:
+        raise DataError("training requires at least 2 classes")
+    num_classes = max(labels) + 1
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(
@@ -546,6 +539,8 @@ def grad_check(
     the ratio on near-zero gradient entries. The worst entry per tensor is
     reported.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     model = init_model(
         input_dim, hidden_dim, num_classes, rng.integers(2**63),

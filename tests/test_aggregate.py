@@ -7,7 +7,7 @@ import pytest
 import rfanet as rf
 import rfanet.aggregate as aggregate
 from rfanet.aggregate import _unroll, embed_projected, sample_starts
-from rfanet.errors import DataError, FormatError
+from rfanet.errors import ConfigurationError, DataError, FormatError
 
 
 @pytest.fixture
@@ -54,6 +54,17 @@ def test_sample_starts_range_and_determinism():
 def test_sequence_shorter_than_window(model, rng):
     with pytest.raises(DataError, match="shorter"):
         rf.embed_sequence(model, rng.standard_normal((2, 4)), rf.AggregationConfig(3, 2, 0))
+
+
+def test_embed_sequence_rejects_negative_seed(model, rng):
+    with pytest.raises(ConfigurationError, match="aggregation.seed must be >= 0, got -1"):
+        rf.embed_sequence(model, rng.standard_normal((8, 4)), rf.AggregationConfig(3, 2, -1))
+
+
+@pytest.mark.parametrize("L,K", [(0, 2), (3, 0)])
+def test_aggregation_config_rejects_empty_window_set(L, K):
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        rf.AggregationConfig(L, K, 0).validate()
 
 
 def test_degenerate_t_equals_l(model, rng):

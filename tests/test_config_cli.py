@@ -292,6 +292,21 @@ def test_cli_train_outputs(pipeline):
     assert len(lines) == 5
 
 
+def test_cli_train_loss_csv_bytes(pipeline, tmp_path, monkeypatch):
+    # a header, then one "epoch,loss" row per epoch with 12 decimals, CRLF line ends
+    model_path = tmp_path / "model.rfanet"
+    cfg_path = write_config(tmp_path, tiny_config_dict(
+        manifest=str(pipeline["data"] / "manifest.json"), model=str(model_path)))
+    train = cli.train
+    monkeypatch.setattr(cli, "train",
+                        lambda seqs, cfg: (train(seqs, cfg)[0], [1.0, 0.5, 1 / 3, 2.0**-40]))
+    assert main(["train", "--config", cfg_path]) == 0
+    assert model_path.with_suffix(".loss.csv").read_bytes() == (
+        b"epoch,mean_loss\r\n0,1.000000000000\r\n1,0.500000000000\r\n"
+        b"2,0.333333333333\r\n3,0.000000000001\r\n"
+    )
+
+
 def test_cli_train_refuses_overwrite(pipeline, capsys):
     assert main(["train", "--config", pipeline["cfg_path"]]) == 1
     assert "--force" in capsys.readouterr().err
@@ -756,6 +771,11 @@ def test_cli_gradcheck_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+def test_cli_gradcheck_rejects_negative_seed(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_gradcheck_size_cap(capsys):

@@ -186,6 +186,16 @@ def pool(rng):
     return [random_image(rng, 4, 6) for _ in range(5)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: make_splits([1, 2, 3, 4], 1, -1),
+    lambda: rf.inject_noise([1, 2, 3], 0.5, [9], -1),
+    lambda: rf.generate_synthetic(2, 2, appearance_seed=-1),
+], ids=["make_splits", "inject_noise", "generate_synthetic"])
+def test_negative_seed_is_a_data_error(call):
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        call()
+
+
 def test_inject_noise_zero_fraction(frame_list, pool):
     out = rf.inject_noise(frame_list, 0.0, pool, seed=1)
     assert all(a is b for a, b in zip(out, frame_list))

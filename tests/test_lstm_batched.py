@@ -11,12 +11,12 @@ import pytest
 
 import lstm_reference as ref
 import rfanet as rf
-from rfanet.aggregate import sample_starts
+from rfanet.aggregate import _unroll, sample_starts
 from rfanet.rnn import PARAM_ORDER, Params
 
 D, H, N, L = 7, 4, 3, 5
 RTOL = 1e-10
-TRACE_KEYS = ("i", "f", "g", "o", "c", "h", "mask", "hd", "y", "losses")
+TRACE_KEYS = ("mask", "hd", "y", "losses")
 
 
 def _model(peephole, seed=3):
@@ -81,6 +81,8 @@ def test_forward_backward_match_loop(peephole, B):
     batch_trace, loss = rf.forward(model, xs, labels, rate, np.random.default_rng(5))
     factored = rf.backward(model, batch_trace)
     trace = {k: getattr(batch_trace, k) for k in TRACE_KEYS}
+    trace.update(zip("ifgo", np.split(batch_trace.gates, 4, axis=2)))
+    trace.update(c=batch_trace.c[:, 1:], h=batch_trace.h[:, 1:])  # step 0 is the zero state
 
     p = _plain(model)
     draws = np.random.default_rng(5)  # one stream, instance by instance
@@ -101,6 +103,18 @@ def test_forward_backward_match_loop(peephole, B):
     for name in PARAM_ORDER:
         np.testing.assert_allclose(grads[name], want_grads[name], rtol=RTOL, atol=0,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("peephole", ["full", "diagonal"])
+@pytest.mark.parametrize("B", [1, 3, 16])
+def test_forward_runs_the_embedding_recurrence(peephole, B):
+    # training and embedding share one kernel: with dropout 0 the hidden
+    # states of forward are those of the embedding unroll, bit for bit
+    model = _model(peephole)
+    xs = np.random.default_rng(9).standard_normal((B, L, D))
+    trace, _ = rf.forward(model, xs, np.zeros(B, dtype=int))
+    assert not trace.h[:, 0].any() and not trace.c[:, 0].any()
+    assert np.array_equal(trace.h[:, 1:], _unroll(model, rf.project(model, xs)))
 
 
 TRAIN_LOOP_CASES = [("full", None), ("diagonal", 0.5)]

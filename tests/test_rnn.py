@@ -62,9 +62,10 @@ def test_step_zero_parameters():
     model = zero_model(D=3, H=2)
     ax = rf.project(model, np.array([[1.0, -2.0, 3.0]]))
     new, gates = rf.lstm_step(model, ax, _zero_state(1, 2))
-    assert gates["i"][0] == pytest.approx([0.5, 0.5])
-    assert gates["f"][0] == pytest.approx([0.5, 0.5])
-    assert gates["o"][0] == pytest.approx([0.5, 0.5])
+    i, f, _, o = np.split(gates[0], 4)
+    assert i == pytest.approx([0.5, 0.5])
+    assert f == pytest.approx([0.5, 0.5])
+    assert o == pytest.approx([0.5, 0.5])
     assert np.all(new.c == 0.0) and np.all(new.h == 0.0)
 
 
@@ -107,7 +108,8 @@ def test_gate_activations_open_interval(rng):
     model = rf.init_model(4, 3, 2, seed=5, init_bound=0.5)
     xs = rng.standard_normal((1, 6, 4))
     trace, _ = rf.forward(model, xs, np.array([0]))
-    for arr in (trace.i, trace.f, trace.o):
+    i, f, _, o = np.split(trace.gates, 4, axis=2)
+    for arr in (i, f, o):
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
     assert np.all(np.abs(trace.h) < 1.0)
 
@@ -441,6 +443,26 @@ def test_train_rejects_single_class(rng):
     seqs = [s for s in _separable_sequences(rng) if s.label == 0]
     with pytest.raises(DataError, match="2 classes"):
         rf.train(seqs, _small_train_config())
+
+
+@pytest.mark.parametrize("names", [(0.0, 1.0), ("a", "b"), (False, True)],
+                         ids=["float", "str", "bool"])
+def test_train_rejects_non_integer_label(rng, names):
+    seqs = _separable_sequences(rng)
+    for s in seqs:
+        s.label = names[s.label]
+    with pytest.raises(DataError, match=f"sequence 'a0' has label {names[0]!r}"):
+        rf.train(seqs, _small_train_config())
+
+
+def test_train_rejects_negative_seed(rng):
+    with pytest.raises(ConfigurationError, match="train.seed must be >= 0, got -1"):
+        rf.train(_separable_sequences(rng), _small_train_config(seed=-1))
+
+
+def test_init_model_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        rf.init_model(3, 2, 2, seed=-1)
 
 
 # ---------------------------------------------------------------------------
