@@ -101,8 +101,15 @@ def embed_projected(model, ax, rows, cfg, seeds, depth=None):
     if depth is not None and not 1 <= depth <= L:
         raise DataError(f"depth {depth} out of range 1..{L}")
     H = model.hidden_dim
-    windows = [np.asarray(r)[sample_starts(len(r), L, K, seed)[:, None] + np.arange(L)]
-               for r, seed in zip(rows, seeds)]
+    windows = []
+    for s, (r, seed) in enumerate(zip(rows, seeds)):
+        r = np.asarray(r)
+        outside = r.size and (r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= len(ax))
+        if r.ndim != 1 or outside:
+            raise DataError(f"sequence {s}: rows must be integer indices into ax's {len(ax)} rows")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DataError(f"sequence {s}: window seed must be an integer >= 0, got {seed!r}")
+        windows.append(r[sample_starts(len(r), L, K, seed)[:, None] + np.arange(L)])
     out = np.empty((len(rows), H * L if depth is None else H))
     batch = max(1, _WINDOW_BLOCK // (K * L * 4 * H))  # whole sequences per recurrence
     for start in range(0, len(rows), batch):
@@ -124,9 +131,17 @@ def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
 # embedding file
 # ---------------------------------------------------------------------------
 
+# RFAEMB1: the magic, the dimension and the record count, then the records
+_EMBEDDING_HEADER = struct.Struct("<7sII")
+
+
+def _record_dtype(dim):
+    return np.dtype([("source_id", "<u4"), ("camera", "u1"), ("values", "<f4", (dim,))])
+
+
 def write_embeddings(path, embeddings):
-    """Write RFAEMB1 records (u32 source id, u8 camera, float32 values),
-    atomically; every record is validated before the file is opened."""
+    """Write RFAEMB1 records, atomically; every record is validated before
+    the file is opened."""
     if not embeddings:
         raise DataError("no embeddings to write")
     values = _embedding_matrix(embeddings, "embedding", range(len(embeddings)))
@@ -136,38 +151,37 @@ def write_embeddings(path, embeddings):
         for name, value, bits in (("source_id", emb.source_id, 32), ("camera", emb.camera, 8)):
             if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
                 raise DataError(f"embedding {k}: {name} {value!r} is not a u{bits}")
+    records = np.array([(emb.source_id, emb.camera, row) for emb, row in zip(embeddings, values)],
+                       _record_dtype(values.shape[1]))
     with atomic_write(path) as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<II", values.shape[1], len(embeddings)))
-        for emb, row in zip(embeddings, values):
-            fh.write(struct.pack("<IB", emb.source_id, emb.camera))
-            fh.write(row.astype("<f4").tobytes())
+        fh.write(_EMBEDDING_HEADER.pack(EMBEDDING_MAGIC, *values.shape[::-1]))
+        fh.write(records.tobytes())
 
 
 def read_embeddings(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:7] != EMBEDDING_MAGIC:
+    if data[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
         raise FormatError("bad embedding magic", 0)
-    if len(data) < 15:
+    if len(data) < _EMBEDDING_HEADER.size:
         raise FormatError("truncated embedding header", len(data))
-    dim, count = struct.unpack_from("<II", data, 7)
+    _, dim, count = _EMBEDDING_HEADER.unpack_from(data)
     if dim == 0:
-        raise FormatError("embedding dimension is 0", 7)
-    pos = 15
-    out = []
-    for _ in range(count):
-        if len(data) - pos < 5 + dim * 4:
-            raise FormatError("truncated embedding record", len(data))
-        source_id, camera = struct.unpack_from("<IB", data, pos)
-        pos += 5
-        values = np.frombuffer(data, "<f4", dim, pos)
-        # checked before the cast, which warns on a signalling NaN
-        if not np.isfinite(values).all():
-            raise DataError(f"id {source_id} has a non-finite embedding value")
-        values = values.astype(np.float64)
-        pos += dim * 4
-        out.append(SequenceEmbedding(values, source_id, camera))
-    if len(data) > pos:
-        raise FormatError(f"{len(data) - pos} trailing bytes after embedding records", pos)
-    return out
+        raise FormatError("embedding dimension is 0", len(EMBEDDING_MAGIC))
+    # sized before the record dtype is built, as numpy refuses one over 2 GiB
+    end = _EMBEDDING_HEADER.size + count * (_record_dtype(0).itemsize + 4 * dim)
+    if len(data) < end:
+        raise FormatError("truncated embedding record", len(data))
+    if len(data) > end:
+        raise FormatError(f"{len(data) - end} trailing bytes after embedding records", end)
+    if not count:
+        return []
+    records = np.frombuffer(data, _record_dtype(dim), count, _EMBEDDING_HEADER.size)
+    # checked before the cast, which warns on a signalling NaN
+    finite = np.isfinite(records["values"]).all(axis=1)
+    if not finite.all():
+        source_id = records["source_id"][finite.argmin()]
+        raise DataError(f"id {source_id} has a non-finite embedding value")
+    values = records["values"].astype(np.float64)
+    return [SequenceEmbedding(row, source_id, camera) for row, source_id, camera
+            in zip(values, records["source_id"].tolist(), records["camera"].tolist())]

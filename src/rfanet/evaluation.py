@@ -303,6 +303,13 @@ def generate_synthetic(
         raise DataError("num_persons and frames_per_camera must be >= 1")
     if appearance_seed < 0:
         raise DataError(f"appearance_seed must be >= 0, got {appearance_seed}")
+    for name, values in (("camera_gain", camera_gain), ("camera_offset", camera_offset)):
+        if len(values) != 3 or not all(map(math.isfinite, values)):
+            raise DataError(f"{name} must be 3 finite values, got {values}")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise DataError(f"jitter must be finite and >= 0, got {jitter}")
+    if noise_pool_size < 0:
+        raise DataError(f"noise_pool_size must be >= 0, got {noise_pool_size}")
     rng = np.random.default_rng(appearance_seed)
     gain = np.asarray(camera_gain, dtype=np.float64)
     offset = np.asarray(camera_offset, dtype=np.float64)

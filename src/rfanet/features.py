@@ -26,6 +26,7 @@ whole (..., 3) pixels and summing every row.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -119,34 +120,11 @@ class PatchGridSpec:
 # decoding / encoding
 # ---------------------------------------------------------------------------
 
-def _parse_pnm(data):
-    pos = 2  # after the magic
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("truncated header", pos)
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError:
-            raise FormatError("non-numeric header field", start) from None
-    if pos >= len(data):
-        raise FormatError("missing whitespace after maxval", pos)
-    pos += 1  # single whitespace byte separating header from payload
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise FormatError("image dimensions must be >= 1", 2)
-    if maxval != 255:
-        raise FormatError(f"unsupported maxval {maxval} (must be 255)", pos - 1)
-    return width, height, pos
+# The Netpbm header after its 2-byte magic: width, height and maxval, each
+# after whitespace or after comments that run from "#" to a newline, then one
+# whitespace byte before the payload. A field has at most 640 digits, which
+# int() converts under any interpreter digit limit.
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)+(\d{1,640})" * 3 + rb"\s")
 
 
 def decode_image(data):
@@ -157,7 +135,16 @@ def decode_image(data):
     channels = {b"P6": 3, b"P5": 1}.get(data[:2])
     if channels is None:
         raise FormatError("unrecognized image magic", 0)
-    width, height, pos = _parse_pnm(data)
+    header = _PNM_HEADER.match(data, 2)
+    if header is None:
+        raise FormatError("malformed header: need width, height and maxval, each after "
+                          "whitespace or a comment line, then one whitespace byte", 2)
+    width, height, maxval = map(int, header.groups())
+    if width < 1 or height < 1:
+        raise FormatError("image dimensions must be >= 1", 2)
+    if maxval != 255:
+        raise FormatError(f"unsupported maxval {maxval} (must be 255)", header.end(3))
+    pos = header.end()
     need = width * height * channels
     if len(data) - pos < need:
         raise FormatError(

@@ -58,7 +58,13 @@ PARAM_ORDER = (
 
 GATES = "ifco"  # stacking order of the row blocks of W, U and b
 
+# "full" HxH or "diagonal" H peephole weights; a model file stores the index
+PEEPHOLE_MODES = ("full", "diagonal")
+
+# RFANET01: the magic, D, H, N and the peephole mode byte, then every tensor
+# in PARAM_ORDER as little-endian float64
 MODEL_MAGIC = b"RFANET01"
+_MODEL_HEADER = struct.Struct("<8sIIIB")
 
 # (rows, columns) of the W tiles that a factored SGD step forms one at a time
 _STEP_TILE = (64, 4096)
@@ -140,7 +146,7 @@ class RfaModel:
     input_dim: int
     hidden_dim: int
     num_classes: int
-    peephole: str = "full"  # "full" (HxH peephole matrices) or "diagonal"
+    peephole: str = "full"  # one of PEEPHOLE_MODES
     params: Params = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -161,12 +167,14 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
     """
     if min(input_dim, hidden_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be >= 1")
-    if peephole not in ("full", "diagonal"):
+    if peephole not in PEEPHOLE_MODES:
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
-    if seed is not None and seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
-    seed = np.random.SeedSequence(seed)  # one entropy draw even for seed=None
+    seed = np.random.SeedSequence(seed)
     chunks, position = [], 0
     for name in PARAM_ORDER:
         flat = model.params[name].reshape(-1)  # a view: every tensor is contiguous
@@ -405,7 +413,7 @@ class TrainConfig:
             raise ConfigurationError("dropout rate must be in [0, 1)")
         if self.hidden_dim < 1:
             raise ConfigurationError("hidden_dim must be >= 1")
-        if self.peephole not in ("full", "diagonal"):
+        if self.peephole not in PEEPHOLE_MODES:
             raise ConfigurationError(f"unknown peephole mode {self.peephole!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             # a clip norm <= 0 would scale every step by 0 or flip its sign
@@ -587,16 +595,8 @@ def save_model(path, model):
         if not np.all(np.isfinite(model.params[name])):
             raise DataError(f"parameter {name} has non-finite entries; model not written")
     with atomic_write(path) as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIB",
-                model.input_dim,
-                model.hidden_dim,
-                model.num_classes,
-                0 if model.peephole == "full" else 1,
-            )
-        )
+        fh.write(_MODEL_HEADER.pack(MODEL_MAGIC, model.input_dim, model.hidden_dim,
+                                    model.num_classes, PEEPHOLE_MODES.index(model.peephole)))
         for name in PARAM_ORDER:
             fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
@@ -609,19 +609,19 @@ def load_model(path):
     FormatError, as ``save_model`` never writes one."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        header = fh.read(21)
-        if header[:8] != MODEL_MAGIC:
+        header = fh.read(_MODEL_HEADER.size)
+        if header[: len(MODEL_MAGIC)] != MODEL_MAGIC:
             raise FormatError("bad model magic", 0)
-        if len(header) < 21:
+        if len(header) < _MODEL_HEADER.size:
             raise FormatError("truncated model header", len(header))
-        D, H, N, mode = struct.unpack_from("<IIIB", header, 8)
-        for name, value, offset in (("D", D, 8), ("H", H, 12), ("N", N, 16)):
+        _, D, H, N, mode = _MODEL_HEADER.unpack(header)
+        for k, (name, value) in enumerate(zip("DHN", (D, H, N))):
             if value == 0:
-                raise FormatError(f"model dimension {name} is 0", offset)
-        if mode not in (0, 1):
-            raise FormatError(f"unknown peephole mode byte {mode}", 20)
-        peephole = "full" if mode == 0 else "diagonal"
-        pos = 21
+                raise FormatError(f"model dimension {name} is 0", len(MODEL_MAGIC) + 4 * k)
+        if mode >= len(PEEPHOLE_MODES):
+            raise FormatError(f"unknown peephole mode byte {mode}", _MODEL_HEADER.size - 1)
+        peephole = PEEPHOLE_MODES[mode]
+        pos = _MODEL_HEADER.size
         for name, shape in _param_shapes(D, H, N, peephole).items():
             pos += 8 * math.prod(shape)
             if pos > size:

@@ -162,6 +162,23 @@ def test_batched_embedding_checks(model, rng):
             embed_projected(model, ax, rows * 2, cfg, seeds)
 
 
+@pytest.mark.parametrize("bad_rows, seed, message", [
+    (np.arange(8), -1, "sequence 1: window seed must be an integer >= 0, got -1"),
+    (np.arange(8.0), 0, "sequence 1: rows must be integer indices into ax's 8 rows"),
+    (np.arange(-3, 5), 0, "sequence 1: rows must be integer indices into ax's 8 rows"),
+], ids=["negative-seed", "float-rows", "negative-rows"])
+def test_batched_embedding_rejects_bad_seed_or_rows(model, rng, monkeypatch, bad_rows, seed,
+                                                    message):
+    ax = rf.project(model, rng.standard_normal((8, 4)))
+
+    def forbidden(*args):
+        raise AssertionError("the recurrence ran before the check")
+
+    monkeypatch.setattr(aggregate, "_unroll", forbidden)
+    with pytest.raises(DataError, match=message):
+        embed_projected(model, ax, [np.arange(8), bad_rows], rf.AggregationConfig(3, 2), [0, seed])
+
+
 def test_nonfinite_embedding_rejected():
     with pytest.raises(DataError, match="finite"):
         rf.SequenceEmbedding(np.array([1.0, np.nan]))

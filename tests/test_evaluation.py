@@ -196,6 +196,18 @@ def test_negative_seed_is_a_data_error(call):
         call()
 
 
+@pytest.mark.parametrize("argument, value, message", [
+    ("jitter", -1.0, "jitter must be finite and >= 0, got -1.0"),
+    ("jitter", float("nan"), "jitter must be finite and >= 0, got nan"),
+    ("camera_gain", (1.0, 1.0), r"camera_gain must be 3 finite values, got \(1.0, 1.0\)"),
+    ("camera_offset", (0.0, float("inf"), 0.0), "camera_offset must be 3 finite values"),
+    ("noise_pool_size", -1, "noise_pool_size must be >= 0, got -1"),
+], ids=["jitter-negative", "jitter-nan", "gain-2", "offset-inf", "pool-negative"])
+def test_generate_synthetic_rejects_bad_argument(argument, value, message):
+    with pytest.raises(DataError, match=message):
+        rf.generate_synthetic(2, 2, width=8, height=12, **{argument: value})
+
+
 def test_inject_noise_zero_fraction(frame_list, pool):
     out = rf.inject_noise(frame_list, 0.0, pool, seed=1)
     assert all(a is b for a, b in zip(out, frame_list))

@@ -46,6 +46,14 @@ def test_decode_with_comment():
     assert rf.decode_image(data).pixels.tolist() == [[[9, 8, 7]]]
 
 
+@pytest.mark.parametrize("data", [b"P6\n1 1", b"P6\n1 x 255\n", b"P6\n1 1 255"],
+                         ids=["truncated", "non-numeric", "no-whitespace-after-maxval"])
+def test_decode_malformed_header(data):
+    with pytest.raises(FormatError, match="malformed header") as exc:
+        rf.decode_image(data)
+    assert exc.value.offset == 2
+
+
 @pytest.mark.parametrize("data", [b"P3\n1 1\n255\n9 8 7\n", b"BM" + bytes(8), b"P", b""],
                          ids=["ascii-ppm", "bmp", "one-byte", "empty"])
 def test_decode_unknown_magic(data):

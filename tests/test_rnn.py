@@ -465,6 +465,15 @@ def test_init_model_rejects_negative_seed():
         rf.init_model(3, 2, 2, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "3", True], ids=["none", "float", "str", "bool"])
+def test_init_model_takes_only_an_integer_seed(seed):
+    # seed=None would draw OS entropy: weights that no config reproduces
+    with pytest.raises(ConfigurationError, match=f"seed must be an integer, got {seed!r}"):
+        rf.init_model(3, 2, 2, seed=seed)
+    same = rf.init_model(3, 2, 2, seed=np.int64(3)), rf.init_model(3, 2, 2, seed=3)
+    assert all(np.array_equal(same[0].params[k], same[1].params[k]) for k in same[0].params)
+
+
 # ---------------------------------------------------------------------------
 # model file
 # ---------------------------------------------------------------------------
