@@ -5,13 +5,15 @@ A subsequence of L frames maps to the concatenation of its L hidden states
 randomly sampled length-L windows. Per-depth embeddings expose the t-th
 node's output for the fusion-depth analysis.
 
-``embed_projected`` embeds many sequences from input pre-activations that
-were projected beforehand (one ``project`` GEMM per model over every frame
-of a dataset): the K seeded windows of every sequence run through the LSTM
-recurrence as one batch, so each step is one GEMM over all windows. Every
-command embeds through it, in the one dataset pass of ``evaluation``;
-``embed_sequence`` is the only one-sequence wrapper: it projects a
-sequence's frames and calls it.
+``embed_projected`` is the one embedding call. It embeds sequences keyed by
+(source_id, camera) from input pre-activations that were projected
+beforehand (one ``project`` GEMM per model over every frame of a dataset),
+and draws each sequence's K windows from a seed derived from the
+aggregation seed and its key. The windows of every sequence run through the
+LSTM recurrence as one batch, so each step is one GEMM over all windows.
+Every command embeds through it, in the one dataset pass of ``evaluation``;
+``embed_sequence`` is its one-key case, so a sequence embedded alone gets
+the windows and the values that the commands give it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
 from .fileio import atomic_write
 from .matching import _embedding_matrix, _embedding_row
 from .rnn import lstm_step, project
@@ -36,6 +38,8 @@ class AggregationConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("subseq_len", "num_subsequences", "seed"):
+            require_int(getattr(self, name), f"aggregation.{name}")
         if self.subseq_len < 1 or self.num_subsequences < 1:
             raise ConfigurationError("subseq_len and num_subsequences must be >= 1")
         if self.seed < 0:
@@ -78,38 +82,50 @@ def sample_starts(num_frames, subseq_len, num_subsequences, seed):
 _WINDOW_BLOCK = 1 << 22
 
 
-def embed_projected(model, ax, rows, cfg, seeds, depth=None):
-    """Embeddings of S sequences from pre-activations projected beforehand.
+def _derive_seed(*parts):
+    """A seed from integer parts; a part outside [0, 2**31) becomes a non-zero
+    marker word (top bit, bit length, sign) and |part|, so parts never alias."""
+    words = []
+    for p in map(int, parts):
+        words += [p] if 0 <= p < 2**31 else [2**31 | abs(p).bit_length() << 1 | (p < 0), abs(p)]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
-    ``ax`` (N, 4H) holds ``project`` output; ``rows[s]`` are the rows of ``ax``
-    that hold sequence s's frames, in time order, and ``seeds[s]`` draws its
-    ``cfg.num_subsequences`` windows of ``cfg.subseq_len`` frames (``cfg.seed``
-    is not read). The K seeded windows of every sequence run through the
-    recurrence together, in batches of whole sequences of at most
-    ``_WINDOW_BLOCK`` gathered values.
 
-    Returns (S, H*L) means of the K window embeddings, or with ``depth`` in
-    1..L the (S, H) means of h_depth over the same windows. They equal each
-    sequence embedded alone, bit for bit, unless a batch holds a single
-    window: numpy computes a one-row product as a matrix-vector product,
-    whose sums can differ in the last bit.
+def embed_projected(model, ax, rows, cfg, depth=None):
+    """Embeddings of many sequences from pre-activations projected beforehand.
+
+    ``ax`` (N, 4H) holds ``project`` output, and ``rows`` maps each sequence's
+    (source_id, camera) key to the rows of ``ax`` that hold its frames, in
+    time order. Its ``cfg.num_subsequences`` windows of ``cfg.subseq_len``
+    frames are drawn from ``_derive_seed(cfg.seed, source_id, camera)``. The
+    windows of every sequence run through the recurrence together, in batches
+    of whole sequences of at most ``_WINDOW_BLOCK`` gathered values.
+
+    Returns one SequenceEmbedding per key, in key order: the mean of the K
+    window embeddings (H*L), or with ``depth`` in 1..L the mean of h_depth
+    over the same windows (H). They equal each sequence embedded alone, bit
+    for bit, unless a batch holds a single window: numpy computes a one-row
+    product as a matrix-vector product, whose sums can differ in the last bit.
     """
     cfg.validate()
     L, K = cfg.subseq_len, cfg.num_subsequences
-    if len(seeds) != len(rows):
-        raise DataError(f"{len(rows)} sequences but {len(seeds)} seeds")
     if depth is not None and not 1 <= depth <= L:
         raise DataError(f"depth {depth} out of range 1..{L}")
+    if not isinstance(rows, dict):
+        raise DataError(f"rows must be a dict of (source_id, camera) keys, "
+                        f"not a {type(rows).__name__}")
     H = model.hidden_dim
     windows = []
-    for s, (r, seed) in enumerate(zip(rows, seeds)):
+    for key, r in rows.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(is_integer, key))):
+            raise DataError(f"sequence key {key!r} is not an integer (source_id, camera) pair")
         r = np.asarray(r)
         outside = r.size and (r.dtype.kind not in "iu" or r.min() < 0 or r.max() >= len(ax))
         if r.ndim != 1 or outside:
-            raise DataError(f"sequence {s}: rows must be integer indices into ax's {len(ax)} rows")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise DataError(f"sequence {s}: window seed must be an integer >= 0, got {seed!r}")
-        windows.append(r[sample_starts(len(r), L, K, seed)[:, None] + np.arange(L)])
+            raise DataError(f"sequence {key}: rows must be integer indices into "
+                            f"ax's {len(ax)} rows")
+        starts = sample_starts(len(r), L, K, _derive_seed(cfg.seed, *key))
+        windows.append(r[starts[:, None] + np.arange(L)])
     out = np.empty((len(rows), H * L if depth is None else H))
     batch = max(1, _WINDOW_BLOCK // (K * L * 4 * H))  # whole sequences per recurrence
     for start in range(0, len(rows), batch):
@@ -117,14 +133,14 @@ def embed_projected(model, ax, rows, cfg, seeds, depth=None):
         hs = hs.reshape(-1, K, L, H)
         picked = hs.reshape(len(hs), K, L * H) if depth is None else hs[:, :, depth - 1]
         out[start : start + len(hs)] = picked.mean(axis=1)
-    return out
+    return [SequenceEmbedding(values, *key) for values, key in zip(out, rows)]
 
 
 def embed_sequence(model, frames, cfg, source_id=-1, camera=0):
-    """Mean of K seeded-window subsequence embeddings; no post-normalization."""
+    """Mean of K seeded-window subsequence embeddings, no post-normalization:
+    ``embed_projected`` of one sequence, keyed (source_id, camera)."""
     ax = project(model, frames)
-    values = embed_projected(model, ax, [np.arange(len(ax))], cfg, [cfg.seed])[0]
-    return SequenceEmbedding(values, source_id, camera)
+    return embed_projected(model, ax, {(source_id, camera): np.arange(len(ax))}, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .aggregate import write_embeddings
+from .aggregate import embed_projected, write_embeddings
 from .config import load_config
 from .errors import ConfigurationError, DataError, FormatError, RfaError
 from .evaluation import (
     describe_dataset,
-    embed_split,
     generate_synthetic,
     load_dataset,
     project_store,
@@ -124,9 +123,8 @@ def cmd_embed(args):
                         f"{model.input_dim}; the config's frames give {cfg.feature_dim}")
     dataset = load_dataset(manifest)
     store = describe_dataset(dataset, cfg)
-    probes, gallery = embed_split(model, project_store(model, store), store.rows,
-                                  sorted(dataset.ids()), cfg.agg)
-    embeddings = [e for pair in zip(probes, gallery) for e in pair]
+    seqs = {(pid, cam): store.rows[(pid, cam)] for pid in sorted(dataset.ids()) for cam in (0, 1)}
+    embeddings = embed_projected(model, project_store(model, store), seqs, cfg.agg)
     write_embeddings(args.out, embeddings)
     print(f"wrote {len(embeddings)} embeddings of dimension "
           f"{embeddings[0].values.size} to {args.out}")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check that
+the Python API applies to counts, dimensions and seeds."""
+
+import numbers
 
 
 class RfaError(Exception):
@@ -25,3 +28,14 @@ class DataError(RfaError):
 
 class DegenerateProblemError(RfaError):
     """A learning problem with no usable signal (e.g. identical pair features)."""
+
+
+def is_integer(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(value, name, error=ConfigurationError):
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer."""
+    if not is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -9,10 +9,11 @@ Camera a is the probe view, camera b the gallery view, throughout.
 ``DescriptorStore`` whose row ranges are the sequences (and the noise pool
 after them). Training expands only each batch's rows; each trained model
 maps the store to gate pre-activations in blocks of rows
-(``project_store``), and ``embed_split`` then embeds a split by one batched
-``embed_projected`` call. No float64 matrix of every frame is built. A noisy
-test sequence is a list of row indices, the pool rows spliced in where
-``inject_noise`` puts them, so no descriptor is copied or described again.
+(``project_store``), and one batched ``embed_projected`` call embeds both
+cameras of a split, keyed (pid, cam) in probe-then-gallery order. No
+float64 matrix of every frame is built. A noisy test sequence is a list of
+row indices, the pool rows spliced in where ``inject_noise`` puts them, so
+no descriptor is copied or described again.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import SequenceEmbedding, embed_projected
-from .errors import ConfigurationError, DataError, FormatError
+from .aggregate import _derive_seed, embed_projected
+from .errors import ConfigurationError, DataError, FormatError, require_int
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write, write_csv
 from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
@@ -159,6 +160,10 @@ def make_splits(person_ids, num_trials, master_seed):
     ids = sorted(person_ids)
     if len(ids) < 2:
         raise DataError("need at least 2 persons to split")
+    require_int(num_trials, "num_trials", DataError)
+    require_int(master_seed, "master_seed", DataError)
+    if num_trials < 1:
+        raise DataError(f"num_trials must be >= 1, got {num_trials}")
     if master_seed < 0:
         raise DataError(f"master_seed must be >= 0, got {master_seed}")
     rng = np.random.default_rng(master_seed)
@@ -255,6 +260,7 @@ def inject_noise(frames, fraction, pool, seed):
         raise DataError("noise fraction must be in [0, 1]")
     if not pool:
         raise DataError("noise pool is empty")
+    require_int(seed, "seed", DataError)
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     out = list(frames)
@@ -299,6 +305,10 @@ def generate_synthetic(
     prototypes. Camera b applies a fixed per-channel gain/offset (on the
     [0, 1] scale) to simulate cross-view color inconsistency; every frame
     gets seeded per-pixel Gaussian jitter, clamped to [0, 255]."""
+    counts = dict(num_persons=num_persons, frames_per_camera=frames_per_camera, width=width,
+                  height=height, appearance_seed=appearance_seed, noise_pool_size=noise_pool_size)
+    for name, value in counts.items():
+        require_int(value, name, DataError)
     if num_persons < 1 or frames_per_camera < 1:
         raise DataError("num_persons and frames_per_camera must be >= 1")
     if appearance_seed < 0:
@@ -349,6 +359,11 @@ class ExperimentSpec:
         subsequence length L, before any frame is described."""
         if self.kind not in ("standard", *_SWEEPS):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
+        for name in ("trials", "master_seed"):
+            require_int(getattr(self, name), f"experiment.{name}")
+        for name in ("depths", "subseq_counts"):
+            for level in getattr(self, name) or ():
+                require_int(level, f"each of experiment.{name}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.master_seed < 0:
@@ -385,15 +400,6 @@ class ExperimentReport:
     mean_curves: dict  # level -> CmcCurve
     config: dict
     timings: dict
-
-
-def _derive_seed(*parts):
-    """A seed from integer parts; a part outside [0, 2**31) becomes a non-zero
-    marker word (top bit, bit length, sign) and |part|, so parts never alias."""
-    words = []
-    for p in map(int, parts):
-        words += [p] if 0 <= p < 2**31 else [2**31 | abs(p).bit_length() << 1 | (p < 0), abs(p)]
-    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def describe_dataset(dataset, run_config, with_pool=False):
@@ -447,20 +453,6 @@ def project_store(model, store):
         rows = slice(start, start + _PROJECT_ROWS)
         ax[rows] = project(model, store.expand(rows))
     return ax
-
-
-def embed_split(model, ax, rows, ids, agg_cfg, depth=None):
-    """Probe (camera 0) and gallery (camera 1) embeddings of the persons
-    ``ids``, from the pre-activations ``ax`` of every store row
-    (``project_store``), by one batched call. ``rows[(pid, cam)]`` are a
-    sequence's rows of ``ax``: the store's own, or noisy ones with pool rows
-    spliced in. Its windows are drawn from a seed derived from
-    ``agg_cfg.seed``."""
-    keys = [(pid, cam) for pid in ids for cam in (0, 1)]
-    seeds = [_derive_seed(agg_cfg.seed, pid, cam) for pid, cam in keys]
-    values = embed_projected(model, ax, [rows[key] for key in keys], agg_cfg, seeds, depth)
-    embeddings = [SequenceEmbedding(v, pid, cam) for v, (pid, cam) in zip(values, keys)]
-    return embeddings[0::2], embeddings[1::2]
 
 
 def run_experiment(dataset, run_config, experiment=None):
@@ -520,11 +512,14 @@ def run_experiment(dataset, run_config, experiment=None):
                             inject_noise(list(rows[(pid, cam)]), level, pool_rows, seed))
             key = (agg_cfg.num_subsequences, depth)
             if rc.scorer == "ranksvm" and key not in scorers:
-                probes, gallery = embed_split(model, ax, rows, split.train_ids, agg_cfg, depth)
-                svm = train_ranksvm(probes, gallery, C=rc.ranksvm_C, iters=rc.ranksvm_iters)
+                seqs = {(pid, cam): rows[(pid, cam)] for pid in split.train_ids for cam in (0, 1)}
+                embs = embed_projected(model, ax, seqs, agg_cfg, depth)
+                svm = train_ranksvm(embs[0::2], embs[1::2], C=rc.ranksvm_C,
+                                    iters=rc.ranksvm_iters)
                 scorers[key] = RankSvmScorer(svm)
-            probes, gallery = embed_split(model, ax, level_rows, split.test_ids, agg_cfg, depth)
-            curves[level].append(compute_cmc(probes, gallery, scorers.get(key, "cosine")))
+            seqs = {(pid, cam): level_rows[(pid, cam)] for pid in split.test_ids for cam in (0, 1)}
+            embs = embed_projected(model, ax, seqs, agg_cfg, depth)
+            curves[level].append(compute_cmc(embs[0::2], embs[1::2], scorers.get(key, "cosine")))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train
     timings["evaluation"] = t_eval

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, require_int
 from .features import DescriptorRows
 from .fileio import atomic_write
 
@@ -165,14 +165,17 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
     each chunk advances its own copy of the stream to the chunk's position,
     so the values do not depend on the number of threads.
     """
+    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
+                        ("num_classes", num_classes), ("seed", seed)):
+        require_int(value, name)
     if min(input_dim, hidden_dim, num_classes) < 1:
         raise ConfigurationError("model dimensions must be >= 1")
     if peephole not in PEEPHOLE_MODES:
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(init_bound):
+        raise ConfigurationError(f"init_bound must be finite, got {init_bound}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
     seed = np.random.SeedSequence(seed)
     chunks, position = [], 0
@@ -401,6 +404,9 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def validate(self):
+        for name in ("subseq_len", "epochs", "lr_switch_epoch", "batch_size", "seed",
+                     "hidden_dim"):
+            require_int(getattr(self, name), f"train.{name}")
         if self.subseq_len < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("subseq_len/batch_size must be >= 1, epochs >= 0")
         if not all(map(math.isfinite, (self.lr_initial, self.lr_after, self.init_bound))):
@@ -545,10 +551,16 @@ def grad_check(
     Relative error is |a - n| / max(|a|, |n|, 1e-6); the floor keeps
     finite-difference roundoff (about 1e-11 on an O(1) loss) from inflating
     the ratio on near-zero gradient entries. The worst entry per tensor is
-    reported.
+    reported; a NaN error fails the check.
     """
+    for name, value in (("subseq_len", subseq_len), ("seed", seed)):
+        require_int(value, name)
+    if subseq_len < 1:
+        raise ConfigurationError(f"subseq_len must be >= 1, got {subseq_len}")
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
     rng = np.random.default_rng(seed)
     model = init_model(
         input_dim, hidden_dim, num_classes, rng.integers(2**63),
@@ -566,7 +578,7 @@ def grad_check(
     for name in PARAM_ORDER:
         flat = model.params[name].ravel()
         aflat = analytic[name].ravel()
-        worst = 0.0
+        rel = np.empty(flat.size)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
@@ -575,13 +587,12 @@ def grad_check(
             lm = forward(model, xs, labels)[1][0]
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * eps)
-            rel = abs(aflat[k] - numeric) / max(abs(aflat[k]), abs(numeric), 1e-6)
-            worst = max(worst, rel)
-        per_tensor[name] = worst
+            rel[k] = abs(aflat[k] - numeric) / max(abs(aflat[k]), abs(numeric), 1e-6)
+        per_tensor[name] = float(rel.max())  # np.max keeps a NaN, Python's max drops it
     return GradCheckReport(
         (input_dim, hidden_dim, num_classes, subseq_len),
         per_tensor,
-        max(per_tensor.values()),
+        float(np.max(list(per_tensor.values()))),
     )
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 import rfanet as rf
 import rfanet.aggregate as aggregate
-from rfanet.aggregate import _unroll, embed_projected, sample_starts
+from rfanet.aggregate import _derive_seed, _unroll, embed_projected, sample_starts
 from rfanet.errors import ConfigurationError, DataError, FormatError
 
 
@@ -77,7 +78,7 @@ def test_degenerate_t_equals_l(model, rng):
 def test_k_equals_one_single_window(model, rng):
     xs = rng.standard_normal((10, 4))
     cfg = rf.AggregationConfig(4, 1, seed=5)
-    start = sample_starts(10, 4, 1, seed=5)[0]
+    start = sample_starts(10, 4, 1, _derive_seed(5, -1, 0))[0]  # the default key (-1, 0)
     emb = rf.embed_sequence(model, xs, cfg)
     assert emb.values == pytest.approx(
         _embed_window(model, xs[start : start + 4]), abs=1e-15
@@ -87,7 +88,7 @@ def test_k_equals_one_single_window(model, rng):
 def test_mean_over_sampled_windows(model, rng):
     xs = rng.standard_normal((12, 4))
     cfg = rf.AggregationConfig(4, 3, seed=11)
-    starts = sample_starts(12, 4, 3, seed=11)
+    starts = sample_starts(12, 4, 3, _derive_seed(11, 6, 1))
     expected = np.mean(
         [_embed_window(model, xs[s : s + 4]) for s in starts], axis=0
     )
@@ -96,10 +97,10 @@ def test_mean_over_sampled_windows(model, rng):
     assert emb.source_id == 6 and emb.camera == 1
 
 
-def _embed_at_depth(model, xs, depth, cfg):
+def _embed_at_depth(model, xs, depth, cfg, key=(-1, 0)):
     """One sequence's mean h_depth, through the batched embedding."""
-    return embed_projected(model, rf.project(model, xs), [np.arange(len(xs))], cfg, [cfg.seed],
-                           depth)[0]
+    return embed_projected(model, rf.project(model, xs), {key: np.arange(len(xs))}, cfg,
+                           depth)[0].values
 
 
 def test_depth_slices_full_embedding(model, rng):
@@ -122,61 +123,68 @@ def test_depth_out_of_range(model, rng):
 
 @pytest.mark.parametrize("block", [aggregate._WINDOW_BLOCK, 1], ids=["one-batch", "per-sequence"])
 def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
-    # sequences of different lengths and seeds, stacked into one descriptor
+    # sequences of different lengths and keys, stacked into one descriptor
     # matrix and projected once, at several window counts; with a block of
     # 1 value every sequence runs as its own batch
     monkeypatch.setattr(aggregate, "_WINDOW_BLOCK", block)
     lengths = (9, 4, 12, 6, 4)
     seqs = [rng.standard_normal((T, 4)) for T in lengths]
-    seeds = [10 + s for s in range(len(seqs))]
+    keys = [(7, 1), (3, 0), (12, 1), (-2, 0), (3, 1)]  # results follow this order
     starts = np.cumsum((0,) + lengths)
-    rows = [np.arange(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    rows = {key: np.arange(a, b) for key, a, b in zip(keys, starts[:-1], starts[1:])}
     ax = rf.project(model, np.concatenate(seqs))
 
     for K in (3, 2, 5, 4, 7):
-        own = [rf.AggregationConfig(4, K, seed) for seed in seeds]  # each sequence alone
-        means = embed_projected(model, ax, rows, rf.AggregationConfig(4, K), seeds)
-        assert means.shape == (len(seqs), 12)
-        for xs, cfg, got in zip(seqs, own, means):
-            assert got.tobytes() == rf.embed_sequence(model, xs, cfg).values.tobytes()
+        cfg = rf.AggregationConfig(4, K, seed=10)
+        embs = embed_projected(model, ax, rows, cfg)
+        assert [(e.source_id, e.camera) for e in embs] == keys
+        for xs, key, got in zip(seqs, keys, embs):
+            assert got.values.shape == (12,)
+            alone = rf.embed_sequence(model, xs, cfg, *key)  # each sequence alone
+            assert got.values.tobytes() == alone.values.tobytes()
         for depth in range(1, 5):
-            at_depth = embed_projected(model, ax, rows, rf.AggregationConfig(4, K), seeds, depth)
-            for xs, cfg, got in zip(seqs, own, at_depth):
-                assert got.tobytes() == _embed_at_depth(model, xs, depth, cfg).tobytes()
+            at_depth = embed_projected(model, ax, rows, cfg, depth)
+            for xs, key, got in zip(seqs, keys, at_depth):
+                assert got.values.tobytes() == _embed_at_depth(model, xs, depth, cfg,
+                                                               key).tobytes()
 
     # rows may be any rows of ax, in any order: a reversed sequence
-    cfg = rf.AggregationConfig(4, 3, seeds[0])
-    back = embed_projected(model, ax, [rows[0][::-1]], cfg, seeds[:1])[0]
-    assert back.tobytes() == rf.embed_sequence(model, seqs[0][::-1], cfg).values.tobytes()
+    back = embed_projected(model, ax, {keys[0]: rows[keys[0]][::-1]}, cfg)[0]
+    alone = rf.embed_sequence(model, seqs[0][::-1], cfg, *keys[0])
+    assert back.values.tobytes() == alone.values.tobytes()
 
 
 def test_batched_embedding_checks(model, rng):
     ax = rf.project(model, rng.standard_normal((8, 4)))
-    rows, cfg = [np.arange(8)], rf.AggregationConfig(3, 2)
+    rows, cfg = {(0, 0): np.arange(8)}, rf.AggregationConfig(3, 2)
     with pytest.raises(DataError, match="depth"):
-        embed_projected(model, ax, rows, cfg, [0], depth=4)
+        embed_projected(model, ax, rows, cfg, depth=4)
     with pytest.raises(DataError, match="shorter"):
-        embed_projected(model, ax, [np.arange(2)], cfg, [0])
-    for seeds in ([0], [0, 1, 2]):  # one seed per sequence, or zip would drop some
-        with pytest.raises(DataError, match=f"2 sequences but {len(seeds)} seeds"):
-            embed_projected(model, ax, rows * 2, cfg, seeds)
+        embed_projected(model, ax, {(0, 0): np.arange(2)}, cfg)
+    assert embed_projected(model, ax, {}, cfg) == []
+    with pytest.raises(DataError, match=r"rows must be a dict of \(source_id, camera\) keys"):
+        embed_projected(model, ax, [np.arange(8)], cfg)  # a list of rows has no keys
 
 
-@pytest.mark.parametrize("bad_rows, seed, message", [
-    (np.arange(8), -1, "sequence 1: window seed must be an integer >= 0, got -1"),
-    (np.arange(8.0), 0, "sequence 1: rows must be integer indices into ax's 8 rows"),
-    (np.arange(-3, 5), 0, "sequence 1: rows must be integer indices into ax's 8 rows"),
-], ids=["negative-seed", "float-rows", "negative-rows"])
-def test_batched_embedding_rejects_bad_seed_or_rows(model, rng, monkeypatch, bad_rows, seed,
+@pytest.mark.parametrize("key, bad_rows, message", [
+    ((1, 0), np.arange(8.0), "sequence (1, 0): rows must be integer indices into ax's 8 rows"),
+    ((1, 0), np.arange(-3, 5), "sequence (1, 0): rows must be integer indices into ax's 8 rows"),
+    ((1.5, 0), np.arange(8), "sequence key (1.5, 0) is not an integer (source_id, camera) pair"),
+    ((1, True), np.arange(8), "sequence key (1, True) is not an integer (source_id, camera) pair"),
+    ((1,), np.arange(8), "sequence key (1,) is not an integer (source_id, camera) pair"),
+], ids=["float-rows", "negative-rows", "float-id", "bool-camera", "short-key"])
+def test_batched_embedding_rejects_bad_seed_or_rows(model, rng, monkeypatch, key, bad_rows,
                                                     message):
+    # a key is the seed of its windows, so a bad key is a bad seed
     ax = rf.project(model, rng.standard_normal((8, 4)))
 
     def forbidden(*args):
         raise AssertionError("the recurrence ran before the check")
 
     monkeypatch.setattr(aggregate, "_unroll", forbidden)
-    with pytest.raises(DataError, match=message):
-        embed_projected(model, ax, [np.arange(8), bad_rows], rf.AggregationConfig(3, 2), [0, seed])
+    with pytest.raises(DataError, match=re.escape(message)):
+        embed_projected(model, ax, {(0, 0): np.arange(8), key: bad_rows},
+                        rf.AggregationConfig(3, 2))
 
 
 def test_nonfinite_embedding_rejected():

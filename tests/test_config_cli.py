@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import rfanet as rf
 import rfanet.cli as cli
 from rfanet.cli import main
-from rfanet.errors import ConfigurationError
+from rfanet.errors import ConfigurationError, RfaError
 from rfanet.rnn import PARAM_ORDER
 
 from conftest import _fail_writes_after
@@ -132,6 +133,41 @@ def test_config_rejects_non_finite_train_values(name, value):
     data["train"][name] = value
     with pytest.raises(ConfigurationError, match=message):
         rf.config_from_dict(data)
+
+
+def _api_calls():
+    """Python API calls with a count, dimension or seed that the config
+    loader would refuse, each with the argument its error must name."""
+    frames = [rf.RawImage(2, 2, np.zeros((2, 2, 3))) for _ in range(4)]
+    calls = {f"train-{name}": (lambda name=name: rf.train([], rf.TrainConfig(**{name: 1.5})),
+                               f"train.{name}")
+             for name in ("seed", "epochs", "batch_size", "hidden_dim", "subseq_len")}
+    calls.update({
+        "aggregation-K": (lambda: rf.embed_sequence(rf.init_model(2, 2, 2, 0), np.ones((4, 2)),
+                                                    rf.AggregationConfig(3, 2.5, 0)),
+                          "aggregation.num_subsequences"),
+        "experiment-trials": (lambda: rf.ExperimentSpec(trials=1.5).validate(5),
+                              "experiment.trials"),
+        "experiment-depths": (lambda: rf.ExperimentSpec("depth", depths=(1.5,)).validate(5),
+                              "experiment.depths"),
+        "splits-seed": (lambda: rf.make_splits(range(4), 1, 1.5), "master_seed"),
+        "splits-float-trials": (lambda: rf.make_splits(range(4), 1.5, 0), "num_trials"),
+        "splits-negative-trials": (lambda: rf.make_splits(range(4), -1, 0), "num_trials"),
+        "noise-float-seed": (lambda: rf.inject_noise(frames, 0.5, frames, seed=1.5), "seed"),
+        "noise-bool-seed": (lambda: rf.inject_noise(frames, 0.5, frames, seed=True), "seed"),
+        "gradcheck-seed": (lambda: rf.grad_check(seed=1.5), "seed"),
+        "init-dim": (lambda: rf.init_model(2.5, 2, 2, 0), "input_dim"),
+        "init-bound": (lambda: rf.init_model(3, 2, 2, 0, init_bound=float("inf")), "init_bound"),
+        "synthetic-persons": (lambda: rf.generate_synthetic(1.5, 2), "num_persons"),
+    })
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_api_calls()))
+def test_python_api_refuses_non_integer_counts_and_seeds(case):
+    call, name = _api_calls()[case]
+    with pytest.raises(RfaError, match=f"^{re.escape(name)} must be|of {re.escape(name)} must"):
+        call()
 
 
 @pytest.mark.parametrize("data", [
@@ -323,6 +359,26 @@ def test_cli_embed(pipeline):
     assert len(embs) == 12
     assert embs[0].values.size == 40
     assert sorted({e.source_id for e in embs}) == list(range(6))
+
+
+def test_cli_embed_records_equal_embed_sequence(pipeline):
+    # the library's one-sequence call draws the windows that the command
+    # draws for the same (id, camera)
+    out = pipeline["root"] / "embs-alone.rfaemb"
+    assert main(["embed", "--config", pipeline["cfg_path"],
+                 "--model", str(pipeline["model"]), "--out", str(out)]) == 0
+    cfg = rf.load_config(pipeline["cfg_path"])
+    model = rf.load_model(pipeline["model"])
+    dataset = rf.load_dataset(cfg.paths.manifest)
+    records = {(e.source_id, e.camera): e.values for e in rf.read_embeddings(out)}
+    assert len(records) == 2 * len(dataset.persons)
+    for person in dataset.persons:
+        for cam, frames in ((0, person.frames_a), (1, person.frames_b)):
+            feats = rf.sequence_features(frames, cfg.grid, cfg.image_w, cfg.image_h)
+            alone = rf.embed_sequence(model, feats, cfg.agg, source_id=person.person_id,
+                                      camera=cam)
+            want = alone.values.astype(np.float32).tobytes()
+            assert records[(person.person_id, cam)].astype(np.float32).tobytes() == want
 
 
 def _model_file_edits():
@@ -794,6 +850,26 @@ def test_gradcheck_corrupt_hook_fails(monkeypatch):
     report = rf.grad_check(4, 3, 2, 3, seed=1)
     assert not report.passed
     assert report.per_tensor["b_c"] >= report.threshold
+
+
+def test_gradcheck_nan_gradient_fails(monkeypatch):
+    backward = rf.rnn.backward
+
+    def nan_head(model, trace):
+        grads = backward(model, trace)
+        grads["W_y"] = np.nan
+        return grads
+
+    monkeypatch.setattr(rf.rnn, "backward", nan_head)
+    report = rf.grad_check(4, 3, 2, 3, seed=1)
+    assert not report.passed
+    assert np.isnan(report.per_tensor["W_y"]) and np.isnan(report.max_rel_error)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+def test_gradcheck_rejects_bad_eps(eps):
+    with pytest.raises(ConfigurationError, match="eps must be finite and > 0"):
+        rf.grad_check(eps=eps)
 
 
 def test_cli_determinism(tmp_path):

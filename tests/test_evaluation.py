@@ -8,11 +8,10 @@ import pytest
 
 import rfanet as rf
 import rfanet.evaluation as evaluation
+from rfanet.aggregate import _derive_seed, embed_projected
 from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
-    _derive_seed,
     describe_dataset,
-    embed_split,
     make_splits,
     mean_cmc,
     project_store,
@@ -619,13 +618,7 @@ def _per_level_noise_sweep(dataset, cfg, ex):
     feats = {k: rf.sequence_features(v, grid, w, h) for k, v in frames.items()}
 
     def embed(model, level_feats, ids, cam):
-        return [
-            rf.embed_sequence(
-                model, level_feats[(pid, cam)],
-                replace(agg, seed=_derive_seed(agg.seed, pid, cam)), pid, cam,
-            )
-            for pid in ids
-        ]
+        return [rf.embed_sequence(model, level_feats[(pid, cam)], agg, pid, cam) for pid in ids]
 
     curves = {level: [] for level in ex.noise_levels}
     for trial, split in enumerate(make_splits(dataset.ids(), ex.trials, ex.master_seed)):
@@ -686,27 +679,26 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
         projected.append(store)
         return project_store(model, store)
 
-    def recording_embed(model, ax, rows, ids, *rest):
-        seen.append((rows, list(ids)))
-        return embed_split(model, ax, rows, ids, *rest)
+    def recording_embed(model, ax, rows, *rest):
+        seen.append(rows)
+        return embed_projected(model, ax, rows, *rest)
 
     monkeypatch.setattr(evaluation, "project_store", recording_project)
-    monkeypatch.setattr(evaluation, "embed_split", recording_embed)
+    monkeypatch.setattr(evaluation, "embed_projected", recording_embed)
     report = rf.run_experiment(tiny_dataset, cfg, ex)
     assert len(projected) == ex.trials  # one projection of every row per model
     assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set
     descriptors = projected[0].expand()
     frames = {(p.person_id, 0): p.frames_a for p in tiny_dataset.persons}
     frames.update({(p.person_id, 1): p.frames_b for p in tiny_dataset.persons})
-    for li, (level, (rows, test_ids)) in enumerate(zip(ex.noise_levels, seen)):
-        for pid in test_ids:
-            for cam in (0, 1):
-                noisy = rf.inject_noise(
-                    frames[(pid, cam)], level, tiny_dataset.noise_pool,
-                    _derive_seed(ex.master_seed, 0, li, pid, cam),
-                )
-                want = rf.sequence_features(noisy, cfg.grid, cfg.image_w, cfg.image_h)
-                assert descriptors[rows[(pid, cam)]].tobytes() == want.tobytes()
+    for li, (level, rows) in enumerate(zip(ex.noise_levels, seen)):
+        for pid, cam in rows:  # both cameras of each test id
+            noisy = rf.inject_noise(
+                frames[(pid, cam)], level, tiny_dataset.noise_pool,
+                _derive_seed(ex.master_seed, 0, li, pid, cam),
+            )
+            want = rf.sequence_features(noisy, cfg.grid, cfg.image_w, cfg.image_h)
+            assert descriptors[rows[(pid, cam)]].tobytes() == want.tobytes()
 
     again = rf.run_experiment(tiny_dataset, cfg, ex)
     assert report_csv_rows(again) == report_csv_rows(report)

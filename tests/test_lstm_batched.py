@@ -11,7 +11,7 @@ import pytest
 
 import lstm_reference as ref
 import rfanet as rf
-from rfanet.aggregate import _unroll, sample_starts
+from rfanet.aggregate import _derive_seed, _unroll, sample_starts
 from rfanet.rnn import PARAM_ORDER, Params
 
 D, H, N, L = 7, 4, 3, 5
@@ -179,13 +179,13 @@ def test_embeddings_match_per_window_mean():
     frames = np.random.default_rng(2).standard_normal((11, D))
     cfg = rf.AggregationConfig(L, 6, seed=9)
     p = _plain(model)
-    starts = sample_starts(11, L, 6, seed=9)
+    starts = sample_starts(11, L, 6, _derive_seed(9, 4, 1))
     windows = np.array([ref.hidden_states(p, frames[s : s + L]) for s in starts])
-    np.testing.assert_allclose(rf.embed_sequence(model, frames, cfg).values,
+    np.testing.assert_allclose(rf.embed_sequence(model, frames, cfg, 4, 1).values,
                                windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
     for depth in range(1, L + 1):
-        at_depth = rf.embed_projected(model, rf.project(model, frames), [np.arange(11)],
-                                      cfg, [cfg.seed], depth)[0]
+        at_depth = rf.embed_projected(model, rf.project(model, frames), {(4, 1): np.arange(11)},
+                                      cfg, depth)[0].values
         np.testing.assert_allclose(at_depth, windows[:, depth - 1].mean(axis=0),
                                    rtol=RTOL, atol=0)
 
