@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
+from .errors import DataError, FormatError, is_integer, require_int
 from .fileio import atomic_write
 from .matching import _embedding_matrix, _embedding_row
 from .rnn import lstm_step, project
@@ -38,12 +38,8 @@ class AggregationConfig:
     seed: int = 0
 
     def validate(self):
-        for name in ("subseq_len", "num_subsequences", "seed"):
-            require_int(getattr(self, name), f"aggregation.{name}")
-        if self.subseq_len < 1 or self.num_subsequences < 1:
-            raise ConfigurationError("subseq_len and num_subsequences must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"aggregation.seed must be >= 0, got {self.seed}")
+        for name, low in (("subseq_len", 1), ("num_subsequences", 1), ("seed", 0)):
+            require_int(getattr(self, name), f"aggregation.{name}", low=low)
 
 
 @dataclass
@@ -165,7 +161,7 @@ def write_embeddings(path, embeddings):
         raise DataError("embeddings of dimension 0 or beyond the float32 range cannot be written")
     for k, emb in enumerate(embeddings):
         for name, value, bits in (("source_id", emb.source_id, 32), ("camera", emb.camera, 8)):
-            if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**bits:
+            if not is_integer(value) or not 0 <= value < 2**bits:
                 raise DataError(f"embedding {k}: {name} {value!r} is not a u{bits}")
     records = np.array([(emb.source_id, emb.camera, row) for emb, row in zip(embeddings, values)],
                        _record_dtype(values.shape[1]))

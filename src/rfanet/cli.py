@@ -146,9 +146,6 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    dims = (args.d, args.h, args.n, args.l)
-    if min(dims) < 1:
-        raise ConfigurationError("all dimensions must be >= 1")
     if args.d * args.h > 4096:
         raise ConfigurationError(
             "gradcheck is a desk-scale oracle; keep d*h <= 4096"

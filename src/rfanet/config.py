@@ -12,16 +12,16 @@ is echoed into every report.
 from __future__ import annotations
 
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .aggregate import AggregationConfig
-from .errors import ConfigurationError
-from .evaluation import ExperimentSpec
+from .errors import ConfigurationError, DataError, require_int
+from .evaluation import ExperimentSpec, _check_synthetic_args
 from .features import PatchGridSpec
 from .fileio import atomic_write
+from .matching import _check_ranksvm_args
 from .rnn import TrainConfig
 
 
@@ -75,6 +75,8 @@ class RunConfig:
                             f"[{section}] {key} is out of range: an integer in a "
                             f"config must be below 2**63 in magnitude"
                         )
+        require_int(self.image_w, "image.width")
+        require_int(self.image_h, "image.height")
         if self.image_h * self.image_w * 7 * 8 > sys.maxsize:
             # to_frame_tensor's seven float64 planes
             raise ConfigurationError(
@@ -90,27 +92,15 @@ class RunConfig:
             )
         if self.scorer not in ("cosine", "ranksvm"):
             raise ConfigurationError(f"unknown scorer {self.scorer!r}")
-        if not (math.isfinite(self.ranksvm_C) and self.ranksvm_C > 0):
-            raise ConfigurationError(f"ranksvm_C must be finite and > 0, got {self.ranksvm_C}")
-        if self.ranksvm_iters < 1:
-            raise ConfigurationError("ranksvm_iters must be >= 1")
+        _as_config_error("ranksvm_", _check_ranksvm_args, self.ranksvm_C, self.ranksvm_iters)
         self.experiment.validate(self.train.subseq_len)
         syn = self.synthetic
-        if syn.appearance_seed < 0:
-            raise ConfigurationError(
-                f"synthetic.appearance_seed must be >= 0, got {syn.appearance_seed}")
+        _as_config_error("synthetic.", _check_synthetic_args, **asdict(syn),
+                         width=self.image_w, height=self.image_h)
         if syn.num_persons < 2:
             raise ConfigurationError("synthetic dataset needs at least 2 persons")
         if syn.frames_per_camera < self.train.subseq_len:
             raise ConfigurationError("frames_per_camera must be >= subseq_len")
-        for name in ("camera_gain", "camera_offset"):
-            values = getattr(syn, name)
-            if len(values) != 3 or not all(map(math.isfinite, values)):
-                raise ConfigurationError(f"synthetic.{name} must be 3 finite values, got {values}")
-        if not (math.isfinite(syn.jitter) and syn.jitter >= 0):
-            raise ConfigurationError(f"synthetic.jitter must be finite and >= 0, got {syn.jitter}")
-        if syn.noise_pool_size < 0:
-            raise ConfigurationError("synthetic.noise_pool_size must be >= 0")
         frames = 2 * syn.num_persons * syn.frames_per_camera + syn.noise_pool_size
         if frames * self.image_w * self.image_h * 3 > sys.maxsize:
             # generate_synthetic holds every uint8 RGB frame before any is written
@@ -130,6 +120,16 @@ class RunConfig:
             holder = getattr(self, owner) if owner else self
             out[section] = {key: getattr(holder, name) for key, name in keys.items()}
         return out
+
+
+def _as_config_error(prefix, check, *args, **kwargs):
+    """Run a library function's own argument check. Its DataError, whose
+    message starts with the argument's name, becomes a ConfigurationError
+    naming the config key: ``prefix`` and that name."""
+    try:
+        check(*args, **kwargs)
+    except DataError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from exc
 
 
 def desk_scale(**overrides):

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the integer check that
-the Python API applies to counts, dimensions and seeds."""
+the Python API applies to counts, dimensions and seeds: ``require_int``
+refuses a value that is not an integer, and with ``low`` one below it."""
 
 import numbers
 
@@ -35,7 +36,10 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_int(value, name, error=ConfigurationError):
-    """Raise ``error`` naming ``name`` unless ``value`` is an integer."""
+def require_int(value, name, error=ConfigurationError, low=None):
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer and, with
+    ``low`` given, at least ``low``; each message starts with ``name``."""
     if not is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")

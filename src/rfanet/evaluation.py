@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import _derive_seed, embed_projected
-from .errors import ConfigurationError, DataError, FormatError, require_int
+from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write, write_csv
 from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
@@ -61,7 +61,9 @@ def save_dataset(dataset, out_dir):
     The manifest is the commit point. It is written last and atomically, and
     an existing manifest is removed before the first frame that replaces an
     existing file, so a save cut short never leaves a manifest next to frames
-    it does not describe."""
+    it does not describe. The persons are checked as ``load_dataset`` checks
+    them before any byte is written."""
+    _check_persons([(p.person_id, p.frames_a, p.frames_b) for p in dataset.persons], "dataset")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"persons": [], "noise_pool": []}
@@ -92,6 +94,25 @@ def save_dataset(dataset, out_dir):
     return manifest_path
 
 
+def _check_persons(persons, source):
+    """The rules every person of a dataset keeps, given as (id, frames_a,
+    frames_b) triples: an integer id, not a bool and not repeated, and
+    frames in both cameras. ``load_dataset`` and ``save_dataset`` both run
+    it, so a dataset that saves also loads."""
+    if not persons:
+        raise DataError(f"{source} lists no persons")
+    seen = set()
+    for k, (pid, *cameras) in enumerate(persons):
+        if not is_integer(pid):
+            raise DataError(f"{source} person entry {k} has no integer id (got {pid!r})")
+        if pid in seen:
+            raise DataError(f"duplicate person id {pid} in {source}")
+        seen.add(pid)
+        for cam, frames in zip("ab", cameras):
+            if len(frames) == 0:
+                raise DataError(f"person {pid} has no camera_{cam} frames")
+
+
 def _string_list(value, what):
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise DataError(f"{what} must be a list of path strings")
@@ -109,26 +130,20 @@ def load_dataset(manifest_path):
         raise DataError(f"manifest {manifest_path} lists no persons")
     if not isinstance(manifest["persons"], list):
         raise DataError(f"manifest {manifest_path}: persons must be a list")
-    root = manifest_path.parent
-    persons = []
-    seen = set()
+    entries = []  # (id, camera a paths, camera b paths)
     for k, entry in enumerate(manifest["persons"]):
         if not isinstance(entry, dict):
             raise DataError(f"manifest person entry {k} is not an object")
-        pid = entry.get("id")
-        if not isinstance(pid, int) or isinstance(pid, bool):
-            raise DataError(f"manifest person entry {k} has no integer id (got {pid!r})")
-        if pid in seen:
-            raise DataError(f"duplicate person id {pid} in manifest")
-        seen.add(pid)
-        frames = {}
-        for cam in ("a", "b"):
-            paths = _string_list(entry.get(f"camera_{cam}", []), f"person {pid} camera_{cam}")
-            if not paths:
-                raise DataError(f"person {pid} has no camera_{cam} frames")
-            frames[cam] = [_read_frame(root / rel, f"person {pid} camera_{cam}")
-                           for rel in paths]
-        persons.append(PersonSequences(pid, frames["a"], frames["b"]))
+        entries.append([entry.get("id")] + [
+            _string_list(entry.get(f"camera_{cam}", []), f"manifest person entry {k} camera_{cam}")
+            for cam in "ab"])
+    _check_persons(entries, "manifest")
+    root = manifest_path.parent
+    persons = []
+    for pid, *cameras in entries:
+        frames = [[_read_frame(root / rel, f"person {pid} camera_{cam}") for rel in paths]
+                  for cam, paths in zip("ab", cameras)]
+        persons.append(PersonSequences(pid, *frames))
     pool_paths = _string_list(manifest.get("noise_pool", []), "noise_pool")
     pool = [_read_frame(root / rel, "noise_pool") for rel in pool_paths]
     return Dataset(persons, pool)
@@ -160,12 +175,8 @@ def make_splits(person_ids, num_trials, master_seed):
     ids = sorted(person_ids)
     if len(ids) < 2:
         raise DataError("need at least 2 persons to split")
-    require_int(num_trials, "num_trials", DataError)
-    require_int(master_seed, "master_seed", DataError)
-    if num_trials < 1:
-        raise DataError(f"num_trials must be >= 1, got {num_trials}")
-    if master_seed < 0:
-        raise DataError(f"master_seed must be >= 0, got {master_seed}")
+    require_int(num_trials, "num_trials", DataError, low=1)
+    require_int(master_seed, "master_seed", DataError, low=0)
     rng = np.random.default_rng(master_seed)
     splits = []
     for _ in range(num_trials):
@@ -258,11 +269,9 @@ def inject_noise(frames, fraction, pool, seed):
     7.000000000000001, and replaces 7 frames."""
     if not 0.0 <= fraction <= 1.0:
         raise DataError("noise fraction must be in [0, 1]")
-    if not pool:
+    if len(pool) == 0:
         raise DataError("noise pool is empty")
-    require_int(seed, "seed", DataError)
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
+    require_int(seed, "seed", DataError, low=0)
     out = list(frames)
     product = fraction * len(out)
     n = round(product) if math.isclose(product, round(product)) else math.ceil(product)
@@ -290,6 +299,22 @@ def _jittered(rng, proto, jitter, width, height):
     return RawImage(width, height, np.clip(np.rint(proto + noise), 0, 255).astype(np.uint8))
 
 
+def _check_synthetic_args(num_persons, frames_per_camera, width, height, appearance_seed,
+                          camera_gain, camera_offset, jitter, noise_pool_size):
+    """The argument rules of ``generate_synthetic``, which ``RunConfig.validate``
+    runs too. Each DataError's message starts with the argument's name."""
+    for name, value, low in (("num_persons", num_persons, 1),
+                             ("frames_per_camera", frames_per_camera, 1), ("width", width, 1),
+                             ("height", height, 1), ("appearance_seed", appearance_seed, 0),
+                             ("noise_pool_size", noise_pool_size, 0)):
+        require_int(value, name, DataError, low)
+    for name, values in (("camera_gain", camera_gain), ("camera_offset", camera_offset)):
+        if len(values) != 3 or not all(map(math.isfinite, values)):
+            raise DataError(f"{name} must be 3 finite values, got {values}")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise DataError(f"jitter must be finite and >= 0, got {jitter}")
+
+
 def generate_synthetic(
     num_persons,
     frames_per_camera,
@@ -305,21 +330,8 @@ def generate_synthetic(
     prototypes. Camera b applies a fixed per-channel gain/offset (on the
     [0, 1] scale) to simulate cross-view color inconsistency; every frame
     gets seeded per-pixel Gaussian jitter, clamped to [0, 255]."""
-    counts = dict(num_persons=num_persons, frames_per_camera=frames_per_camera, width=width,
-                  height=height, appearance_seed=appearance_seed, noise_pool_size=noise_pool_size)
-    for name, value in counts.items():
-        require_int(value, name, DataError)
-    if num_persons < 1 or frames_per_camera < 1:
-        raise DataError("num_persons and frames_per_camera must be >= 1")
-    if appearance_seed < 0:
-        raise DataError(f"appearance_seed must be >= 0, got {appearance_seed}")
-    for name, values in (("camera_gain", camera_gain), ("camera_offset", camera_offset)):
-        if len(values) != 3 or not all(map(math.isfinite, values)):
-            raise DataError(f"{name} must be 3 finite values, got {values}")
-    if not (math.isfinite(jitter) and jitter >= 0):
-        raise DataError(f"jitter must be finite and >= 0, got {jitter}")
-    if noise_pool_size < 0:
-        raise DataError(f"noise_pool_size must be >= 0, got {noise_pool_size}")
+    _check_synthetic_args(num_persons, frames_per_camera, width, height, appearance_seed,
+                          camera_gain, camera_offset, jitter, noise_pool_size)
     rng = np.random.default_rng(appearance_seed)
     gain = np.asarray(camera_gain, dtype=np.float64)
     offset = np.asarray(camera_offset, dtype=np.float64)
@@ -359,24 +371,18 @@ class ExperimentSpec:
         subsequence length L, before any frame is described."""
         if self.kind not in ("standard", *_SWEEPS):
             raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
-        for name in ("trials", "master_seed"):
-            require_int(getattr(self, name), f"experiment.{name}")
+        for name, low in (("trials", 1), ("master_seed", 0)):
+            require_int(getattr(self, name), f"experiment.{name}", low=low)
         for name in ("depths", "subseq_counts"):
             for level in getattr(self, name) or ():
-                require_int(level, f"each of experiment.{name}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
+                require_int(level, f"each of experiment.{name}", low=1)
         if not self.levels(L):
             raise ConfigurationError(f"the {self.kind} sweep has no levels: "
                                      f"{_SWEEPS[self.kind]} is empty")
         if not all(0.0 <= f <= 1.0 for f in self.noise_levels):
             raise ConfigurationError(f"noise levels must be in [0, 1], got {self.noise_levels}")
-        if self.depths is not None and not all(1 <= d <= L for d in self.depths):
+        if self.depths is not None and not all(d <= L for d in self.depths):
             raise ConfigurationError(f"depths must be in [1, {L}], got {self.depths}")
-        if not all(k >= 1 for k in self.subseq_counts):
-            raise ConfigurationError(f"subsequence counts must be >= 1, got {self.subseq_counts}")
         # curves are keyed by level: a repeated level would merge two sweeps
         for name in _SWEEPS.values():
             levels = getattr(self, name) or ()
@@ -482,7 +488,7 @@ def run_experiment(dataset, run_config, experiment=None):
     t0 = time.perf_counter()
     store = describe_dataset(dataset, rc, with_pool=ex.kind == "noise")
     rows = store.rows
-    pool_rows = list(rows.pop("pool", ()))
+    pool_rows = rows.pop("pool", ())
     timings = {"feature_extraction": time.perf_counter() - t0}
 
     curves = {lv: [] for lv in levels}
@@ -509,7 +515,7 @@ def run_experiment(dataset, run_config, experiment=None):
                     for cam in (0, 1):
                         seed = _derive_seed(ex.master_seed, trial, li, pid, cam)
                         level_rows[(pid, cam)] = np.asarray(
-                            inject_noise(list(rows[(pid, cam)]), level, pool_rows, seed))
+                            inject_noise(rows[(pid, cam)], level, pool_rows, seed))
             key = (agg_cfg.num_subsequences, depth)
             if rc.scorer == "ranksvm" and key not in scorers:
                 seqs = {(pid, cam): rows[(pid, cam)] for pid in split.train_ids for cam in (0, 1)}

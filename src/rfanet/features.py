@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, require_int
 
 LBP_BINS = 256
 CHANNELS_PER_PATCH = LBP_BINS + 6
@@ -57,9 +57,9 @@ class RawImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        require_int(self.width, "width", DataError, low=1)
+        require_int(self.height, "height", DataError, low=1)
         self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.width < 1 or self.height < 1:
-            raise DataError("image dimensions must be >= 1")
         if self.pixels.shape != (self.height, self.width, 3):
             raise DataError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
@@ -78,8 +78,8 @@ class PatchGridSpec:
     stride_h: int = 4
 
     def __post_init__(self):
-        if self.stride_v < 1 or self.stride_h < 1:
-            raise ConfigurationError("strides must be >= 1")
+        for name, low in (("patch_h", None), ("patch_w", None), ("stride_v", 1), ("stride_h", 1)):
+            require_int(getattr(self, name), f"grid.{name}", low=low)
         if self.patch_h < 3 or self.patch_w < 3:
             raise ConfigurationError(
                 f"patch {self.patch_h}x{self.patch_w} has no interior pixel (needs >= 3x3)"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateProblemError
+from .errors import ConfigurationError, DataError, DegenerateProblemError, require_int
 
 
 def _float64(x, message):
@@ -247,6 +247,14 @@ def _objective(w, margins, C):
     return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - margins).sum())
 
 
+def _check_ranksvm_args(C, iters):
+    """The argument rules of ``train_ranksvm``, which ``RunConfig.validate``
+    runs too. Each DataError's message starts with the argument's name."""
+    if isinstance(C, bool) or not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
+        raise DataError(f"C must be finite and > 0, got {C}")
+    require_int(iters, "iters", DataError, low=1)
+
+
 def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     """Deterministic averaged projected subgradient on the hinge objective.
 
@@ -281,10 +289,7 @@ def train_ranksvm(probe_embeddings, gallery_embeddings, C=1.0, iters=500):
     C or iters, fewer than 2 aligned persons and rows that _embedding_matrix
     refuses raise DataError.
     """
-    if isinstance(C, bool) or not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
-        raise DataError(f"C must be finite and > 0, got {C}")
-    if isinstance(iters, bool) or not (isinstance(iters, (int, np.integer)) and iters >= 1):
-        raise DataError(f"iters must be an integer >= 1, got {iters!r}")
+    _check_ranksvm_args(C, iters)
     probes, gallery = _aligned_pairs(probe_embeddings, gallery_embeddings)
     n, dim = probes.shape
     m = n * (n - 1)

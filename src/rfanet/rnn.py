@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError, require_int
+from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
 from .features import DescriptorRows
 from .fileio import atomic_write
 
@@ -165,15 +165,11 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
     each chunk advances its own copy of the stream to the chunk's position,
     so the values do not depend on the number of threads.
     """
-    for name, value in (("input_dim", input_dim), ("hidden_dim", hidden_dim),
-                        ("num_classes", num_classes), ("seed", seed)):
-        require_int(value, name)
-    if min(input_dim, hidden_dim, num_classes) < 1:
-        raise ConfigurationError("model dimensions must be >= 1")
+    for name, value, low in (("input_dim", input_dim, 1), ("hidden_dim", hidden_dim, 1),
+                             ("num_classes", num_classes, 1), ("seed", seed, 0)):
+        require_int(value, name, low=low)
     if peephole not in PEEPHOLE_MODES:
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if not math.isfinite(init_bound):
         raise ConfigurationError(f"init_bound must be finite, got {init_bound}")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
@@ -404,11 +400,9 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def validate(self):
-        for name in ("subseq_len", "epochs", "lr_switch_epoch", "batch_size", "seed",
-                     "hidden_dim"):
-            require_int(getattr(self, name), f"train.{name}")
-        if self.subseq_len < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ConfigurationError("subseq_len/batch_size must be >= 1, epochs >= 0")
+        for name, low in (("subseq_len", 1), ("epochs", 0), ("lr_switch_epoch", None),
+                          ("batch_size", 1), ("seed", 0), ("hidden_dim", 1)):
+            require_int(getattr(self, name), f"train.{name}", low=low)
         if not all(map(math.isfinite, (self.lr_initial, self.lr_after, self.init_bound))):
             raise ConfigurationError("lr_initial, lr_after and init_bound must be finite")
         if self.lr_initial <= 0 or self.lr_after <= 0:
@@ -417,15 +411,11 @@ class TrainConfig:
             raise ConfigurationError("lr_switch_epoch must be <= epochs")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError("dropout rate must be in [0, 1)")
-        if self.hidden_dim < 1:
-            raise ConfigurationError("hidden_dim must be >= 1")
         if self.peephole not in PEEPHOLE_MODES:
             raise ConfigurationError(f"unknown peephole mode {self.peephole!r}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             # a clip norm <= 0 would scale every step by 0 or flip its sign
             raise ConfigurationError("clip_norm must be > 0, or None for no clipping")
-        if self.seed < 0:
-            raise ConfigurationError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -470,7 +460,7 @@ def train(sequences, cfg):
     input_dim = np.shape(sequences[0].features)[-1]
     for s in sequences:
         name = s.name or s.label
-        if isinstance(s.label, bool) or not isinstance(s.label, (int, np.integer)):
+        if not is_integer(s.label):
             raise DataError(f"sequence {name!r} has label {s.label!r}; labels must be integers")
         if s.features.ndim != 2 or s.features.shape[1] != input_dim:
             raise DataError(
@@ -553,12 +543,8 @@ def grad_check(
     the ratio on near-zero gradient entries. The worst entry per tensor is
     reported; a NaN error fails the check.
     """
-    for name, value in (("subseq_len", subseq_len), ("seed", seed)):
-        require_int(value, name)
-    if subseq_len < 1:
-        raise ConfigurationError(f"subseq_len must be >= 1, got {subseq_len}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    require_int(subseq_len, "subseq_len", low=1)
+    require_int(seed, "seed", low=0)
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
     rng = np.random.default_rng(seed)

@@ -273,3 +273,21 @@ def test_embeddings_write_failing_midway_keeps_earlier_file(tmp_path, disk_full)
         rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), 0, 0)])
     assert path.read_bytes() == b"earlier embeddings"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda path: rf.write_embeddings(path, []), "no embeddings"),
+], ids=["write-none"])
+def test_aggregate_refuses_bad_input(tmp_path, call, name):
+    with pytest.raises(DataError, match=name):
+        call(tmp_path / "x.rfaemb")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source_id,camera,name", [(True, 0, "source_id"), (3, False, "camera")])
+def test_write_embeddings_refuses_bool_ids(tmp_path, source_id, camera, name):
+    # they were written as 1 and 0, keys that embed_projected refuses
+    path = tmp_path / "x.rfaemb"
+    with pytest.raises(DataError, match=f"embedding 0: {name}"):
+        rf.write_embeddings(path, [rf.SequenceEmbedding(np.ones(3), source_id, camera)])
+    assert not path.exists()

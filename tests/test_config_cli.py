@@ -899,3 +899,36 @@ def test_cli_determinism(tmp_path):
             "csv": (root / "out" / "report.csv").read_bytes(),
         })
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda tmp: rf.desk_scale(ranksvm_iters=0).validate(), "ranksvm_iters"),
+    (lambda tmp: rf.desk_scale(synthetic=rf.SyntheticSpec(num_persons=1)).validate(),
+     "persons"),
+    (lambda tmp: rf.desk_scale(synthetic=rf.SyntheticSpec(frames_per_camera=3)).validate(),
+     "frames_per_camera"),
+    (lambda tmp: rf.desk_scale(ranksvm_gamma=1), "ranksvm_gamma"),
+    (lambda tmp: rf.load_config(tmp / "missing.json"), "missing.json"),
+    (lambda tmp: rf.load_config(tmp / "list.json"), "list.json"),
+], ids=["ranksvm-iters-0", "one-person", "frames-below-L", "unknown-field", "missing-file",
+        "not-an-object"])
+def test_config_refuses_bad_input(tmp_path, call, name):
+    (tmp_path / "list.json").write_text("[1]")
+    with pytest.raises(ConfigurationError, match=name):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("command,paths,code,name", [
+    ("train", {}, 1, "paths.manifest"),
+    ("eval", {"manifest": "data/manifest.json"}, 1, "paths.out_dir"),
+    ("synth", {}, 2, "blocker"),
+], ids=["train-no-manifest", "eval-no-out-dir", "synth-unwritable-out"])
+def test_cli_refuses_bad_input(tmp_path, capsys, command, paths, code, name):
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    argv = [command, "--config", write_config(tmp_path, tiny_config_dict(**paths))]
+    if command == "synth":
+        argv += ["--out", str(tmp_path / "blocker" / "data")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]

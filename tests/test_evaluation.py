@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -484,6 +485,40 @@ def test_run_experiment_checks_levels_before_any_work(tiny_dataset, monkeypatch,
         cfg.validate()
 
 
+def _grid_assigned(**fields):
+    """The desk grid with fields assigned after construction."""
+    grid = rf.PatchGridSpec(8, 4, 4, 2)
+    for name, value in fields.items():
+        setattr(grid, name, value)
+    return grid
+
+
+# configs built in code, which the JSON loader's type checks never see
+@pytest.mark.parametrize("overrides,key", [
+    ({"scorer": "ranksvm", "ranksvm_iters": 2.5}, "ranksvm_iters"),
+    ({"scorer": "ranksvm", "ranksvm_iters": True}, "ranksvm_iters"),
+    ({"scorer": "ranksvm", "ranksvm_C": True}, "ranksvm_C"),
+    ({"image_w": 16.0}, "image.width"),
+    ({"image_h": 32.0}, "image.height"),
+    ({"grid": _grid_assigned(stride_h=True)}, "grid.stride_h"),
+    ({"grid": _grid_assigned(patch_w=4.0)}, "grid.patch_w"),
+], ids=["iters-float", "iters-bool", "C-bool", "width-float", "height-float", "stride-bool",
+        "patch-float"])
+def test_run_experiment_checks_code_built_config_before_any_work(
+    tiny_dataset, monkeypatch, overrides, key
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(evaluation, "describe_frames", forbidden)
+    monkeypatch.setattr(evaluation, "train", forbidden)
+    cfg = replace(_tiny_config(), **overrides)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)} must be"):
+        rf.run_experiment(tiny_dataset, cfg)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)} must be"):
+        cfg.validate()
+
+
 def test_run_experiment_rejects_short_sequences():
     ds = rf.generate_synthetic(6, 3, width=16, height=32)
     with pytest.raises(DataError, match="need at least"):
@@ -752,3 +787,57 @@ def test_sweep_report_golden_digest(sweep_dataset, tmp_path, monkeypatch, scorer
     # a fit depends on the window count and the depth, not on the noise level
     per_trial = len(report.levels) if kind in ("depth", "subseq") else 1
     assert len(fits) == (ex.trials * per_trial if scorer == "ranksvm" else 0)
+
+
+def _manifest(tmp_path, document):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(document))
+    return path
+
+
+@pytest.mark.parametrize("call,error,name", [
+    (lambda tmp: rf.load_dataset(_manifest(tmp, {"persons": []})), DataError,
+     "manifest.json"),
+    (lambda tmp: rf.load_dataset(_manifest(tmp, {"persons": [
+        {"id": 0, "camera_a": [], "camera_b": ["f.ppm"]}]})), DataError, "camera_a"),
+    (lambda tmp: rf.generate_synthetic(0, 2), DataError, "num_persons"),
+    (lambda tmp: rf.ExperimentSpec(kind="sweep").validate(5), ConfigurationError, "kind"),
+    (lambda tmp: rf.ExperimentSpec(trials=0).validate(5), ConfigurationError, "trials"),
+], ids=["no-persons", "no-camera-a-frames", "no-persons-generated", "unknown-kind",
+        "no-trials"])
+def test_evaluation_refuses_bad_input(tmp_path, call, error, name):
+    with pytest.raises(error, match=name):
+        call(tmp_path)
+
+
+def _one_frame_dataset(*people):
+    frame = rf.RawImage(2, 2, np.zeros((2, 2, 3)))
+    return rf.Dataset([rf.PersonSequences(pid, [frame] * a, [frame] * b) for pid, a, b in people])
+
+
+# each of these saved a manifest that load_dataset refuses, or (id 1.0) failed
+# in the path format with a ValueError
+@pytest.mark.parametrize("people,message", [
+    ([(0, 1, 1), (0, 1, 1)], "duplicate person id 0 in dataset"),
+    ([(0, 1, 1), (True, 1, 1)], "dataset person entry 1 has no integer id"),
+    ([(1.0, 1, 1)], "dataset person entry 0 has no integer id"),
+    ([(0, 1, 1), (1, 1, 0)], "person 1 has no camera_b frames"),
+    ([], "dataset lists no persons"),
+], ids=["duplicate-id", "bool-id", "float-id", "empty-camera", "no-persons"])
+def test_save_dataset_refuses_what_load_dataset_refuses(tmp_path, people, message):
+    with pytest.raises(DataError, match=message):
+        rf.save_dataset(_one_frame_dataset(*people), tmp_path / "data")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pool", [np.arange(100, 104), [100, 101, 102, 103]],
+                         ids=["array", "list"])
+def test_inject_noise_takes_an_array_pool(pool):
+    out = rf.inject_noise(list(range(10)), 0.3, pool, 1)
+    assert out == rf.inject_noise(list(range(10)), 0.3, [100, 101, 102, 103], 1)
+    assert sum(v >= 100 for v in out) == 3
+
+
+def test_inject_noise_refuses_an_empty_array_pool():
+    with pytest.raises(DataError, match="noise pool is empty"):
+        rf.inject_noise(list(range(10)), 0.3, np.arange(0), 1)

@@ -537,3 +537,30 @@ def test_sequence_features_golden_digest(case):
     height, width, grid, digest = _GOLDEN[case]
     feats = rf.sequence_features(_golden_frames(case), rf.PatchGridSpec(*grid), width, height)
     assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call,error,name", [
+    (lambda: rf.RawImage(0, 2, np.zeros((2, 0, 3))), DataError, "width|image dimensions"),
+    (lambda: rf.RawImage(2, 2, np.zeros((3, 2, 3))), DataError, "pixel"),
+    (lambda: rf.PatchGridSpec(stride_v=0), ConfigurationError, "stride"),
+    (lambda: rf.PatchGridSpec().validate_for(8, 64), ConfigurationError, "patch 16x8"),
+    (lambda: rf.PatchGridSpec().validate_for(128, 66), ConfigurationError, "width"),
+], ids=["image-width-0", "pixels-shape", "stride-0", "patch-exceeds-frame", "width-not-covered"])
+def test_features_refuses_bad_input(call, error, name):
+    with pytest.raises(error, match=name):
+        call()
+
+
+@pytest.mark.parametrize("field,value", [("stride_h", True), ("patch_w", 8.0)])
+def test_patch_grid_refuses_non_integer_field(field, value):
+    # True would run as stride 1, and a float ended in a TypeError
+    with pytest.raises(ConfigurationError, match=f"^grid.{field} must be an integer"):
+        rf.PatchGridSpec(**{field: value})
+
+
+@pytest.mark.parametrize("width,height,name", [(2.0, 2, "width"), (2, True, "height")])
+def test_raw_image_refuses_non_integer_size(width, height, name):
+    # (2, 2.0, 3) == (2, 2, 3), so the pixel shape check let 2.0 through,
+    # and encode_ppm then wrote a header that decode_image refuses
+    with pytest.raises(DataError, match=f"^{name} must be an integer"):
+        rf.RawImage(width, height, np.zeros((int(height), int(width), 3)))

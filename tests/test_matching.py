@@ -397,3 +397,11 @@ def test_embedding_file_round_trip_refuses_unreadable_values(tmp_path, values, b
         rf.write_embeddings(path, [emb])
         rf.read_embeddings(path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: matching.bind_scorer("cosine", np.zeros(3)), "gallery"),
+], ids=["gallery-1-D"])
+def test_matching_refuses_bad_input(call, name):
+    with pytest.raises(DataError, match=name):
+        call()

@@ -603,3 +603,40 @@ def test_sigmoid_bytes_match_masked_formulation(rng):
     special = np.array([0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, 1e-300, -1e-300])
     for z in (5.0 * rng.standard_normal((200, 16)), 5.0 * rng.standard_normal(1001), special):
         assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+
+
+def _rnn_bad_inputs():
+    """Calls that break a model, pass or training rule, each with the error
+    class and a pattern for the argument its message must name."""
+    model = zero_model()
+    trace, _ = rf.forward(model, np.zeros((1, 2, 3)), [0])
+    return {
+        "init-zero-dim": (lambda: rf.init_model(0, 2, 2, 0), ConfigurationError,
+                          "input_dim|model dimensions"),
+        "init-peephole": (lambda: rf.init_model(2, 2, 2, 0, peephole="none"),
+                          ConfigurationError, "peephole"),
+        "forward-dropout": (lambda: rf.forward(model, np.zeros((1, 2, 3)), [0], dropout_rate=1.0),
+                            ConfigurationError, "dropout"),
+        "backward-trace": (lambda: rf.backward(zero_model(D=4), trace), DataError, "trace"),
+        "train-lr": (lambda: rf.TrainConfig(lr_initial=0.0).validate(), ConfigurationError,
+                     "learning rates"),
+        "train-lr-switch": (lambda: rf.TrainConfig(epochs=10, lr_switch_epoch=11).validate(),
+                            ConfigurationError, "lr_switch_epoch"),
+        "train-dropout": (lambda: rf.TrainConfig(dropout_rate=1.0).validate(),
+                          ConfigurationError, "dropout"),
+        "train-hidden": (lambda: rf.TrainConfig(hidden_dim=0).validate(), ConfigurationError,
+                         "hidden_dim"),
+        "train-peephole": (lambda: rf.TrainConfig(peephole="none").validate(),
+                           ConfigurationError, "peephole"),
+        "train-empty": (lambda: rf.train([], rf.TrainConfig()), DataError,
+                        "training set"),
+        "gradcheck-subseq": (lambda: rf.grad_check(subseq_len=0), ConfigurationError,
+                             "subseq_len"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rnn_bad_inputs()))
+def test_rnn_refuses_bad_input(case):
+    call, error, name = _rnn_bad_inputs()[case]
+    with pytest.raises(error, match=name):
+        call()
