@@ -105,8 +105,8 @@ def embed_projected(model, ax, rows, cfg, depth=None):
     """
     cfg.validate()
     L, K = cfg.subseq_len, cfg.num_subsequences
-    if depth is not None and not 1 <= depth <= L:
-        raise DataError(f"depth {depth} out of range 1..{L}")
+    if depth is not None:
+        require_int(depth, "depth", DataError, low=1, high=L)
     if not isinstance(rows, dict):
         raise DataError(f"rows must be a dict of (source_id, camera) keys, "
                         f"not a {type(rows).__name__}")

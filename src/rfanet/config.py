@@ -3,10 +3,12 @@
 ``_LAYOUT`` declares the document once: each JSON section, the
 ``RunConfig`` field that holds it and its JSON key -> field name pairs.
 ``RunConfig.to_dict`` and ``config_from_dict`` both walk it, so every field
-is written to and read from exactly one section. The schema is exhaustive;
-unknown sections or keys, and values of the wrong JSON type, are rejected so
-a typo cannot silently fall back to a default. The effective configuration
-is echoed into every report.
+is written to and read from exactly one section. The schema is exhaustive:
+unknown sections or keys are rejected, so a typo cannot silently fall back
+to a default. ``RunConfig.validate`` holds every value to the rules of the
+code that owns it, the rules a RunConfig built in Python meets too, and each
+error names the key as ``section.key``. The effective configuration is
+echoed into every report.
 """
 
 from __future__ import annotations
@@ -71,10 +73,8 @@ class RunConfig:
                 for number in value if isinstance(value, tuple) else (value,):
                     # beyond an array index, and 10**400 is no float either
                     if isinstance(number, int) and abs(number) > sys.maxsize:
-                        raise ConfigurationError(
-                            f"[{section}] {key} is out of range: an integer in a "
-                            f"config must be below 2**63 in magnitude"
-                        )
+                        raise ConfigurationError(f"{section}.{key} is out of range: an integer "
+                                                 f"in a config must be below 2**63 in magnitude")
         require_int(self.image_w, "image.width")
         require_int(self.image_h, "image.height")
         if self.image_h * self.image_w * 7 * 8 > sys.maxsize:
@@ -91,16 +91,16 @@ class RunConfig:
                 f"({self.train.subseq_len})"
             )
         if self.scorer not in ("cosine", "ranksvm"):
-            raise ConfigurationError(f"unknown scorer {self.scorer!r}")
-        _as_config_error("ranksvm_", _check_ranksvm_args, self.ranksvm_C, self.ranksvm_iters)
+            raise ConfigurationError(f"unknown matching.scorer {self.scorer!r}")
+        _as_config_error("matching.ranksvm_", _check_ranksvm_args, self.ranksvm_C,
+                         self.ranksvm_iters)
         self.experiment.validate(self.train.subseq_len)
         syn = self.synthetic
         _as_config_error("synthetic.", _check_synthetic_args, **asdict(syn),
                          width=self.image_w, height=self.image_h)
-        if syn.num_persons < 2:
-            raise ConfigurationError("synthetic dataset needs at least 2 persons")
-        if syn.frames_per_camera < self.train.subseq_len:
-            raise ConfigurationError("frames_per_camera must be >= subseq_len")
+        require_int(syn.num_persons, "synthetic.num_persons", low=2)
+        require_int(syn.frames_per_camera, "synthetic.frames_per_camera",
+                    low=self.train.subseq_len)
         frames = 2 * syn.num_persons * syn.frames_per_camera + syn.noise_pool_size
         if frames * self.image_w * self.image_h * 3 > sys.maxsize:
             # generate_synthetic holds every uint8 RGB frame before any is written
@@ -108,9 +108,11 @@ class RunConfig:
                 f"[synthetic] {frames} frames of {self.image_w}x{self.image_h} are larger "
                 f"than any array"
             )
-        for f in fields(self.paths):
-            if "\0" in (getattr(self.paths, f.name) or ""):
-                raise ConfigurationError(f"paths.{f.name} contains a NUL byte")
+        for key, path in asdict(self.paths).items():
+            if not (path is None or isinstance(path, str)):
+                raise ConfigurationError(f"paths.{key} must be a string or None, got {path!r}")
+            if "\0" in (path or ""):
+                raise ConfigurationError(f"paths.{key} contains a NUL byte")
         return self
 
     def to_dict(self):
@@ -197,18 +199,6 @@ _LAYOUT = {
     "paths": ("paths", _all_fields(PathsConfig)),
 }
 
-# the JSON values accepted for each field annotation
-_JSON_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_JSON_TYPES["int"], v)),
-    "tuple[float, ...]": lambda v: (
-        isinstance(v, (list, tuple)) and all(map(_JSON_TYPES["float"], v))
-    ),
-}
-
 
 def config_from_dict(data):
     """The validated RunConfig of a JSON document laid out as ``_LAYOUT``;
@@ -225,12 +215,8 @@ def config_from_dict(data):
         unknown = set(values) - set(keys)
         if unknown:
             raise ConfigurationError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        types = {f.name: f.type for f in fields(getattr(defaults, owner) if owner else defaults)}
         target = parts.setdefault(owner, {}) if owner else top
         for key, value in values.items():
-            expected = types[keys[key]]
-            if not any(_JSON_TYPES[t.strip()](value) for t in expected.split("|")):
-                raise ConfigurationError(f"[{section}] {key} must be {expected}, not {value!r}")
             target[keys[key]] = tuple(value) if isinstance(value, list) else value
     parts["agg"]["subseq_len"] = parts["train"].get("subseq_len", defaults.train.subseq_len)
     sections = {owner: replace(getattr(defaults, owner), **kw) for owner, kw in parts.items()}

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package, and the integer check that
-the Python API applies to counts, dimensions and seeds: ``require_int``
-refuses a value that is not an integer, and with ``low`` one below it."""
+"""Exception hierarchy shared across the package, and the value checks that
+the Python API and the config file both apply: ``require_int`` to counts,
+dimensions and seeds, ``require_real`` to rates, bounds and levels."""
 
 import numbers
+import sys
 
 
 class RfaError(Exception):
@@ -36,10 +37,26 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_int(value, name, error=ConfigurationError, low=None):
+def require_int(value, name, error=ConfigurationError, low=None, high=None):
     """Raise ``error`` naming ``name`` unless ``value`` is an integer and, with
-    ``low`` given, at least ``low``; each message starts with ``name``."""
+    ``low`` or ``high`` given, within them; each message starts with ``name``."""
     if not is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
+
+
+def require_real(value, name, error=ConfigurationError, low=None, above=None, high=None,
+                 below=None):
+    """Raise ``error`` naming ``name`` unless ``value`` is a finite real number
+    within the bounds given, ``low`` and ``high`` closed and ``above`` and
+    ``below`` open; a bool and an integer beyond the float range are not."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (low is None or value >= low) and (above is None or value > above)
+            and (high is None or value <= high) and (below is None or value < below)):
+        bounds = ((">=", low), (">", above), ("<=", high), ("<", below))
+        rule = " and ".join(["finite", *(f"{s} {b}" for s, b in bounds if b is not None)])
+        raise error(f"{name} must be {rule}, got {value!r}")

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import _derive_seed, embed_projected
-from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
+from .errors import (ConfigurationError, DataError, FormatError, is_integer, require_int,
+                     require_real)
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write, write_csv
 from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
@@ -267,8 +268,7 @@ def inject_noise(frames, fraction, pool, seed):
     without replacement) by uniformly drawn pool frames; order preserved. A
     product within rounding of an integer is that integer: 0.07 * 100 is
     7.000000000000001, and replaces 7 frames."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DataError("noise fraction must be in [0, 1]")
+    require_real(fraction, "fraction", DataError, low=0, high=1)
     if len(pool) == 0:
         raise DataError("noise pool is empty")
     require_int(seed, "seed", DataError, low=0)
@@ -309,10 +309,11 @@ def _check_synthetic_args(num_persons, frames_per_camera, width, height, appeara
                              ("noise_pool_size", noise_pool_size, 0)):
         require_int(value, name, DataError, low)
     for name, values in (("camera_gain", camera_gain), ("camera_offset", camera_offset)):
-        if len(values) != 3 or not all(map(math.isfinite, values)):
-            raise DataError(f"{name} must be 3 finite values, got {values}")
-    if not (math.isfinite(jitter) and jitter >= 0):
-        raise DataError(f"jitter must be finite and >= 0, got {jitter}")
+        if not (isinstance(values, (tuple, list, np.ndarray)) and len(values) == 3):
+            raise DataError(f"{name} must be 3 finite values, got {values!r}")
+        for k, value in enumerate(values):
+            require_real(value, f"{name}[{k}]", DataError)
+    require_real(jitter, "jitter", DataError, low=0)
 
 
 def generate_synthetic(
@@ -370,24 +371,25 @@ class ExperimentSpec:
         """Check the kind, the trial count and every sweep level against the
         subsequence length L, before any frame is described."""
         if self.kind not in ("standard", *_SWEEPS):
-            raise ConfigurationError(f"unknown experiment kind {self.kind!r}")
+            raise ConfigurationError(f"unknown experiment.kind {self.kind!r}")
         for name, low in (("trials", 1), ("master_seed", 0)):
             require_int(getattr(self, name), f"experiment.{name}", low=low)
-        for name in ("depths", "subseq_counts"):
-            for level in getattr(self, name) or ():
-                require_int(level, f"each of experiment.{name}", low=1)
+        for name, check, bounds in (("noise_levels", require_real, {"low": 0, "high": 1}),
+                                    ("depths", require_int, {"low": 1, "high": L}),
+                                    ("subseq_counts", require_int, {"low": 1})):
+            levels = getattr(self, name)
+            if levels is None and name == "depths":
+                continue  # the default depths
+            if not isinstance(levels, (tuple, list)):
+                raise ConfigurationError(f"experiment.{name} must be a list, got {levels!r}")
+            for level in levels:
+                check(level, f"each of experiment.{name}", **bounds)
+            # curves are keyed by level: a repeated level would merge two sweeps
+            if len(set(levels)) != len(levels):
+                raise ConfigurationError(f"experiment.{name} repeats a level: {tuple(levels)}")
         if not self.levels(L):
             raise ConfigurationError(f"the {self.kind} sweep has no levels: "
                                      f"{_SWEEPS[self.kind]} is empty")
-        if not all(0.0 <= f <= 1.0 for f in self.noise_levels):
-            raise ConfigurationError(f"noise levels must be in [0, 1], got {self.noise_levels}")
-        if self.depths is not None and not all(d <= L for d in self.depths):
-            raise ConfigurationError(f"depths must be in [1, {L}], got {self.depths}")
-        # curves are keyed by level: a repeated level would merge two sweeps
-        for name in _SWEEPS.values():
-            levels = getattr(self, name) or ()
-            if len(set(levels)) != len(levels):
-                raise ConfigurationError(f"{name} repeats a level: {tuple(levels)}")
 
     def levels(self, L):
         """The levels of the selected sweep, for subsequence length L."""

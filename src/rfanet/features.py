@@ -78,12 +78,8 @@ class PatchGridSpec:
     stride_h: int = 4
 
     def __post_init__(self):
-        for name, low in (("patch_h", None), ("patch_w", None), ("stride_v", 1), ("stride_h", 1)):
+        for name, low in (("patch_h", 3), ("patch_w", 3), ("stride_v", 1), ("stride_h", 1)):
             require_int(getattr(self, name), f"grid.{name}", low=low)
-        if self.patch_h < 3 or self.patch_w < 3:
-            raise ConfigurationError(
-                f"patch {self.patch_h}x{self.patch_w} has no interior pixel (needs >= 3x3)"
-            )
 
     def validate_for(self, height, width):
         self.__post_init__()  # a field may have been assigned since construction
@@ -180,8 +176,8 @@ def resize_bilinear(img, out_w, out_h):
     target size every sample falls on a source pixel with zero weight on its
     neighbours, so ``img`` itself is returned: the result aliases the input.
     """
-    if out_w < 1 or out_h < 1:
-        raise DataError("target dimensions must be >= 1")
+    require_int(out_w, "out_w", DataError, low=1)
+    require_int(out_h, "out_h", DataError, low=1)
     pixels = img.pixels if isinstance(img, RawImage) else img
     height, width = pixels.shape[-3:-1]
     if (height, width) == (out_h, out_w):
@@ -444,6 +440,8 @@ def describe_frames(images, grid, frame_w=64, frame_h=128):
     pipeline as stacks of at most ``_STACK_PIXELS`` output pixels; row t is
     frame t's descriptor whatever the grouping.
     """
+    require_int(frame_w, "frame_w", DataError, low=1)
+    require_int(frame_h, "frame_h", DataError, low=1)
     patches = grid.num_patches(frame_h, frame_w)
     codes = np.empty((len(images), (frame_h - 2) * (frame_w - 2)), np.uint8)
     color = np.empty((len(images), patches, 6))

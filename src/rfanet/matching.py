@@ -19,12 +19,12 @@ scores, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DegenerateProblemError, require_int
+from .errors import (ConfigurationError, DataError, DegenerateProblemError, require_int,
+                     require_real)
 
 
 def _float64(x, message):
@@ -250,8 +250,7 @@ def _objective(w, margins, C):
 def _check_ranksvm_args(C, iters):
     """The argument rules of ``train_ranksvm``, which ``RunConfig.validate``
     runs too. Each DataError's message starts with the argument's name."""
-    if isinstance(C, bool) or not (isinstance(C, numbers.Real) and math.isfinite(C) and C > 0):
-        raise DataError(f"C must be finite and > 0, got {C}")
+    require_real(C, "C", DataError, above=0)
     require_int(iters, "iters", DataError, low=1)
 
 

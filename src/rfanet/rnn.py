@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
+from .errors import (ConfigurationError, DataError, FormatError, is_integer, require_int,
+                     require_real)
 from .features import DescriptorRows
 from .fileio import atomic_write
 
@@ -170,8 +171,7 @@ def init_model(input_dim, hidden_dim, num_classes, seed, peephole="full", init_b
         require_int(value, name, low=low)
     if peephole not in PEEPHOLE_MODES:
         raise ConfigurationError(f"unknown peephole mode {peephole!r}")
-    if not math.isfinite(init_bound):
-        raise ConfigurationError(f"init_bound must be finite, got {init_bound}")
+    require_real(init_bound, "init_bound")
     model = RfaModel(input_dim, hidden_dim, num_classes, peephole)
     seed = np.random.SeedSequence(seed)
     chunks, position = [], 0
@@ -272,8 +272,7 @@ def forward(model, xs, labels, dropout_rate=0.0, rng=None):
         raise DataError(f"expected {X.shape[0]} integer labels, got {labels!r}")
     if np.any((labels < 0) | (labels >= model.num_classes)):
         raise DataError(f"labels {labels} out of range for {model.num_classes} classes")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigurationError("dropout rate must be in [0, 1)")
+    require_real(dropout_rate, "dropout_rate", low=0, below=1)
     if dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("dropout requires a random generator")
 
@@ -400,22 +399,20 @@ class TrainConfig:
     clip_norm: float | None = None
 
     def validate(self):
-        for name, low in (("subseq_len", 1), ("epochs", 0), ("lr_switch_epoch", None),
-                          ("batch_size", 1), ("seed", 0), ("hidden_dim", 1)):
+        for name, low in (("subseq_len", 1), ("epochs", 0), ("batch_size", 1), ("seed", 0)):
             require_int(getattr(self, name), f"train.{name}", low=low)
-        if not all(map(math.isfinite, (self.lr_initial, self.lr_after, self.init_bound))):
-            raise ConfigurationError("lr_initial, lr_after and init_bound must be finite")
-        if self.lr_initial <= 0 or self.lr_after <= 0:
-            raise ConfigurationError("learning rates must be > 0")
-        if self.lr_switch_epoch > self.epochs:
-            raise ConfigurationError("lr_switch_epoch must be <= epochs")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError("dropout rate must be in [0, 1)")
+        require_int(self.lr_switch_epoch, "train.lr_switch_epoch", high=self.epochs)
+        # hidden_dim and peephole are the config file's [model] section
+        require_int(self.hidden_dim, "model.hidden_dim", low=1)
+        require_real(self.lr_initial, "train.lr_initial", above=0)
+        require_real(self.lr_after, "train.lr_after", above=0)
+        require_real(self.init_bound, "train.init_bound")
+        require_real(self.dropout_rate, "train.dropout_rate", low=0, below=1)
         if self.peephole not in PEEPHOLE_MODES:
-            raise ConfigurationError(f"unknown peephole mode {self.peephole!r}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ConfigurationError(f"unknown model.peephole {self.peephole!r}")
+        if self.clip_norm is not None:
             # a clip norm <= 0 would scale every step by 0 or flip its sign
-            raise ConfigurationError("clip_norm must be > 0, or None for no clipping")
+            require_real(self.clip_norm, "train.clip_norm", above=0)
 
 
 @dataclass
@@ -545,8 +542,7 @@ def grad_check(
     """
     require_int(subseq_len, "subseq_len", low=1)
     require_int(seed, "seed", low=0)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigurationError(f"eps must be finite and > 0, got {eps}")
+    require_real(eps, "eps", above=0)
     rng = np.random.default_rng(seed)
     model = init_model(
         input_dim, hidden_dim, num_classes, rng.integers(2**63),

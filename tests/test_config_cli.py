@@ -122,7 +122,7 @@ def test_config_rejects_non_finite_ranksvm_C(C):
     ("init_bound", float("nan")), ("init_bound", float("inf")),
 ], ids=["lr_initial-nan", "lr_after-inf", "lr_initial--inf", "init_bound-nan", "init_bound-inf"])
 def test_config_rejects_non_finite_train_values(name, value):
-    message = "lr_initial, lr_after and init_bound must be finite"
+    message = f"train.{name} must be finite"
     with pytest.raises(ConfigurationError, match=message):
         rf.TrainConfig(**{name: value}).validate()
     cfg = rf.desk_scale()
@@ -140,8 +140,10 @@ def _api_calls():
     loader would refuse, each with the argument its error must name."""
     frames = [rf.RawImage(2, 2, np.zeros((2, 2, 3))) for _ in range(4)]
     calls = {f"train-{name}": (lambda name=name: rf.train([], rf.TrainConfig(**{name: 1.5})),
-                               f"train.{name}")
-             for name in ("seed", "epochs", "batch_size", "hidden_dim", "subseq_len")}
+                               f"{section}.{name}")
+             for section, name in (("train", "seed"), ("train", "epochs"),
+                                   ("train", "batch_size"), ("model", "hidden_dim"),
+                                   ("train", "subseq_len"))}
     calls.update({
         "aggregation-K": (lambda: rf.embed_sequence(rf.init_model(2, 2, 2, 0), np.ones((4, 2)),
                                                     rf.AggregationConfig(3, 2.5, 0)),
@@ -508,7 +510,7 @@ def test_cli_eval_rejects_bad_sweep_level(pipeline, tmp_path, capsys, monkeypatc
     ("synth", "synthetic", "camera_gain", [1.0, 1.0], "camera_gain must be 3 finite values"),
     ("synth", "synthetic", "camera_offset", [0.1], "camera_offset must be 3 finite values"),
     ("synth", "synthetic", "camera_gain", [1.0, float("nan"), 1.0],
-     "camera_gain must be 3 finite values"),
+     "camera_gain[1] must be finite, got nan"),
     ("synth", "synthetic", "appearance_seed", -1, "synthetic.appearance_seed must be >= 0"),
     ("synth", "synthetic", "jitter", -0.1, "jitter must be finite and >= 0"),
     ("synth", "synthetic", "jitter", float("inf"), "jitter must be finite and >= 0"),
@@ -533,7 +535,7 @@ def test_cli_rejects_bad_seed_or_synthetic_value(
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
     assert list(run.iterdir()) == []
-    with pytest.raises(ConfigurationError, match=message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         rf.config_from_dict(data)
 
 
@@ -541,13 +543,13 @@ def test_cli_rejects_bad_seed_or_synthetic_value(
 # math.isfinite, and an image width of 2**62 or 2**63 reached numpy as an
 # array too big or a non-integer index
 @pytest.mark.parametrize("section,key,value,message", [
-    ("matching", "ranksvm_C", 10**400, r"\[matching\] ranksvm_C is out of range"),
-    ("train", "lr_initial", 10**400, r"\[train\] lr_initial is out of range"),
-    ("synthetic", "jitter", 10**400, r"\[synthetic\] jitter is out of range"),
+    ("matching", "ranksvm_C", 10**400, r"matching\.ranksvm_C is out of range"),
+    ("train", "lr_initial", 10**400, r"train\.lr_initial is out of range"),
+    ("synthetic", "jitter", 10**400, r"synthetic\.jitter is out of range"),
     ("synthetic", "camera_gain", [1.0, -10**400, 1.0],
-     r"\[synthetic\] camera_gain is out of range"),
+     r"synthetic\.camera_gain is out of range"),
     ("image", "width", 2**62, r"\[image\] a 4611686018427387904x32 frame is larger"),
-    ("image", "width", 2**63, r"\[image\] width is out of range"),
+    ("image", "width", 2**63, r"image\.width is out of range"),
     ("synthetic", "num_persons", 2**62, r"\[synthetic\] \d+ frames of 16x32 are larger"),
 ], ids=["C-1e400", "lr-1e400", "jitter-1e400", "gain-minus-1e400", "width-2e62", "width-2e63",
         "persons-2e62"])
@@ -682,17 +684,17 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("image", 5, r"\[image\] must be a JSON object"),
     ("train", [1], r"\[train\] must be a JSON object"),
     ("grid", None, r"\[grid\] must be a JSON object"),
-    ("image", {"width": "a"}, r"\[image\] width must be int"),
-    ("train", {"epochs": "x"}, r"\[train\] epochs must be int"),
-    ("train", {"clip_norm": True}, r"\[train\] clip_norm must be float \| None"),
-    ("model", {"peephole": 1}, r"\[model\] peephole must be str"),
-    ("matching", {"ranksvm_C": "high"}, r"\[matching\] ranksvm_C must be float"),
+    ("image", {"width": "a"}, r"image\.width must be an integer, got 'a'"),
+    ("train", {"epochs": "x"}, r"train\.epochs must be an integer, got 'x'"),
+    ("train", {"clip_norm": True}, r"train\.clip_norm must be finite and > 0, got True"),
+    ("model", {"peephole": 1}, r"unknown model\.peephole 1"),
+    ("matching", {"ranksvm_C": "high"}, r"matching\.ranksvm_C must be finite and > 0, got 'high'"),
     ("experiment", {"noise_levels": [0.1, "x"]},
-     r"\[experiment\] noise_levels must be tuple\[float, \.\.\.\]"),
-    ("experiment", {"depths": [1.5]}, r"\[experiment\] depths must be tuple\[int, \.\.\.\] \| None"),
+     r"each of experiment\.noise_levels must be finite and >= 0 and <= 1, got 'x'"),
+    ("experiment", {"depths": [1.5]}, r"each of experiment\.depths must be an integer, got 1\.5"),
     ("matching", {"ranksvm_X": 1}, r"unknown keys in \[matching\]"),
-    ("train", {"clip_norm": -1.0}, r"clip_norm must be > 0"),
-    ("train", {"clip_norm": 0}, r"clip_norm must be > 0"),
+    ("train", {"clip_norm": -1.0}, r"train\.clip_norm must be finite and > 0, got -1\.0"),
+    ("train", {"clip_norm": 0}, r"train\.clip_norm must be finite and > 0, got 0"),
     ("grid", {"lbp_bins": 256}, r"unknown keys in \[grid\]"),
     ("matching", {"ranksvm_seed": 0}, r"unknown keys in \[matching\]"),
     ("train", {"loss_mode": "per_timestep"}, r"unknown keys in \[train\]"),

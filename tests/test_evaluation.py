@@ -200,7 +200,7 @@ def test_negative_seed_is_a_data_error(call):
     ("jitter", -1.0, "jitter must be finite and >= 0, got -1.0"),
     ("jitter", float("nan"), "jitter must be finite and >= 0, got nan"),
     ("camera_gain", (1.0, 1.0), r"camera_gain must be 3 finite values, got \(1.0, 1.0\)"),
-    ("camera_offset", (0.0, float("inf"), 0.0), "camera_offset must be 3 finite values"),
+    ("camera_offset", (0.0, float("inf"), 0.0), r"camera_offset\[1\] must be finite, got inf"),
     ("noise_pool_size", -1, "noise_pool_size must be >= 0, got -1"),
 ], ids=["jitter-negative", "jitter-nan", "gain-2", "offset-inf", "pool-negative"])
 def test_generate_synthetic_rejects_bad_argument(argument, value, message):
@@ -495,9 +495,9 @@ def _grid_assigned(**fields):
 
 # configs built in code, which the JSON loader's type checks never see
 @pytest.mark.parametrize("overrides,key", [
-    ({"scorer": "ranksvm", "ranksvm_iters": 2.5}, "ranksvm_iters"),
-    ({"scorer": "ranksvm", "ranksvm_iters": True}, "ranksvm_iters"),
-    ({"scorer": "ranksvm", "ranksvm_C": True}, "ranksvm_C"),
+    ({"scorer": "ranksvm", "ranksvm_iters": 2.5}, "matching.ranksvm_iters"),
+    ({"scorer": "ranksvm", "ranksvm_iters": True}, "matching.ranksvm_iters"),
+    ({"scorer": "ranksvm", "ranksvm_C": True}, "matching.ranksvm_C"),
     ({"image_w": 16.0}, "image.width"),
     ({"image_h": 32.0}, "image.height"),
     ({"grid": _grid_assigned(stride_h=True)}, "grid.stride_h"),

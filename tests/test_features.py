@@ -318,7 +318,7 @@ def test_feature_is_pure(rng):
 
 
 def test_patch_without_interior_rejected():
-    with pytest.raises(ConfigurationError, match="interior"):
+    with pytest.raises(ConfigurationError, match=r"^grid\.patch_h must be >= 3, got 2$"):
         rf.PatchGridSpec(2, 4, 2, 2)
 
 
@@ -326,7 +326,7 @@ def test_patch_assigned_without_interior_rejected_before_describing():
     grid = rf.PatchGridSpec(8, 4, 4, 2)
     grid.patch_w = 2
     img = rf.RawImage(16, 32, np.zeros((32, 16, 3), np.uint8))
-    with pytest.raises(ConfigurationError, match="interior"):
+    with pytest.raises(ConfigurationError, match=r"^grid\.patch_w must be >= 3, got 2$"):
         rf.describe_frames([img], grid, 16, 32)
 
 

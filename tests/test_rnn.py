@@ -619,7 +619,7 @@ def _rnn_bad_inputs():
                             ConfigurationError, "dropout"),
         "backward-trace": (lambda: rf.backward(zero_model(D=4), trace), DataError, "trace"),
         "train-lr": (lambda: rf.TrainConfig(lr_initial=0.0).validate(), ConfigurationError,
-                     "learning rates"),
+                     "train.lr_initial must be finite and > 0"),
         "train-lr-switch": (lambda: rf.TrainConfig(epochs=10, lr_switch_epoch=11).validate(),
                             ConfigurationError, "lr_switch_epoch"),
         "train-dropout": (lambda: rf.TrainConfig(dropout_rate=1.0).validate(),
