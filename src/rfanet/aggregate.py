@@ -2,8 +2,9 @@
 
 A subsequence of L frames maps to the concatenation of its L hidden states
 (dimension H*L); a full sequence maps to the element-wise mean over K
-randomly sampled length-L windows. Per-depth embeddings expose the t-th
-node's output for the fusion-depth analysis.
+randomly sampled length-L windows. The fusion-depth analysis reads the t-th
+node's output: the depth-t embedding is the t-th H-block of the full one,
+``values[(t-1)*H : t*H]``, the mean of h_t over the same K windows.
 
 ``embed_projected`` is the one embedding call. It embeds sequences keyed by
 (source_id, camera) from input pre-activations that were projected
@@ -19,11 +20,12 @@ the windows and the values that the commands give it.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, is_integer, require_int
+from .errors import ConfigurationError, DataError, FormatError, is_integer, require_int
 from .fileio import atomic_write
 from .matching import _embedding_matrix, _embedding_row
 from .rnn import lstm_step, project
@@ -38,8 +40,15 @@ class AggregationConfig:
     seed: int = 0
 
     def validate(self):
-        for name, low in (("subseq_len", 1), ("num_subsequences", 1), ("seed", 0)):
+        for name, low in (("subseq_len", 1), ("seed", 0)):
             require_int(getattr(self, name), f"aggregation.{name}", low=low)
+        require_window_count(self.num_subsequences, "aggregation.num_subsequences")
+
+
+def require_window_count(value, name, error=ConfigurationError):
+    """The rule of a window count K: an integer >= 1 whose K int64 window
+    starts fit in one array, which numpy caps at sys.maxsize bytes."""
+    require_int(value, name, error, low=1, high=sys.maxsize // 8)
 
 
 @dataclass
@@ -66,7 +75,9 @@ def _unroll(model, ax):
 
 
 def sample_starts(num_frames, subseq_len, num_subsequences, seed):
-    """K start indices drawn uniformly from [0, T-L] with replacement."""
+    """K start indices drawn uniformly from [0, T-L] with replacement. The
+    first k of them are the k starts of the same seed, for any k <= K."""
+    require_window_count(num_subsequences, "num_subsequences", DataError)
     if num_frames < subseq_len:
         raise DataError(f"sequence of {num_frames} frames is shorter than L={subseq_len}")
     rng = np.random.default_rng(seed)
@@ -87,7 +98,7 @@ def _derive_seed(*parts):
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
-def embed_projected(model, ax, rows, cfg, depth=None):
+def embed_projected(model, ax, rows, cfg):
     """Embeddings of many sequences from pre-activations projected beforehand.
 
     ``ax`` (N, 4H) holds ``project`` output, and ``rows`` maps each sequence's
@@ -98,15 +109,13 @@ def embed_projected(model, ax, rows, cfg, depth=None):
     of whole sequences of at most ``_WINDOW_BLOCK`` gathered values.
 
     Returns one SequenceEmbedding per key, in key order: the mean of the K
-    window embeddings (H*L), or with ``depth`` in 1..L the mean of h_depth
-    over the same windows (H). They equal each sequence embedded alone, bit
-    for bit, unless a batch holds a single window: numpy computes a one-row
-    product as a matrix-vector product, whose sums can differ in the last bit.
+    window embeddings (H*L), whose t-th H-block is the depth-t embedding.
+    They equal each sequence embedded alone, bit for bit, unless a batch
+    holds a single window: numpy computes a one-row product as a
+    matrix-vector product, whose sums can differ in the last bit.
     """
     cfg.validate()
     L, K = cfg.subseq_len, cfg.num_subsequences
-    if depth is not None:
-        require_int(depth, "depth", DataError, low=1, high=L)
     if not isinstance(rows, dict):
         raise DataError(f"rows must be a dict of (source_id, camera) keys, "
                         f"not a {type(rows).__name__}")
@@ -122,13 +131,12 @@ def embed_projected(model, ax, rows, cfg, depth=None):
                             f"ax's {len(ax)} rows")
         starts = sample_starts(len(r), L, K, _derive_seed(cfg.seed, *key))
         windows.append(r[starts[:, None] + np.arange(L)])
-    out = np.empty((len(rows), H * L if depth is None else H))
+    out = np.empty((len(rows), H * L))
     batch = max(1, _WINDOW_BLOCK // (K * L * 4 * H))  # whole sequences per recurrence
     for start in range(0, len(rows), batch):
         hs = _unroll(model, ax[np.concatenate(windows[start : start + batch])])
-        hs = hs.reshape(-1, K, L, H)
-        picked = hs.reshape(len(hs), K, L * H) if depth is None else hs[:, :, depth - 1]
-        out[start : start + len(hs)] = picked.mean(axis=1)
+        hs = hs.reshape(-1, K, L * H)
+        out[start : start + len(hs)] = hs.mean(axis=1)
     return [SequenceEmbedding(values, *key) for values, key in zip(out, rows)]
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .aggregate import AggregationConfig
 from .errors import ConfigurationError, DataError, require_int
 from .evaluation import ExperimentSpec, _check_synthetic_args
-from .features import PatchGridSpec
+from .features import PatchGridSpec, check_frame_size
 from .fileio import atomic_write
 from .matching import _check_ranksvm_args
 from .rnn import TrainConfig
@@ -77,11 +77,7 @@ class RunConfig:
                                                  f"in a config must be below 2**63 in magnitude")
         require_int(self.image_w, "image.width")
         require_int(self.image_h, "image.height")
-        if self.image_h * self.image_w * 7 * 8 > sys.maxsize:
-            # to_frame_tensor's seven float64 planes
-            raise ConfigurationError(
-                f"[image] a {self.image_w}x{self.image_h} frame is larger than any array"
-            )
+        _as_config_error("[image] ", check_frame_size, self.image_w, self.image_h)
         self.grid.validate_for(self.image_h, self.image_w)
         self.train.validate()
         self.agg.validate()

@@ -10,7 +10,9 @@ Camera a is the probe view, camera b the gallery view, throughout.
 after them). Training expands only each batch's rows; each trained model
 maps the store to gate pre-activations in blocks of rows
 (``project_store``), and one batched ``embed_projected`` call embeds both
-cameras of a split, keyed (pid, cam) in probe-then-gallery order. No
+cameras of a split, keyed (pid, cam) in probe-then-gallery order. A depth
+level is an H-block of that full embedding, so a depth sweep embeds each
+split once per trial and reads every level from it. No
 float64 matrix of every frame is built. A noisy test sequence is a list of
 row indices, the pool rows spliced in where ``inject_noise`` puts them, so
 no descriptor is copied or described again.
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import _derive_seed, embed_projected
+from .aggregate import SequenceEmbedding, _derive_seed, embed_projected, require_window_count
 from .errors import (ConfigurationError, DataError, FormatError, is_integer, require_int,
                      require_real)
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
@@ -155,6 +157,9 @@ def _read_frame(path, owner):
         raise DataError(f"{owner}: cannot read frame {str(path)!r}: the path has a NUL byte")
     try:
         return read_image(path)
+    except UnicodeEncodeError as exc:  # a lone surrogate, such as the JSON escape \ud800
+        raise DataError(f"{owner}: cannot read frame {str(path)!r}: the path has a character "
+                        f"the file system cannot encode") from exc
     except OSError as exc:
         raise DataError(f"{owner}: cannot read frame {path}: {exc.strerror or exc}") from exc
     except FormatError as exc:
@@ -376,7 +381,7 @@ class ExperimentSpec:
             require_int(getattr(self, name), f"experiment.{name}", low=low)
         for name, check, bounds in (("noise_levels", require_real, {"low": 0, "high": 1}),
                                     ("depths", require_int, {"low": 1, "high": L}),
-                                    ("subseq_counts", require_int, {"low": 1})):
+                                    ("subseq_counts", require_window_count, {})):
             levels = getattr(self, name)
             if levels is None and name == "depths":
                 continue  # the default depths
@@ -503,6 +508,20 @@ def run_experiment(dataset, run_config, experiment=None):
 
         t1 = time.perf_counter()
         ax = project_store(model, store)
+        full = {}  # a depth sweep's full embeddings, one per id set
+
+        def embed(ids, level_rows, agg_cfg, depth):
+            """Both cameras of the persons ``ids``, keyed (pid, cam) in
+            probe-then-gallery order. A depth level is the depth-th H-block of
+            the full embedding, so a depth sweep embeds each id set once."""
+            seqs = {(pid, cam): level_rows[(pid, cam)] for pid in ids for cam in (0, 1)}
+            if depth is None:
+                return embed_projected(model, ax, seqs, agg_cfg)
+            if ids not in full:
+                full[ids] = embed_projected(model, ax, seqs, agg_cfg)
+            block = slice((depth - 1) * model.hidden_dim, depth * model.hidden_dim)
+            return [SequenceEmbedding(e.values[block], e.source_id, e.camera) for e in full[ids]]
+
         # a RankSVM fit depends on the window count and the depth only, so
         # standard and noise sweeps fit once per trial, the others per level
         scorers = {}
@@ -520,13 +539,11 @@ def run_experiment(dataset, run_config, experiment=None):
                             inject_noise(rows[(pid, cam)], level, pool_rows, seed))
             key = (agg_cfg.num_subsequences, depth)
             if rc.scorer == "ranksvm" and key not in scorers:
-                seqs = {(pid, cam): rows[(pid, cam)] for pid in split.train_ids for cam in (0, 1)}
-                embs = embed_projected(model, ax, seqs, agg_cfg, depth)
+                embs = embed(split.train_ids, rows, agg_cfg, depth)
                 svm = train_ranksvm(embs[0::2], embs[1::2], C=rc.ranksvm_C,
                                     iters=rc.ranksvm_iters)
                 scorers[key] = RankSvmScorer(svm)
-            seqs = {(pid, cam): level_rows[(pid, cam)] for pid in split.test_ids for cam in (0, 1)}
-            embs = embed_projected(model, ax, seqs, agg_cfg, depth)
+            embs = embed(split.test_ids, level_rows, agg_cfg, depth)
             curves[level].append(compute_cmc(embs[0::2], embs[1::2], scorers.get(key, "cosine")))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train

@@ -27,6 +27,7 @@ whole (..., 3) pixels and summing every row.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -168,6 +169,13 @@ def encode_ppm(img):
 # resize and color conversion
 # ---------------------------------------------------------------------------
 
+def check_frame_size(width, height):
+    """The size rule of a frame: its seven float64 planes (``to_frame_tensor``)
+    fit in one array, which numpy caps at sys.maxsize bytes."""
+    if width * height * 7 * 8 > sys.maxsize:
+        raise DataError(f"a {width}x{height} frame is larger than any array")
+
+
 def resize_bilinear(img, out_w, out_h):
     """Bilinear resize with half-pixel-centered sampling, per channel.
 
@@ -178,6 +186,7 @@ def resize_bilinear(img, out_w, out_h):
     """
     require_int(out_w, "out_w", DataError, low=1)
     require_int(out_h, "out_h", DataError, low=1)
+    check_frame_size(out_w, out_h)
     pixels = img.pixels if isinstance(img, RawImage) else img
     height, width = pixels.shape[-3:-1]
     if (height, width) == (out_h, out_w):
@@ -442,6 +451,7 @@ def describe_frames(images, grid, frame_w=64, frame_h=128):
     """
     require_int(frame_w, "frame_w", DataError, low=1)
     require_int(frame_h, "frame_h", DataError, low=1)
+    check_frame_size(frame_w, frame_h)
     patches = grid.num_patches(frame_h, frame_w)
     codes = np.empty((len(images), (frame_h - 2) * (frame_w - 2)), np.uint8)
     color = np.empty((len(images), patches, 6))

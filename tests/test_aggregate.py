@@ -97,28 +97,26 @@ def test_mean_over_sampled_windows(model, rng):
     assert emb.source_id == 6 and emb.camera == 1
 
 
-def _embed_at_depth(model, xs, depth, cfg, key=(-1, 0)):
-    """One sequence's mean h_depth, through the batched embedding."""
-    return embed_projected(model, rf.project(model, xs), {key: np.arange(len(xs))}, cfg,
-                           depth)[0].values
-
-
 def test_depth_slices_full_embedding(model, rng):
+    # the depth-t embedding, the t-th H-block of the full one, is the mean of
+    # h_t over the K windows
     xs = rng.standard_normal((9, 4))
-    cfg = rf.AggregationConfig(4, 5, seed=3)
-    full = rf.embed_sequence(model, xs, cfg).values.reshape(4, 3)
+    full = rf.embed_sequence(model, xs, rf.AggregationConfig(4, 5, seed=3)).values
+    starts = sample_starts(9, 4, 5, _derive_seed(3, -1, 0))
+    hs = np.array([_unroll(model, rf.project(model, xs[s : s + 4])) for s in starts])
     for depth in range(1, 5):
-        assert _embed_at_depth(model, xs, depth, cfg) == pytest.approx(
-            full[depth - 1], abs=1e-12
+        assert full[(depth - 1) * 3 : depth * 3] == pytest.approx(
+            hs[:, depth - 1].mean(axis=0), abs=1e-12
         )
 
 
-def test_depth_out_of_range(model, rng):
-    xs = rng.standard_normal((9, 4))
-    cfg = rf.AggregationConfig(4, 2, seed=0)
-    for bad in (0, 5):
-        with pytest.raises(DataError, match="depth"):
-            _embed_at_depth(model, xs, bad, cfg)
+@pytest.mark.parametrize("T,L,K", [(9, 4, 7), (30, 5, 15), (10, 10, 3), (2**33, 10, 12)])
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_sample_starts_prefix_is_fewer_windows(T, L, K, seed):
+    # a subseq sweep compares K windows with fewer: the first k of one draw
+    starts = sample_starts(T, L, K, seed)
+    for k in range(1, K):
+        assert np.array_equal(sample_starts(T, L, k, seed), starts[:k])
 
 
 @pytest.mark.parametrize("block", [aggregate._WINDOW_BLOCK, 1], ids=["one-batch", "per-sequence"])
@@ -142,11 +140,6 @@ def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
             assert got.values.shape == (12,)
             alone = rf.embed_sequence(model, xs, cfg, *key)  # each sequence alone
             assert got.values.tobytes() == alone.values.tobytes()
-        for depth in range(1, 5):
-            at_depth = embed_projected(model, ax, rows, cfg, depth)
-            for xs, key, got in zip(seqs, keys, at_depth):
-                assert got.values.tobytes() == _embed_at_depth(model, xs, depth, cfg,
-                                                               key).tobytes()
 
     # rows may be any rows of ax, in any order: a reversed sequence
     back = embed_projected(model, ax, {keys[0]: rows[keys[0]][::-1]}, cfg)[0]
@@ -157,8 +150,6 @@ def test_batched_embedding_matches_per_sequence(model, rng, monkeypatch, block):
 def test_batched_embedding_checks(model, rng):
     ax = rf.project(model, rng.standard_normal((8, 4)))
     rows, cfg = {(0, 0): np.arange(8)}, rf.AggregationConfig(3, 2)
-    with pytest.raises(DataError, match="depth"):
-        embed_projected(model, ax, rows, cfg, depth=4)
     with pytest.raises(DataError, match="shorter"):
         embed_projected(model, ax, {(0, 0): np.arange(2)}, cfg)
     assert embed_projected(model, ax, {}, cfg) == []

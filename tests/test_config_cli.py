@@ -632,6 +632,25 @@ def test_cli_config_too_large_for_memory(pipeline, tmp_path, capsys, command, se
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+# a window count whose K int64 window starts no array holds (2**62 is below
+# the 2**63 config range) is refused when the config is read, not in a draw
+@pytest.mark.parametrize("section,key,value,kind", [
+    ("experiment", "subseq_counts", [2**62], "subseq"),
+    ("aggregation", "num_subsequences", 2**62, "standard"),
+], ids=["subseq_counts", "num_subsequences"])
+def test_cli_eval_refuses_window_count_no_array_holds(pipeline, tmp_path, capsys, section, key,
+                                                      value, kind):
+    cfg = tiny_config_dict(manifest=str(pipeline["data"] / "manifest.json"),
+                           out_dir=str(tmp_path / "out"))
+    cfg["experiment"]["kind"] = kind
+    cfg[section][key] = value
+    assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section}.{key} must be <= " in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_cli_gradcheck_too_large_for_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["gradcheck", "--n", str(10**14)]) == 2  # W_y alone is 2.84 PiB

@@ -789,6 +789,31 @@ def test_sweep_report_golden_digest(sweep_dataset, tmp_path, monkeypatch, scorer
     assert len(fits) == (ex.trials * per_trial if scorer == "ranksvm" else 0)
 
 
+@pytest.mark.parametrize("scorer", ["cosine", "ranksvm"])
+def test_depth_sweep_embeds_each_sequence_set_once_per_trial(sweep_dataset, monkeypatch,
+                                                              scorer):
+    # a depth level is an H-block of the full embedding, so each trial embeds
+    # its test sequences once, and its training sequences once for the RankSVM
+    calls = []
+
+    def counting_embed(model, ax, rows, cfg):
+        calls.append(tuple(sorted({pid for pid, _ in rows})))
+        return embed_projected(model, ax, rows, cfg)
+
+    monkeypatch.setattr(evaluation, "embed_projected", counting_embed)
+    cfg = _tiny_config()
+    cfg.scorer = scorer
+    cfg.ranksvm_iters = 20
+    ex = rf.ExperimentSpec(kind="depth", trials=2, master_seed=0, depths=(1, 2, 3, 4, 5))
+    report = rf.run_experiment(sweep_dataset, cfg, ex)
+    expected = []
+    for split in make_splits(sweep_dataset.ids(), ex.trials, ex.master_seed):
+        expected += [split.train_ids] if scorer == "ranksvm" else []
+        expected.append(split.test_ids)
+    assert calls == expected
+    assert all(len(report.curves[depth]) == ex.trials for depth in ex.depths)
+
+
 def _manifest(tmp_path, document):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(document))

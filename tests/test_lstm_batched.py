@@ -181,13 +181,11 @@ def test_embeddings_match_per_window_mean():
     p = _plain(model)
     starts = sample_starts(11, L, 6, _derive_seed(9, 4, 1))
     windows = np.array([ref.hidden_states(p, frames[s : s + L]) for s in starts])
-    np.testing.assert_allclose(rf.embed_sequence(model, frames, cfg, 4, 1).values,
-                               windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
-    for depth in range(1, L + 1):
-        at_depth = rf.embed_projected(model, rf.project(model, frames), {(4, 1): np.arange(11)},
-                                      cfg, depth)[0].values
-        np.testing.assert_allclose(at_depth, windows[:, depth - 1].mean(axis=0),
-                                   rtol=RTOL, atol=0)
+    emb = rf.embed_sequence(model, frames, cfg, 4, 1).values
+    np.testing.assert_allclose(emb, windows.reshape(6, -1).mean(axis=0), rtol=RTOL, atol=0)
+    for depth in range(1, L + 1):  # the depth-t embedding is the t-th H-block
+        np.testing.assert_allclose(emb[(depth - 1) * H : depth * H],
+                                   windows[:, depth - 1].mean(axis=0), rtol=RTOL, atol=0)
 
 
 # ---------------------------------------------------------------------------

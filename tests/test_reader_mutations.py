@@ -1,5 +1,5 @@
-"""Seeded mutations of valid PPM (P6) and PGM (P5) frames and RFANET01 and
-RFAEMB1 files.
+"""Seeded mutations of valid PPM (P6) and PGM (P5) frames, RFANET01 and
+RFAEMB1 files and a dataset manifest.
 
 Each mutant is the valid file with a few bytes flipped, cut short at some
 byte, or with a few random bytes inserted; about half of the flips land in
@@ -86,6 +86,18 @@ def _embedding_file(path):
     return data, pinned
 
 
+def _manifest_file(path):
+    # the frames next to the manifest, where the mutants' paths lead
+    dataset = rf.generate_synthetic(3, 2, width=4, height=6, noise_pool_size=2)
+    data = rf.save_dataset(dataset, path.parent).read_bytes()
+    first = b'"p0000/cam_a/frame_0000.ppm"'
+    pinned = [(data.replace(first, b'"noise/frame_0001.ppm"'), True),  # another frame
+              (data.replace(first, b'"\\u0000"'), False),  # open() refuses a NUL
+              # a lone surrogate, which open() cannot encode
+              (data.replace(first, b'"\\ud800"'), False)]
+    return data, pinned
+
+
 def _loads(read, path):
     """True when ``read`` loads ``path``, False when it raises an RfaError;
     any other exception, and any warning, propagates."""
@@ -103,7 +115,8 @@ def _loads(read, path):
     (lambda path: _pnm_file(path, b"P5"), rf.read_image, 6004),
     (_model_file, rf.load_model, 6001),
     (_embedding_file, rf.read_embeddings, 6002),
-], ids=["PPM", "PGM", "RFANET01", "RFAEMB1"])
+    (_manifest_file, rf.load_dataset, 6005),
+], ids=["PPM", "PGM", "RFANET01", "RFAEMB1", "manifest"])
 def test_mutated_file_loads_or_is_an_rfa_error(tmp_path, build, read, seed):
     path = tmp_path / "valid"
     data, pinned = build(path)

@@ -11,14 +11,17 @@ through the CLI.
 
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
 
 import rfanet as rf
+from rfanet.aggregate import sample_starts
 from rfanet.cli import main
 from rfanet.config import _LAYOUT
 from rfanet.errors import ConfigurationError, RfaError
+from rfanet.features import check_frame_size
 
 # each of the JSON value kinds, wrong for most keys, and numbers no float holds
 BAD_VALUES = {
@@ -69,7 +72,6 @@ def _entry_points():
     frames = [rf.RawImage(16, 32, np.zeros((32, 16, 3))) for _ in range(2)]
     grid = rf.PatchGridSpec(8, 4, 4, 2)
     probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    agg = rf.AggregationConfig(2, 2, 0)
     ax = rf.project(model, np.ones((4, 3)))
     calls = {
         "init_model-init_bound": lambda v: rf.init_model(3, 2, 2, 0, init_bound=v),
@@ -79,8 +81,9 @@ def _entry_points():
         "grad_check-eps": lambda v: rf.grad_check(eps=v),
         "train_ranksvm-C": lambda v: rf.train_ranksvm(probes, probes, C=v, iters=1),
         "inject_noise-fraction": lambda v: rf.inject_noise(frames, v, frames, 0),
-        "embed_projected-depth": lambda v: rf.embed_projected(model, ax, {(0, 0): range(4)},
-                                                              agg, depth=v),
+        "embed_projected-num_subsequences": lambda v: rf.embed_projected(
+            model, ax, {(0, 0): range(4)}, rf.AggregationConfig(2, v, 0)),
+        "sample_starts-num_subsequences": lambda v: sample_starts(4, 2, v, 0),
         "resize_bilinear-out_w": lambda v: rf.resize_bilinear(frames[0], v, 4),
         "resize_bilinear-out_h": lambda v: rf.resize_bilinear(frames[0], 4, v),
         "describe_frames-frame_w": lambda v: rf.describe_frames(frames, grid, v, 32),
@@ -99,14 +102,9 @@ def _entry_points():
             lambda v, name=name: rf.ExperimentSpec("depth", **{name: v}).validate(5))
         calls[f"ExperimentSpec-{name}-level"] = (
             lambda v, name=name: rf.ExperimentSpec("depth", **{name: (v,)}).validate(5))
-    # a 401-digit integer is a size or count that require_int takes: a frame
-    # or window count no array can hold is a RunConfig rule
-    valid = {"TrainConfig-clip_norm": {"null"}, "embed_projected-depth": {"null"},
-             "ExperimentSpec-noise_levels": {"list"}, "ExperimentSpec-depths": {"null", "list"},
-             "ExperimentSpec-subseq_counts": {"list"},
-             "ExperimentSpec-subseq_counts-level": {"401-digits"},
-             "paths-manifest": {"str", "null"},
-             **{name: {"401-digits"} for name in calls if name.startswith(("resize", "describe"))}}
+    valid = {"TrainConfig-clip_norm": {"null"}, "ExperimentSpec-noise_levels": {"list"},
+             "ExperimentSpec-depths": {"null", "list"}, "ExperimentSpec-subseq_counts": {"list"},
+             "paths-manifest": {"str", "null"}}
     return [(name, kind, call) for name, call in calls.items()
             for kind in BAD_VALUES if kind not in valid.get(name, ())]
 
@@ -128,6 +126,32 @@ def test_python_api_refuses_a_scalar_gain_and_an_unrepresentable_C():
     probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     with pytest.raises(rf.DataError, match=r"^C must be finite and > 0, got 1000"):
         rf.train_ranksvm(probes, probes, C=10**400)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: rf.resize_bilinear(rf.RawImage(2, 2, np.zeros((2, 2, 3))), 10**40, 4), rf.DataError,
+     f"a {10**40}x4 frame is larger than any array"),
+    (lambda: rf.describe_frames([], rf.PatchGridSpec(8, 4, 4, 2), 16, 2**62), rf.DataError,
+     f"a 16x{2**62} frame is larger than any array"),
+    (lambda: sample_starts(10, 5, 2**62, 0), rf.DataError,
+     f"num_subsequences must be <= {sys.maxsize // 8}, got {2**62}"),
+    (lambda: rf.AggregationConfig(5, 2**62).validate(), ConfigurationError,
+     f"aggregation.num_subsequences must be <= {sys.maxsize // 8}, got {2**62}"),
+    (lambda: rf.ExperimentSpec("subseq", subseq_counts=(2**62,)).validate(5),
+     ConfigurationError, f"each of experiment.subseq_counts must be <= {sys.maxsize // 8}"),
+], ids=["resize_bilinear", "describe_frames", "sample_starts",
+        "AggregationConfig", "ExperimentSpec-subseq_counts"])
+def test_sizes_and_counts_no_array_holds_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
+def test_frame_size_rule_bound():
+    # the seven float64 planes of the largest frame take sys.maxsize bytes at most
+    check_frame_size(1, sys.maxsize // 56)
+    with pytest.raises(rf.DataError, match="larger than any array"):
+        check_frame_size(1, sys.maxsize // 56 + 1)
 
 
 # JSON values a mutation puts in place of a key's value
