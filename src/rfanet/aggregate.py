@@ -6,15 +6,15 @@ randomly sampled length-L windows. The fusion-depth analysis reads the t-th
 node's output: the depth-t embedding is the t-th H-block of the full one,
 ``values[(t-1)*H : t*H]``, the mean of h_t over the same K windows.
 
-``embed_projected`` is the one embedding call. It embeds sequences keyed by
-(source_id, camera) from input pre-activations that were projected
-beforehand (one ``project`` GEMM per model over every frame of a dataset),
-and draws each sequence's K windows from a seed derived from the
-aggregation seed and its key. The windows of every sequence run through the
-LSTM recurrence as one batch, so each step is one GEMM over all windows.
-Every command embeds through it, in the one dataset pass of ``evaluation``;
-``embed_sequence`` is its one-key case, so a sequence embedded alone gets
-the windows and the values that the commands give it.
+``_window_means`` is the one embedding path. It embeds sequences keyed by
+(source_id, camera) from input pre-activations projected beforehand (one
+``project`` GEMM per model over every frame of a dataset), draws each
+sequence's windows from a seed derived from the aggregation seed and its
+key, and runs the windows of every sequence through the LSTM recurrence as
+one batch, so each step is one GEMM over all windows. The mean of the first
+k windows is the embedding of a draw of k, so one draw serves every count.
+``embed_projected``, through which every command embeds, is its one-count
+case, and ``embed_sequence`` the one-key case of that.
 """
 
 from __future__ import annotations
@@ -98,24 +98,13 @@ def _derive_seed(*parts):
     return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
-def embed_projected(model, ax, rows, cfg):
-    """Embeddings of many sequences from pre-activations projected beforehand.
-
-    ``ax`` (N, 4H) holds ``project`` output, and ``rows`` maps each sequence's
-    (source_id, camera) key to the rows of ``ax`` that hold its frames, in
-    time order. Its ``cfg.num_subsequences`` windows of ``cfg.subseq_len``
-    frames are drawn from ``_derive_seed(cfg.seed, source_id, camera)``. The
-    windows of every sequence run through the recurrence together, in batches
-    of whole sequences of at most ``_WINDOW_BLOCK`` gathered values.
-
-    Returns one SequenceEmbedding per key, in key order: the mean of the K
-    window embeddings (H*L), whose t-th H-block is the depth-t embedding.
-    They equal each sequence embedded alone, bit for bit, unless a batch
-    holds a single window: numpy computes a one-row product as a
-    matrix-vector product, whose sums can differ in the last bit.
-    """
+def _window_means(model, ax, rows, cfg, counts):
+    """(len(counts), n, H*L): for each k in ``counts``, the mean of the first k
+    of one draw of max(counts) windows of each sequence of ``rows``, in key
+    order. The windows of every sequence run through the recurrence together,
+    in batches of whole sequences of at most ``_WINDOW_BLOCK`` gathered values."""
     cfg.validate()
-    L, K = cfg.subseq_len, cfg.num_subsequences
+    L, K = cfg.subseq_len, max(counts)
     if not isinstance(rows, dict):
         raise DataError(f"rows must be a dict of (source_id, camera) keys, "
                         f"not a {type(rows).__name__}")
@@ -131,13 +120,34 @@ def embed_projected(model, ax, rows, cfg):
                             f"ax's {len(ax)} rows")
         starts = sample_starts(len(r), L, K, _derive_seed(cfg.seed, *key))
         windows.append(r[starts[:, None] + np.arange(L)])
-    out = np.empty((len(rows), H * L))
+    out = np.empty((len(counts), len(rows), H * L))
     batch = max(1, _WINDOW_BLOCK // (K * L * 4 * H))  # whole sequences per recurrence
     for start in range(0, len(rows), batch):
-        hs = _unroll(model, ax[np.concatenate(windows[start : start + batch])])
-        hs = hs.reshape(-1, K, L * H)
-        out[start : start + len(hs)] = hs.mean(axis=1)
-    return [SequenceEmbedding(values, *key) for values, key in zip(out, rows)]
+        hs = _unroll(model, ax[np.concatenate(windows[start : start + batch])]).reshape(-1, K, L * H)
+        for means, k in zip(out, counts):
+            means[start : start + len(hs)] = hs[:, :k].mean(axis=1)
+    return out
+
+
+def embed_projected(model, ax, rows, cfg):
+    """Embeddings of many sequences from pre-activations projected beforehand.
+
+    ``ax`` (N, 4H) holds ``project`` output, and ``rows`` maps each sequence's
+    (source_id, camera) key to the rows of ``ax`` that hold its frames, in
+    time order. Its ``cfg.num_subsequences`` windows of ``cfg.subseq_len``
+    frames are drawn from ``_derive_seed(cfg.seed, source_id, camera)``, and
+    run through the recurrence with those of every sequence (``_window_means``).
+
+    Returns one SequenceEmbedding per key, in key order: the mean of the K
+    window embeddings (H*L), whose t-th H-block is the depth-t embedding.
+    They are the sums of each sequence embedded alone, in the same order, but
+    over products of more rows. So they equal it bit for bit only where the
+    BLAS rounds a row of a product alike at any row count: OpenBLAS 0.3.31
+    does at H = 8, 16 and 512, not at H = 32 or 64 (up to 7e-18 apart), nor
+    for one row, which numpy computes as a matrix-vector product.
+    """
+    means = _window_means(model, ax, rows, cfg, [cfg.num_subsequences])[0]
+    return [SequenceEmbedding(values, *key) for values, key in zip(means, rows)]
 
 
 def embed_sequence(model, frames, cfg, source_id=-1, camera=0):

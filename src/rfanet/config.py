@@ -14,6 +14,7 @@ echoed into every report.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -109,6 +110,11 @@ class RunConfig:
                 raise ConfigurationError(f"paths.{key} must be a string or None, got {path!r}")
             if "\0" in (path or ""):
                 raise ConfigurationError(f"paths.{key} contains a NUL byte")
+            try:
+                os.fsencode(path or "")
+            except UnicodeEncodeError:  # a lone surrogate, such as the JSON escape \ud800
+                raise ConfigurationError(f"paths.{key} has a character the file system "
+                                         f"cannot encode") from None
         return self
 
     def to_dict(self):
@@ -226,6 +232,9 @@ def load_config(path):
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses a JSON integer of that many digits
+        raise ConfigurationError(f"config {path} has an integer of more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
     return config_from_dict(data)

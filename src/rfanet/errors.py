@@ -37,15 +37,28 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value, show=str):
+    """``show(value)``, but an integer with more digits than Python converts to
+    decimal (``sys.get_int_max_str_digits``) by its sign and bit length, and
+    a container of one by its type."""
+    try:
+        return show(value)
+    except ValueError:
+        if is_integer(value):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} integer of {abs(value).bit_length()} bits"
+        return f"a {type(value).__name__} with an integer too long to print"
+
+
 def require_int(value, name, error=ConfigurationError, low=None, high=None):
     """Raise ``error`` naming ``name`` unless ``value`` is an integer and, with
     ``low`` or ``high`` given, within them; each message starts with ``name``."""
     if not is_integer(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value, repr)}")
     if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {_shown(value)}")
     if high is not None and value > high:
-        raise error(f"{name} must be <= {high}, got {value}")
+        raise error(f"{name} must be <= {high}, got {_shown(value)}")
 
 
 def require_real(value, name, error=ConfigurationError, low=None, above=None, high=None,
@@ -59,4 +72,4 @@ def require_real(value, name, error=ConfigurationError, low=None, above=None, hi
             and (high is None or value <= high) and (below is None or value < below)):
         bounds = ((">=", low), (">", above), ("<=", high), ("<", below))
         rule = " and ".join(["finite", *(f"{s} {b}" for s, b in bounds if b is not None)])
-        raise error(f"{name} must be {rule}, got {value!r}")
+        raise error(f"{name} must be {rule}, got {_shown(value, repr)}")

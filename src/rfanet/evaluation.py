@@ -9,13 +9,15 @@ Camera a is the probe view, camera b the gallery view, throughout.
 ``DescriptorStore`` whose row ranges are the sequences (and the noise pool
 after them). Training expands only each batch's rows; each trained model
 maps the store to gate pre-activations in blocks of rows
-(``project_store``), and one batched ``embed_projected`` call embeds both
-cameras of a split, keyed (pid, cam) in probe-then-gallery order. A depth
-level is an H-block of that full embedding, so a depth sweep embeds each
-split once per trial and reads every level from it. No
-float64 matrix of every frame is built. A noisy test sequence is a list of
-row indices, the pool rows spliced in where ``inject_noise`` puts them, so
-no descriptor is copied or described again.
+(``project_store``), and one batched ``_window_means`` call (of which
+``embed_projected`` is the one-count case) embeds both cameras of a split,
+keyed (pid, cam) in probe-then-gallery order. Every depth and subseq level
+comes from one window draw per id set per trial: a subseq level k is the
+mean of the first k windows of a draw of max(levels), and a depth level t
+the t-th H-block of the mean of all K windows. A noise level embeds its own
+noisy rows. No float64 matrix of every frame is built. A noisy test
+sequence is a list of row indices, the pool rows spliced in where
+``inject_noise`` puts them, so no descriptor is copied or described again.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import SequenceEmbedding, _derive_seed, embed_projected, require_window_count
-from .errors import (ConfigurationError, DataError, FormatError, is_integer, require_int,
-                     require_real)
+from .aggregate import SequenceEmbedding, _derive_seed, _window_means, require_window_count
+from .errors import (ConfigurationError, DataError, FormatError, _shown, is_integer,
+                     require_int, require_real)
 from .features import DescriptorRows, RawImage, describe_frames, encode_ppm, read_image
 from .fileio import atomic_write, write_csv
 from .matching import RankSvmScorer, _embedding_matrix, bind_scorer, train_ranksvm
@@ -315,7 +317,7 @@ def _check_synthetic_args(num_persons, frames_per_camera, width, height, appeara
         require_int(value, name, DataError, low)
     for name, values in (("camera_gain", camera_gain), ("camera_offset", camera_offset)):
         if not (isinstance(values, (tuple, list, np.ndarray)) and len(values) == 3):
-            raise DataError(f"{name} must be 3 finite values, got {values!r}")
+            raise DataError(f"{name} must be 3 finite values, got {_shown(values, repr)}")
         for k, value in enumerate(values):
             require_real(value, f"{name}[{k}]", DataError)
     require_real(jitter, "jitter", DataError, low=0)
@@ -386,7 +388,8 @@ class ExperimentSpec:
             if levels is None and name == "depths":
                 continue  # the default depths
             if not isinstance(levels, (tuple, list)):
-                raise ConfigurationError(f"experiment.{name} must be a list, got {levels!r}")
+                raise ConfigurationError(f"experiment.{name} must be a list, "
+                                         f"got {_shown(levels, repr)}")
             for level in levels:
                 check(level, f"each of experiment.{name}", **bounds)
             # curves are keyed by level: a repeated level would merge two sweeps
@@ -508,26 +511,26 @@ def run_experiment(dataset, run_config, experiment=None):
 
         t1 = time.perf_counter()
         ax = project_store(model, store)
-        full = {}  # a depth sweep's full embeddings, one per id set
+        counts = levels if ex.kind == "subseq" else [rc.agg.num_subsequences]
+        means = {}  # each id set's window means, from one draw per trial
 
-        def embed(ids, level_rows, agg_cfg, depth):
-            """Both cameras of the persons ``ids``, keyed (pid, cam) in
-            probe-then-gallery order. A depth level is the depth-th H-block of
-            the full embedding, so a depth sweep embeds each id set once."""
+        def embed(ids, level_rows, level):
+            """Both cameras of the persons ``ids`` at ``level``, keyed (pid, cam)
+            in probe-then-gallery order. A subseq level k is the mean of the
+            first k windows, and a depth level t the t-th H-block of the mean of
+            all K; a noise level embeds its own rows."""
             seqs = {(pid, cam): level_rows[(pid, cam)] for pid in ids for cam in (0, 1)}
-            if depth is None:
-                return embed_projected(model, ax, seqs, agg_cfg)
-            if ids not in full:
-                full[ids] = embed_projected(model, ax, seqs, agg_cfg)
-            block = slice((depth - 1) * model.hidden_dim, depth * model.hidden_dim)
-            return [SequenceEmbedding(e.values[block], e.source_id, e.camera) for e in full[ids]]
+            if ids not in means or ex.kind == "noise":
+                means[ids] = _window_means(model, ax, seqs, rc.agg, counts)
+            values = means[ids][counts.index(level) if ex.kind == "subseq" else 0]
+            if ex.kind == "depth":
+                values = values[:, (level - 1) * model.hidden_dim : level * model.hidden_dim]
+            return [SequenceEmbedding(v, *key) for v, key in zip(values, seqs)]
 
-        # a RankSVM fit depends on the window count and the depth only, so
-        # standard and noise sweeps fit once per trial, the others per level
+        # a RankSVM fit depends on the level of a depth or subseq sweep only,
+        # so standard and noise sweeps fit once per trial
         scorers = {}
         for li, level in enumerate(levels):
-            agg_cfg = replace(rc.agg, num_subsequences=level) if ex.kind == "subseq" else rc.agg
-            depth = level if ex.kind == "depth" else None
             level_rows = dict(rows)
             if ex.kind == "noise":
                 # inject_noise on row indices draws as it does on frames, so
@@ -537,13 +540,13 @@ def run_experiment(dataset, run_config, experiment=None):
                         seed = _derive_seed(ex.master_seed, trial, li, pid, cam)
                         level_rows[(pid, cam)] = np.asarray(
                             inject_noise(rows[(pid, cam)], level, pool_rows, seed))
-            key = (agg_cfg.num_subsequences, depth)
+            key = level if ex.kind in ("depth", "subseq") else None
             if rc.scorer == "ranksvm" and key not in scorers:
-                embs = embed(split.train_ids, rows, agg_cfg, depth)
+                embs = embed(split.train_ids, rows, level)
                 svm = train_ranksvm(embs[0::2], embs[1::2], C=rc.ranksvm_C,
                                     iters=rc.ranksvm_iters)
                 scorers[key] = RankSvmScorer(svm)
-            embs = embed(split.test_ids, level_rows, agg_cfg, depth)
+            embs = embed(split.test_ids, level_rows, level)
             curves[level].append(compute_cmc(embs[0::2], embs[1::2], scorers.get(key, "cosine")))
         t_eval += time.perf_counter() - t1
     timings["training"] = t_train

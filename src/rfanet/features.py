@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError, require_int
+from .errors import ConfigurationError, DataError, FormatError, _shown, require_int
 
 LBP_BINS = 256
 CHANNELS_PER_PATCH = LBP_BINS + 6
@@ -173,7 +173,7 @@ def check_frame_size(width, height):
     """The size rule of a frame: its seven float64 planes (``to_frame_tensor``)
     fit in one array, which numpy caps at sys.maxsize bytes."""
     if width * height * 7 * 8 > sys.maxsize:
-        raise DataError(f"a {width}x{height} frame is larger than any array")
+        raise DataError(f"a {_shown(width)}x{_shown(height)} frame is larger than any array")
 
 
 def resize_bilinear(img, out_w, out_h):

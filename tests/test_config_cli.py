@@ -717,9 +717,12 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ("grid", {"lbp_bins": 256}, r"unknown keys in \[grid\]"),
     ("matching", {"ranksvm_seed": 0}, r"unknown keys in \[matching\]"),
     ("train", {"loss_mode": "per_timestep"}, r"unknown keys in \[train\]"),
+    ("paths", {"model": "\ud800.rfanet"},
+     r"paths\.model has a character the file system cannot encode"),
 ], ids=["image-int", "train-list", "grid-null", "width-str", "epochs-str", "clip-bool",
         "peephole-int", "C-str", "noise-level-str", "depth-float", "unknown-matching-key",
-        "clip-negative", "clip-zero", "lbp-bins-key", "ranksvm-seed-key", "loss-mode-key"])
+        "clip-negative", "clip-zero", "lbp-bins-key", "ranksvm-seed-key", "loss-mode-key",
+        "model-path-surrogate"])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, section, value, message):
     data = tiny_config_dict()
     data[section] = value if not isinstance(value, dict) else {**data[section], **value}

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import rfanet as rf
+import rfanet.aggregate as aggregate
 import rfanet.evaluation as evaluation
-from rfanet.aggregate import _derive_seed, embed_projected
+from rfanet.aggregate import _derive_seed, _unroll, _window_means
 from rfanet.errors import ConfigurationError, DataError
 from rfanet.evaluation import (
     describe_dataset,
@@ -714,12 +715,12 @@ def test_noise_sweep_splices_redescribed_frames(tiny_dataset, monkeypatch):
         projected.append(store)
         return project_store(model, store)
 
-    def recording_embed(model, ax, rows, *rest):
+    def recording_means(model, ax, rows, *rest):
         seen.append(rows)
-        return embed_projected(model, ax, rows, *rest)
+        return _window_means(model, ax, rows, *rest)
 
     monkeypatch.setattr(evaluation, "project_store", recording_project)
-    monkeypatch.setattr(evaluation, "embed_projected", recording_embed)
+    monkeypatch.setattr(evaluation, "_window_means", recording_means)
     report = rf.run_experiment(tiny_dataset, cfg, ex)
     assert len(projected) == ex.trials  # one projection of every row per model
     assert len(seen) == len(ex.noise_levels)  # the cosine scorer embeds no train set
@@ -789,29 +790,39 @@ def test_sweep_report_golden_digest(sweep_dataset, tmp_path, monkeypatch, scorer
     assert len(fits) == (ex.trials * per_trial if scorer == "ranksvm" else 0)
 
 
+@pytest.mark.parametrize("kind", ["depth", "subseq"])
 @pytest.mark.parametrize("scorer", ["cosine", "ranksvm"])
-def test_depth_sweep_embeds_each_sequence_set_once_per_trial(sweep_dataset, monkeypatch,
-                                                              scorer):
-    # a depth level is an H-block of the full embedding, so each trial embeds
-    # its test sequences once, and its training sequences once for the RankSVM
-    calls = []
+def test_sweep_embeds_each_sequence_set_once_per_trial(sweep_dataset, monkeypatch, scorer,
+                                                        kind):
+    # every depth and subseq level reads the window means of one draw, so each
+    # trial runs its test sequences through the recurrence once, and its
+    # training sequences once for the RankSVM, over max(levels) windows each
+    calls, windows = [], []
 
-    def counting_embed(model, ax, rows, cfg):
+    def counting_means(model, ax, rows, cfg, counts):
         calls.append(tuple(sorted({pid for pid, _ in rows})))
-        return embed_projected(model, ax, rows, cfg)
+        return _window_means(model, ax, rows, cfg, counts)
 
-    monkeypatch.setattr(evaluation, "embed_projected", counting_embed)
+    def counting_unroll(model, ax):
+        windows.append(len(ax))
+        return _unroll(model, ax)
+
+    monkeypatch.setattr(evaluation, "_window_means", counting_means)
+    monkeypatch.setattr(aggregate, "_unroll", counting_unroll)
     cfg = _tiny_config()
     cfg.scorer = scorer
     cfg.ranksvm_iters = 20
-    ex = rf.ExperimentSpec(kind="depth", trials=2, master_seed=0, depths=(1, 2, 3, 4, 5))
+    ex = rf.ExperimentSpec(kind=kind, trials=2, master_seed=0, depths=(1, 2, 3, 4, 5))
+    levels = ex.levels(cfg.train.subseq_len)
     report = rf.run_experiment(sweep_dataset, cfg, ex)
     expected = []
     for split in make_splits(sweep_dataset.ids(), ex.trials, ex.master_seed):
         expected += [split.train_ids] if scorer == "ranksvm" else []
         expected.append(split.test_ids)
     assert calls == expected
-    assert all(len(report.curves[depth]) == ex.trials for depth in ex.depths)
+    K = max(levels) if kind == "subseq" else cfg.agg.num_subsequences
+    assert windows == [2 * len(ids) * K for ids in expected]  # one batch per id set
+    assert all(len(report.curves[level]) == ex.trials for level in levels)
 
 
 def _manifest(tmp_path, document):

@@ -12,6 +12,7 @@ through the CLI.
 import json
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ BAD_VALUES = {
     "nan": float("nan"), "inf": float("inf"), "401-digits": 10**400,
 }
 
+# integers with more digits than Python converts to decimal (4,300 by
+# default), which a message names without converting them
+HUGE_INTS = {"5000-digits": 10**5000, "minus-5000-digits": -10**5000}
+WRONG_VALUES = {**BAD_VALUES, **HUGE_INTS}
+
 # the bad values that are valid for a key: None where the key may be unset,
 # a one-level list where the key is a level list, any string for a path
 VALID = {
@@ -40,7 +46,7 @@ VALID = {
 }
 
 CASES = [(section, key, kind) for section, (_, keys) in _LAYOUT.items() for key in keys
-         for kind in BAD_VALUES if kind not in VALID.get((section, key), ())]
+         for kind in WRONG_VALUES if kind not in VALID.get((section, key), ())]
 
 
 def _desk_dict():
@@ -51,7 +57,7 @@ def _desk_dict():
                          ids=[f"{s}.{k}-{kind}" for s, k, kind in CASES])
 def test_config_file_refuses_a_wrong_typed_value_naming_the_key(section, key, kind):
     data = _desk_dict()
-    data[section][key] = BAD_VALUES[kind]
+    data[section][key] = WRONG_VALUES[kind]
     with pytest.raises(ConfigurationError) as exc:
         rf.config_from_dict(data)
     assert f"{section}.{key}" in str(exc.value)
@@ -106,7 +112,7 @@ def _entry_points():
              "ExperimentSpec-depths": {"null", "list"}, "ExperimentSpec-subseq_counts": {"list"},
              "paths-manifest": {"str", "null"}}
     return [(name, kind, call) for name, call in calls.items()
-            for kind in BAD_VALUES if kind not in valid.get(name, ())]
+            for kind in WRONG_VALUES if kind not in valid.get(name, ())]
 
 
 API_CASES = _entry_points()
@@ -117,7 +123,58 @@ API_CASES = _entry_points()
 def test_python_api_refuses_a_wrong_typed_value(case):
     _, kind, call = API_CASES[case]
     with pytest.raises(RfaError):
-        call(BAD_VALUES[kind])
+        call(WRONG_VALUES[kind])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: rf.TrainConfig(epochs=-10**5000).validate(),
+     "train.epochs must be >= 0, got a negative integer of 16610 bits"),
+    (lambda: sample_starts(10, 5, 10**5000, 0),
+     f"num_subsequences must be <= {sys.maxsize // 8}, got an integer of 16610 bits"),
+    (lambda: rf.init_model(3, 2, 2, 0, init_bound=10**5000),
+     "init_bound must be finite, got an integer of 16610 bits"),
+    (lambda: rf.describe_frames([], rf.PatchGridSpec(8, 4, 4, 2), 16, 10**5000),
+     "a 16xan integer of 16610 bits frame is larger than any array"),
+    (lambda: rf.generate_synthetic(2, 2, camera_gain=(10**5000,)),
+     "camera_gain must be 3 finite values, got a tuple with an integer too long to print"),
+    (lambda: rf.TrainConfig(epochs=Fraction(10**5000)).validate(),
+     "train.epochs must be an integer, got a Fraction with an integer too long to print"),
+], ids=["require_int-low", "require_int-high", "require_real", "frame-size", "gain-tuple",
+        "require_int-type"])
+def test_a_message_names_an_integer_too_long_for_decimal(call, message):
+    with pytest.raises(RfaError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_config_file_with_an_integer_too_long_for_decimal(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"train": {"epochs": 1' + "0" * 5000 + "}}")
+    message = f"config {path} has an integer of more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(ConfigurationError) as exc:
+        rf.load_config(path)
+    assert str(exc.value) == message
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("key", ["manifest", "model", "out_dir"])
+def test_a_path_the_file_system_cannot_encode_is_refused(tmp_path, capsys, key):
+    # a lone surrogate, which the JSON escape \ud800 gives, has no bytes; the
+    # train command refuses it before it trains, not when it writes the model
+    data = _desk_dict()
+    data["paths"][key] = "\ud800.rfanet"
+    message = f"paths.{key} has a character the file system cannot encode"
+    with pytest.raises(ConfigurationError) as exc:
+        rf.config_from_dict(data)
+    assert str(exc.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_python_api_refuses_a_scalar_gain_and_an_unrepresentable_C():
